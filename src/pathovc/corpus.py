@@ -182,12 +182,7 @@ def _add_speaker(speakers, sid, sex, score_text, band, band_cuts, path, lineno):
     if sex not in SEXES:
         raise ManifestError(
             f"{path} line {lineno}: sex must be one of {'/'.join(SEXES)}, got {sex!r}")
-    try:
-        score = float(score_text)
-    except ValueError:
-        raise ManifestError(
-            f"{path} line {lineno}: intelligibility_score {score_text!r} "
-            "is not a number") from None
+    score = _parse_score(score_text, path, lineno)
     if not 0.0 <= score <= 100.0:
         raise ManifestError(
             f"{path} line {lineno}: intelligibility_score {score} outside [0, 100]")
@@ -199,13 +194,22 @@ def _add_speaker(speakers, sid, sex, score_text, band, band_cuts, path, lineno):
     speakers[sid] = SpeakerRecord(sid, sex, score, band)
 
 
+def _parse_score(score_text, path, lineno):
+    try:
+        return float(score_text)
+    except ValueError:
+        raise ManifestError(
+            f"{path} line {lineno}: intelligibility_score {score_text!r} "
+            "is not a number") from None
+
+
 def _check_metadata_consistency(rec, sex, score_text, band, path, lineno):
     # utterance rows may repeat the speaker metadata; if they do it must match
     if sex and sex != rec.sex:
         raise ManifestError(
             f"{path} line {lineno}: sex {sex!r} contradicts declared "
             f"{rec.sex!r} for {rec.speaker_id}")
-    if score_text and float(score_text) != rec.intelligibility_score:
+    if score_text and _parse_score(score_text, path, lineno) != rec.intelligibility_score:
         raise ManifestError(
             f"{path} line {lineno}: score {score_text} contradicts declared "
             f"{rec.intelligibility_score} for {rec.speaker_id}")

@@ -1,4 +1,10 @@
-"""Reverse-mode autodiff over the small set of tensor ops the model needs."""
+"""Reverse-mode autodiff over the small set of tensor ops the model needs.
+
+Each op computes its result and hands ``_make`` one function ``backward(g)``
+that routes the upstream gradient ``g`` of the result to the op's parents.
+"""
+
+import weakref
 
 import numpy as np
 
@@ -10,12 +16,13 @@ class ShapeError(ValueError):
 class Tensor:
     """A numpy array plus the bookkeeping for reverse-mode differentiation.
 
-    Non-leaf tensors record their parents and a closure that routes the
-    upstream gradient to them. Gradients accumulate by summation, so fan-out
-    is handled for free.
+    Non-leaf tensors record their parents and a callable that routes their
+    gradient to them. Gradients accumulate by summation, so fan-out is
+    handled for free.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=()):
         arr = np.asarray(data)
@@ -37,12 +44,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         if self.data.size != 1:
@@ -119,25 +120,30 @@ def _make(data, parents, backward):
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
                  _parents=tuple(parents))
     if out.requires_grad:
-        out._backward = backward(out)
+        _set_backward(out, backward)
     return out
 
 
+def _set_backward(out, backward):
+    # _backward takes no argument, so benchmarks/spans.py can wrap it to
+    # time the conv backwards.  It reaches out.grad through a weak reference:
+    # a strong one would make every node a reference cycle, and a step's
+    # whole graph would then outlive its loss until the cyclic collector ran.
+    node = weakref.ref(out)
+    out._backward = lambda: backward(node().grad)
+
+
 def add(a, b):
-    def bw(out):
-        def run():
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
-        return run
+    def bw(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
     return _make(a.data + b.data, (a, b), bw)
 
 
 def mul(a, b):
-    def bw(out):
-        def run():
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        return run
+    def bw(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
     return _make(a.data * b.data, (a, b), bw)
 
 
@@ -145,31 +151,21 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes do not conform: {a.data.shape} @ {b.data.shape}")
 
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad @ b.data.T)
-            _accumulate(b, a.data.T @ out.grad)
-        return run
+    def bw(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
     return _make(a.data @ b.data, (a, b), bw)
 
 
 def relu(x):
-    def bw(out):
-        def run():
-            _accumulate(x, out.grad * (out.data > 0))
-        return run
-    return _make(np.maximum(x.data, 0), (x,), bw)
+    y = np.maximum(x.data, 0)
+    return _make(y, (x,), lambda g: _accumulate(x, g * (y > 0)))
 
 
 def transpose(x):
     if x.data.ndim != 2:
         raise ShapeError("transpose expects a 2-D tensor")
-
-    def bw(out):
-        def run():
-            _accumulate(x, out.grad.T)
-        return run
-    return _make(x.data.T.copy(), (x,), bw)
+    return _make(x.data.T.copy(), (x,), lambda g: _accumulate(x, g.T))
 
 
 def concat(tensors, axis=0):
@@ -178,13 +174,11 @@ def concat(tensors, axis=0):
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def bw(out):
-        def run():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, out.grad[tuple(idx)])
-        return run
+    def bw(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _accumulate(t, g[tuple(idx)])
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
@@ -196,13 +190,28 @@ def crop(x, length, axis=-1):
     idx[axis] = slice(0, length)
     idx = tuple(idx)
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(x.data)
-            g[idx] = out.grad
-            _accumulate(x, g)
-        return run
+    def bw(g):
+        dx = np.zeros_like(x.data)
+        dx[idx] = g
+        _accumulate(x, dx)
     return _make(x.data[idx].copy(), (x,), bw)
+
+
+def _windows(xp, w, stride, n):
+    """im2col: (C, W, n) with [:, j, t] = xp[:, j + stride * t]."""
+    cols = np.empty((xp.shape[0], w, n), dtype=xp.dtype)
+    for j in range(w):
+        cols[:, j, :] = xp[:, j:j + stride * (n - 1) + 1:stride]
+    return cols
+
+
+def _overlap_add(cols, stride, size):
+    """Adjoint of _windows: scatter-add (C, W, n) columns into (C, size)."""
+    c, w, n = cols.shape
+    out = np.zeros((c, size), dtype=cols.dtype)
+    for j in range(w):
+        out[:, j:j + stride * (n - 1) + 1:stride] += cols[:, j, :]
+    return out
 
 
 def conv1d(x, k, stride=1, padding=0):
@@ -220,31 +229,26 @@ def conv1d(x, k, stride=1, padding=0):
         raise ShapeError(f"conv1d output would be empty (T={t}, W={w}, pad={padding})")
 
     xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
-    cols = np.empty((cin, w, t_out), dtype=x.data.dtype)
-    for j in range(w):
-        cols[:, j, :] = xp[:, j:j + stride * (t_out - 1) + 1:stride]
-    y = np.einsum("oiw,iwt->ot", k.data, cols)
+    cols = _windows(xp, w, stride, t_out)
 
-    def bw(out):
-        def run():
-            g = out.grad
-            _accumulate(k, np.einsum("ot,iwt->oiw", g, cols))
-            if x.requires_grad:
-                dxp = np.zeros_like(xp)
-                tmp = np.einsum("oiw,ot->iwt", k.data, g)
-                for j in range(w):
-                    dxp[:, j:j + stride * (t_out - 1) + 1:stride] += tmp[:, j, :]
-                _accumulate(x, dxp[:, padding:padding + t] if padding else dxp)
-        return run
-    return _make(y, (x, k), bw)
+    def bw(g):
+        _accumulate(k, np.einsum("ot,iwt->oiw", g, cols))
+        if x.requires_grad:
+            dxp = _overlap_add(np.einsum("oiw,ot->iwt", k.data, g), stride, xp.shape[1])
+            _accumulate(x, dxp[:, padding:padding + t])
+    return _make(np.einsum("oiw,iwt->ot", k.data, cols), (x, k), bw)
 
 
 def conv_transpose1d(x, k, stride=1, padding=0):
-    """Transposed convolution of x (Cin, T) with kernels k (Cin, Cout, W)."""
+    """Transposed convolution of x (Cin, T) with kernels k (Cin, Cout, W).
+
+    The adjoint of conv1d: the forward overlap-adds what conv1d gathers, and
+    the backward gathers windows of the padded upstream gradient.
+    """
     if x.data.ndim != 2 or k.data.ndim != 3:
         raise ShapeError("conv_transpose1d expects x (Cin, T) and k (Cin, Cout, W)")
     cin, t = x.data.shape
-    kcin, cout, w = k.data.shape
+    kcin, _, w = k.data.shape
     if kcin != cin:
         raise ShapeError(f"conv_transpose1d channel mismatch: x has {cin}, kernel expects {kcin}")
     if stride < 1 or padding < 0:
@@ -254,26 +258,14 @@ def conv_transpose1d(x, k, stride=1, padding=0):
     if t_out < 1:
         raise ShapeError("conv_transpose1d output would be empty")
 
-    tmp = np.einsum("iow,it->owt", k.data, x.data)
-    y_full = np.zeros((cout, t_full), dtype=x.data.dtype)
-    for j in range(w):
-        y_full[:, j:j + stride * (t - 1) + 1:stride] += tmp[:, j, :]
-    y = y_full[:, padding:padding + t_out].copy() if padding else y_full
+    y = _overlap_add(np.einsum("iow,it->owt", k.data, x.data), stride, t_full)
 
-    def bw(out):
-        def run():
-            if padding:
-                g_full = np.zeros((cout, t_full), dtype=out.grad.dtype)
-                g_full[:, padding:padding + t_out] = out.grad
-            else:
-                g_full = out.grad
-            cols = np.empty((cout, w, t), dtype=g_full.dtype)
-            for j in range(w):
-                cols[:, j, :] = g_full[:, j:j + stride * (t - 1) + 1:stride]
-            _accumulate(x, np.einsum("iow,owt->it", k.data, cols))
-            _accumulate(k, np.einsum("it,owt->iow", x.data, cols))
-        return run
-    return _make(y, (x, k), bw)
+    def bw(g):
+        gp = np.pad(g, ((0, 0), (padding, padding))) if padding else g
+        cols = _windows(gp, w, stride, t)
+        _accumulate(x, np.einsum("iow,owt->it", k.data, cols))
+        _accumulate(k, np.einsum("it,owt->iow", x.data, cols))
+    return _make(y[:, padding:padding + t_out].copy() if padding else y, (x, k), bw)
 
 
 def embedding(table, indices):
@@ -286,12 +278,10 @@ def embedding(table, indices):
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError("embedding index out of range")
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            _accumulate(table, g)
-        return run
+    def bw(g):
+        dt = np.zeros_like(table.data)
+        np.add.at(dt, idx, g)
+        _accumulate(table, dt)
     return _make(table.data[idx], (table,), bw)
 
 
@@ -299,82 +289,59 @@ def straight_through(z, q):
     """Forward q, backward identity onto z; q receives no gradient."""
     if z.data.shape != q.data.shape:
         raise ShapeError(f"straight_through shape mismatch: {z.data.shape} vs {q.data.shape}")
-
-    def bw(out):
-        def run():
-            _accumulate(z, out.grad)
-        return run
+    # q stays a parent, so the graph's order is the same as for any other
+    # op, but only z decides whether the result needs a gradient
     out = Tensor(q.data.copy(), requires_grad=z.requires_grad, _parents=(z, q))
     if out.requires_grad:
-        out._backward = bw(out)
+        _set_backward(out, lambda g: _accumulate(z, g))
     return out
 
 
 def tsum(x):
-    def bw(out):
-        def run():
-            _accumulate(x, np.broadcast_to(out.grad, x.data.shape).astype(x.data.dtype))
-        return run
+    def bw(g):
+        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
     return _make(x.data.sum(), (x,), bw)
 
 
 def mean(x):
     n = x.data.size
 
-    def bw(out):
-        def run():
-            _accumulate(x, np.broadcast_to(out.grad / n, x.data.shape).astype(x.data.dtype))
-        return run
+    def bw(g):
+        _accumulate(x, np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype))
     return _make(x.data.mean(), (x,), bw)
+
+
+def _weighted_mean(name, a, b, weight, pointwise):
+    """Mean of weight * value over a - b; weight defaults to all-ones.
+
+    pointwise(d) returns (value, slope), slope being d value / d a.
+    """
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{name} shape mismatch: {a.data.shape} vs {b.data.shape}")
+    value, slope = pointwise(a.data - b.data)
+    if weight is None:
+        y = np.mean(value)
+        denom = value.size
+    else:
+        weight = np.asarray(weight, dtype=value.dtype)
+        denom = weight.sum()
+        if denom <= 0:
+            raise ValueError(f"{name} weights must have positive total mass")
+        y = np.sum(weight * value) / denom
+        slope = weight * slope
+
+    def bw(g):
+        common = g * slope / denom
+        _accumulate(a, common)
+        _accumulate(b, -common)
+    return _make(y, (a, b), bw)
 
 
 def squared_error(a, b, weight=None):
     """Mean of weight * (a - b)^2; weight defaults to all-ones."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"squared_error shape mismatch: {a.data.shape} vs {b.data.shape}")
-    d = a.data - b.data
-    if weight is None:
-        y = np.mean(d * d)
-        denom = d.size
-        wd = d
-    else:
-        weight = np.asarray(weight, dtype=d.dtype)
-        denom = weight.sum()
-        if denom <= 0:
-            raise ValueError("squared_error weights must have positive total mass")
-        y = np.sum(weight * d * d) / denom
-        wd = weight * d
-
-    def bw(out):
-        def run():
-            common = out.grad * 2.0 * wd / denom
-            _accumulate(a, common)
-            _accumulate(b, -common)
-        return run
-    return _make(y, (a, b), bw)
+    return _weighted_mean("squared_error", a, b, weight, lambda d: (d * d, 2 * d))
 
 
 def abs_error(a, b, weight=None):
     """Mean of weight * |a - b|; weight defaults to all-ones."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"abs_error shape mismatch: {a.data.shape} vs {b.data.shape}")
-    d = a.data - b.data
-    if weight is None:
-        y = np.mean(np.abs(d))
-        denom = d.size
-        ws = np.sign(d)
-    else:
-        weight = np.asarray(weight, dtype=d.dtype)
-        denom = weight.sum()
-        if denom <= 0:
-            raise ValueError("abs_error weights must have positive total mass")
-        y = np.sum(weight * np.abs(d)) / denom
-        ws = weight * np.sign(d)
-
-    def bw(out):
-        def run():
-            common = out.grad * ws / denom
-            _accumulate(a, common)
-            _accumulate(b, -common)
-        return run
-    return _make(y, (a, b), bw)
+    return _weighted_mean("abs_error", a, b, weight, lambda d: (np.abs(d), np.sign(d)))

@@ -3,22 +3,6 @@
 import numpy as np
 
 
-def adam_step(param, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update in place on param.data; returns updated (m, v).
-
-    t is the 1-based step count used for bias correction.
-    """
-    if param.grad is None:
-        return m, v
-    g = param.grad
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * (g * g)
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    param.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.data.dtype)
-    return m, v
-
-
 class Adam:
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -35,8 +19,14 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One bias-corrected update in place on each parameter that has a grad."""
         self.t += 1
         for i, p in enumerate(self.params):
-            self._m[i], self._v[i] = adam_step(
-                p, self._m[i], self._v[i], self.t,
-                lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+            if p.grad is None:
+                continue
+            g = p.grad
+            m = self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
+            v = self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)

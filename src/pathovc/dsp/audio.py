@@ -100,6 +100,12 @@ def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int) -> np.nd
     return np.fft.rfft(frames * win, n=fft_size, axis=1)
 
 
+# Near both ends the window-square sum is only a window tail (down to
+# ~1e-10 of its peak), and dividing by it there lifts the edge samples far
+# above the body.  Flooring it at this fraction of its peak bounds that gain.
+_ISTFT_DEN_FLOOR = 0.1
+
+
 def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
           length: int | None = None) -> np.ndarray:
     """Least-squares inverse of stft: windowed overlap-add over sum of squares."""
@@ -114,7 +120,7 @@ def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
         lo = i * hop_size
         num[lo:lo + window_size] += frames[i] * win
         den[lo:lo + window_size] += win * win
-    out = num / np.maximum(den, 1e-12)
+    out = num / np.maximum(den, max(_ISTFT_DEN_FLOOR * den.max(), 1e-12))
     if length is not None:
         if length <= total:
             out = out[:length]

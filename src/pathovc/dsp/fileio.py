@@ -59,4 +59,7 @@ def read_mcep(path) -> np.ndarray:
     if len(body) != expected:
         raise FeatureFormatError(
             f"{path}: payload is {len(body)} bytes, header implies {expected}")
-    return np.frombuffer(body, dtype="<f4").reshape(t, c).copy()
+    frames = np.frombuffer(body, dtype="<f4").reshape(t, c).copy()
+    if not np.all(np.isfinite(frames)):
+        raise FeatureFormatError(f"{path}: payload holds NaN or Inf values")
+    return frames

@@ -341,6 +341,9 @@ class HVqVaeModel:
             pool = np.asarray(z_samples[n - 1], dtype=self.cfg.dtype)
             if pool.ndim != 2 or pool.shape[0] == 0:
                 raise ValueError(f"stage {n} has no latent samples")
+            # NaN or Inf rows never become distinct under the re-jitter
+            if not np.all(np.isfinite(pool)):
+                raise ValueError(f"stage {n} latent samples contain NaN or Inf")
             picks = rng.integers(0, pool.shape[0], size=k)
             rows = pool[picks] + 0.01 * rng.standard_normal(
                 (k, pool.shape[1])).astype(self.cfg.dtype)

@@ -68,6 +68,9 @@ def _validate_dataset(model, dataset):
             raise ValueError(
                 f"utterance {i}: expected T x {model.cfg.in_channels} frames, "
                 f"got shape {frames.shape}")
+        if not np.all(np.isfinite(frames)):
+            raise ValueError(
+                f"utterance {i} of speaker {speaker_id!r}: frames contain NaN or Inf")
         items.append((speaker_id, frames))
     return items
 

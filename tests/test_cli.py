@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,18 @@ class TestTrain:
                      "--features", str(env["feats"])]) == 1
         assert "in_channels" in capsys.readouterr().err
 
+    def test_non_finite_features_refused(self, env, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        bad = sorted((feats / "features").glob("*_B1.mcep"))[0]
+        frames = dsp.read_mcep(bad)
+        frames[0, 0] = np.nan
+        dsp.write_mcep(bad, frames)
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]),
+                     "--features", str(feats)]) == 1
+        assert bad.name in capsys.readouterr().err
+
     def test_corrupt_index_is_internal_error(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
         feats.mkdir()
@@ -263,6 +276,16 @@ class TestPair:
         assert main(["--out", str(out), "pair", str(env["manifest"])]) == 0
         assert "M04,M12,5.4" in capsys.readouterr().out
         assert (out / "pairs.csv").read_text().splitlines()[1] == "M04,M12,5.4"
+
+    def test_non_numeric_utterance_score_is_user_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M01,M,2,very_low,,,\n"
+            "M01,,abc,,W1,B1,a.wav\n")
+        assert main(["pair", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "not a number" in err
 
     def test_unmatched_reported(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

@@ -288,6 +288,17 @@ class TestGriffinLim:
         assert errs[-1] <= errs[0]
         assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(59))
 
+    def test_edges_not_amplified(self):
+        # at both ends the window-square sum is only a window tail; an
+        # unfloored division there put the waveform's peak at the first
+        # samples, ~3e4x above the body
+        cfg = dsp.DspConfig()
+        ms = dsp.mel_spectrogram(dsp.Waveform(sine(440, 24000, 0.8), 24000), cfg)
+        x = dsp.griffin_lim(ms, cfg, 10).samples
+        w = cfg.window_size
+        edge = max(np.abs(x[:w]).max(), np.abs(x[-w:]).max())
+        assert edge <= 3.0 * np.abs(x[w:-w]).max()
+
     def test_zero_iterations_rejected(self):
         cfg = dsp.DspConfig()
         ms = dsp.MelSpectrogram(np.ones((2, 80)), 256 / 24000, 24000)
@@ -347,6 +358,15 @@ class TestMcepIO:
         dsp.write_mcep(path, frames)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(dsp.FeatureFormatError, match="payload"):
+            dsp.read_mcep(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        frames = np.ones((4, 3), dtype=np.float32)
+        frames[2, 1] = bad
+        path = tmp_path / "nf.mcep"
+        dsp.write_mcep(path, frames)
+        with pytest.raises(dsp.FeatureFormatError, match="nf.mcep.*NaN or Inf"):
             dsp.read_mcep(path)
 
     def test_short_header(self, tmp_path):

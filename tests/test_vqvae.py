@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -353,6 +356,39 @@ class TestTraining:
         m = tiny_model(dtype="float32")
         with pytest.raises(ValueError, match="empty"):
             vqvae.train(m, [], vqvae.TrainingConfig(steps=1))
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNonFiniteInput:
+    def test_init_codebooks_rejects_nan_latents(self):
+        m = tiny_model()
+        m.codebooks_initialized = False
+        pools = [np.ones((4, 2)), np.full((4, 2), np.nan), np.ones((4, 2))]
+        with time_limit(10), pytest.raises(ValueError, match="stage 2"):
+            m.init_codebooks(pools, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_train_rejects_non_finite_frames(self, bad):
+        m = tiny_model(dtype="float32")
+        m.codebooks_initialized = False
+        frames = np.zeros((16, 3), dtype=np.float32)
+        frames[5, 1] = bad
+        data = [("A", np.ones((16, 3), dtype=np.float32)), ("B", frames)]
+        with time_limit(10), pytest.raises(ValueError, match="utterance 1 of speaker 'B'"):
+            vqvae.train(m, data, vqvae.TrainingConfig(steps=1))
 
 
 class TestCheckpoint:
