@@ -33,7 +33,7 @@ AB_EXPECTATIONS = {"S_vs_S": "same", "T_vs_T": "same", "S_vs_T": "different",
 
 USER_ERRORS = (ConfigError, corpus.ManifestError, stats.RatingsFormatError,
                vqvae.CheckpointFormatError, vqvae.UnknownSpeakerError,
-               dsp.FeatureFormatError, OSError)
+               vqvae.NonFiniteLossError, dsp.FeatureFormatError, OSError)
 
 
 class UserError(Exception):

@@ -22,6 +22,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import dsp
+from .atomic import atomic_open
 
 logger = logging.getLogger(__name__)
 
@@ -338,13 +339,13 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
             "frames": int(mc.frames.shape[0]),
         }
 
-    with open(store.index_path, "w", encoding="utf-8") as fh:
+    with atomic_open(store.index_path, "w", encoding="utf-8") as fh:
         json.dump(store.entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_dir / "skipped.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "skipped.txt", "w", encoding="utf-8") as fh:
         for key in store.skipped:
             fh.write(key + "\n")
-    with open(out_dir / "errors.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "errors.txt", "w", encoding="utf-8") as fh:
         for key, msg in store.errors:
             fh.write(f"{key}\t{msg}\n")
     if store.skipped:

@@ -2,6 +2,15 @@
 
 Each op computes its result and hands ``_make`` one function ``backward(g)``
 that routes the upstream gradient ``g`` of the result to the op's parents.
+
+Arrays are channel-major, (C, T).  The conv ops do every contraction as one
+2-D matmul, so BLAS does the work (im2col plus GEMM, after Chellapilla, Puri
+& Simard, 2006): ``_windows`` gathers the kernel windows of a (C, T) input
+into a (C*W, n) column matrix, each kernel is viewed as a matrix with C*W
+on one side, and ``_overlap_add``, the adjoint of ``_windows``, scatters
+column matrices back.  The same inputs give the same bits on every run
+(the tests check one and two BLAS threads), but BLAS picks the summation
+order, so results can differ from a plain loop's in the last bits.
 """
 
 import weakref
@@ -197,6 +206,19 @@ def crop(x, length, axis=-1):
     return _make(x.data[idx].copy(), (x,), bw)
 
 
+def _pad(a, padding):
+    """a (C, T) with `padding` zero columns on each side.
+
+    A zero buffer plus one slice assignment; np.pad does the same copy at
+    several times the cost on these small arrays.
+    """
+    if not padding:
+        return a
+    out = np.zeros((a.shape[0], a.shape[1] + 2 * padding), dtype=a.dtype)
+    out[:, padding:padding + a.shape[1]] = a
+    return out
+
+
 def _windows(xp, w, stride, n):
     """im2col: (C, W, n) with [:, j, t] = xp[:, j + stride * t]."""
     cols = np.empty((xp.shape[0], w, n), dtype=xp.dtype)
@@ -215,7 +237,12 @@ def _overlap_add(cols, stride, size):
 
 
 def conv1d(x, k, stride=1, padding=0):
-    """Cross-correlation of x (Cin, T) with kernels k (Cout, Cin, W)."""
+    """Cross-correlation of x (Cin, T) with kernels k (Cout, Cin, W).
+
+    Lowered to GEMMs over the im2col matrix cols_m = _windows(x padded)
+    viewed as (Cin*W, Tout): y = k_m @ cols_m with k_m = k as (Cout, Cin*W);
+    dk = g @ cols_m.T; dx overlap-adds the columns k_m.T @ g.
+    """
     if x.data.ndim != 2 or k.data.ndim != 3:
         raise ShapeError("conv1d expects x (Cin, T) and k (Cout, Cin, W)")
     cin, t = x.data.shape
@@ -228,27 +255,29 @@ def conv1d(x, k, stride=1, padding=0):
     if t_out < 1:
         raise ShapeError(f"conv1d output would be empty (T={t}, W={w}, pad={padding})")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
-    cols = _windows(xp, w, stride, t_out)
+    cols_m = _windows(_pad(x.data, padding), w, stride, t_out).reshape(cin * w, t_out)
 
     def bw(g):
-        _accumulate(k, np.einsum("ot,iwt->oiw", g, cols))
+        _accumulate(k, (g @ cols_m.T).reshape(k.data.shape))
         if x.requires_grad:
-            dxp = _overlap_add(np.einsum("oiw,ot->iwt", k.data, g), stride, xp.shape[1])
+            dcols = (k.data.reshape(cout, cin * w).T @ g).reshape(cin, w, t_out)
+            dxp = _overlap_add(dcols, stride, t + 2 * padding)
             _accumulate(x, dxp[:, padding:padding + t])
-    return _make(np.einsum("oiw,iwt->ot", k.data, cols), (x, k), bw)
+    return _make(k.data.reshape(cout, cin * w) @ cols_m, (x, k), bw)
 
 
 def conv_transpose1d(x, k, stride=1, padding=0):
     """Transposed convolution of x (Cin, T) with kernels k (Cin, Cout, W).
 
-    The adjoint of conv1d: the forward overlap-adds what conv1d gathers, and
-    the backward gathers windows of the padded upstream gradient.
+    The adjoint of conv1d, lowered to GEMMs the same way with k_m = k as
+    (Cin, Cout*W): the forward overlap-adds the columns k_m.T @ x; the
+    backward takes cols_m = _windows(g padded) as (Cout*W, T), then
+    dx = k_m @ cols_m and dk = x @ cols_m.T.
     """
     if x.data.ndim != 2 or k.data.ndim != 3:
         raise ShapeError("conv_transpose1d expects x (Cin, T) and k (Cin, Cout, W)")
     cin, t = x.data.shape
-    kcin, _, w = k.data.shape
+    kcin, cout, w = k.data.shape
     if kcin != cin:
         raise ShapeError(f"conv_transpose1d channel mismatch: x has {cin}, kernel expects {kcin}")
     if stride < 1 or padding < 0:
@@ -258,13 +287,13 @@ def conv_transpose1d(x, k, stride=1, padding=0):
     if t_out < 1:
         raise ShapeError("conv_transpose1d output would be empty")
 
-    y = _overlap_add(np.einsum("iow,it->owt", k.data, x.data), stride, t_full)
+    cols = (k.data.reshape(cin, cout * w).T @ x.data).reshape(cout, w, t)
+    y = _overlap_add(cols, stride, t_full)
 
     def bw(g):
-        gp = np.pad(g, ((0, 0), (padding, padding))) if padding else g
-        cols = _windows(gp, w, stride, t)
-        _accumulate(x, np.einsum("iow,owt->it", k.data, cols))
-        _accumulate(k, np.einsum("it,owt->iow", x.data, cols))
+        cols_m = _windows(_pad(g, padding), w, stride, t).reshape(cout * w, t)
+        _accumulate(x, k.data.reshape(cin, cout * w) @ cols_m)
+        _accumulate(k, (x.data @ cols_m.T).reshape(k.data.shape))
     return _make(y[:, padding:padding + t_out].copy() if padding else y, (x, k), bw)
 
 

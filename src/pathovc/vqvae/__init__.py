@@ -14,7 +14,7 @@ from .model import (
     codebook_perplexity,
     quantize,
 )
-from .training import TrainingConfig, TrainingReport, train
+from .training import NonFiniteLossError, TrainingConfig, TrainingReport, train
 
 __all__ = [
     "CheckpointFormatError",
@@ -23,6 +23,7 @@ __all__ = [
     "HVqVaeModel",
     "LossBreakdown",
     "MIN_FRAMES",
+    "NonFiniteLossError",
     "TrainingConfig",
     "TrainingReport",
     "UnknownSpeakerError",

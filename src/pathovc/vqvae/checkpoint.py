@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 
+from ..atomic import atomic_open
 from .model import HVqVaeModel, VqVaeConfig
 
 MAGIC = b"HVQV1"
@@ -33,7 +34,7 @@ def save_checkpoint(model: HVqVaeModel, path) -> None:
         "params": [[n, list(model.params[n].data.shape)] for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<H", VERSION))
         f.write(struct.pack("<I", len(blob)))

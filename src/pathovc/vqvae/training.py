@@ -6,7 +6,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import diffcore as dc
+from ..atomic import atomic_open
 from .model import HVqVaeModel, UnknownSpeakerError, codebook_perplexity
+
+
+class NonFiniteLossError(ValueError):
+    """A loss term came out NaN or Inf: training diverged."""
 
 
 @dataclass
@@ -41,7 +46,7 @@ class TrainingReport:
         return len(self.reconstruction)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["step", "reconstruction", "codebook", "commitment",
                         "perplexity_1", "perplexity_2", "perplexity_3"])
@@ -93,7 +98,9 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
 
     dataset is a sequence of (speaker_id, frames) with time-major frames.
     Codebooks are seeded from the first batch's encoder latents unless the
-    model already carries initialized codebooks.
+    model already carries initialized codebooks.  Raises NonFiniteLossError,
+    naming the step and the loss term, as soon as a step's forward pass
+    gives a NaN or Inf loss.
     """
     items = _validate_dataset(model, dataset)
     rng = np.random.default_rng(cfg.seed)
@@ -126,6 +133,14 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
             commit += parts.commitment
             for n in range(3):
                 stage_indices[n].append(parts.indices[n])
+        for name, value in (("reconstruction", recon), ("codebook", cb),
+                            ("commitment", commit)):
+            if not np.isfinite(value):
+                # finite inputs can still diverge; stop before the step
+                # writes NaN into the parameters
+                raise NonFiniteLossError(
+                    f"training diverged at step {step + 1}: {name} loss is "
+                    f"{value}; try a lower learning_rate")
         scale = 1.0 / cfg.batch_size
         (total * scale).backward()
         opt.step()

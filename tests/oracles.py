@@ -41,6 +41,55 @@ def max_relative_error(got, want):
     return float(np.max(np.abs(got - want) / denom)) if got.size else 0.0
 
 
+def _windows_ref(xp, w, stride, n):
+    """(C, W, n) with [:, j, t] = xp[:, j + stride * t]."""
+    return np.stack([xp[:, j:j + stride * (n - 1) + 1:stride] for j in range(w)],
+                    axis=1)
+
+
+def _overlap_add_ref(cols, stride, size):
+    """Scatter-add (C, W, n) columns into (C, size); adjoint of _windows_ref."""
+    c, w, n = cols.shape
+    out = np.zeros((c, size), dtype=cols.dtype)
+    for j in range(w):
+        out[:, j:j + stride * (n - 1) + 1:stride] += cols[:, j, :]
+    return out
+
+
+def conv1d_ref(x, k, stride, padding):
+    """conv1d of x (Cin, T) with k (Cout, Cin, W) by einsum over windows.
+
+    Returns (y, grads), where grads(g) gives (dx, dk) for an upstream
+    gradient g of y.
+    """
+    t = x.shape[1]
+    w = k.shape[2]
+    xp = np.pad(x, ((0, 0), (padding, padding)))
+    t_out = (xp.shape[1] - w) // stride + 1
+    cols = _windows_ref(xp, w, stride, t_out)
+
+    def grads(g):
+        dxp = _overlap_add_ref(np.einsum("oiw,ot->iwt", k, g), stride, xp.shape[1])
+        return dxp[:, padding:padding + t], np.einsum("ot,iwt->oiw", g, cols)
+    return np.einsum("oiw,iwt->ot", k, cols), grads
+
+
+def conv_transpose1d_ref(x, k, stride, padding):
+    """conv_transpose1d of x (Cin, T) with k (Cin, Cout, W) by einsum.
+
+    Returns (y, grads) like conv1d_ref.
+    """
+    t = x.shape[1]
+    w = k.shape[2]
+    t_full = (t - 1) * stride + w
+    y = _overlap_add_ref(np.einsum("iow,it->owt", k, x), stride, t_full)
+
+    def grads(g):
+        cols = _windows_ref(np.pad(g, ((0, 0), (padding, padding))), w, stride, t)
+        return np.einsum("iow,owt->it", k, cols), np.einsum("it,owt->iow", x, cols)
+    return y[:, padding:t_full - padding], grads
+
+
 def dct2_ortho_ref(v):
     """Orthonormal DCT-II of a 1-D vector by direct summation."""
     v = np.asarray(v, dtype=np.float64)

@@ -204,6 +204,16 @@ class TestTrain:
                      "--features", str(feats)]) == 1
         assert bad.name in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_writes_no_checkpoint(self, env, tmp_path, capsys):
+        ini = tmp_path / "hot.ini"
+        ini.write_text(RUN_INI.replace("learning_rate = 0.002", "learning_rate = 1e30"))
+        out = tmp_path / "m"
+        assert main(["--config", str(ini), "--out", str(out), "train",
+                     str(env["manifest"]), "--features", str(env["feats"])]) == 1
+        assert "diverged at step" in capsys.readouterr().err
+        assert not (out / "model.hvqv").exists()
+
     def test_corrupt_index_is_internal_error(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
         feats.mkdir()

@@ -3,7 +3,8 @@ import pytest
 
 from pathovc import diffcore as dc
 
-from oracles import finite_difference_grad, max_relative_error
+from oracles import (conv1d_ref, conv_transpose1d_ref, finite_difference_grad,
+                     max_relative_error)
 
 TOL = 1e-4
 STEP = 1e-4
@@ -134,6 +135,49 @@ class TestConvTranspose1d:
         check_grads(
             lambda x, k: dc.tsum(dc.conv_transpose1d(x, k, stride, padding)),
             (3, 7), (3, 2, 4), n_cases=6, seed=stride * 100 + padding)
+
+
+class TestConvAgainstEinsum:
+    """The GEMM-lowered convs against the einsum oracle, forward and both
+    gradients, at the model's (stride, padding) pairs plus odd lengths.
+
+    Summation order differs from einsum's, so results agree to a
+    tolerance set by the dtype, not bit for bit.
+    """
+
+    RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+    # (op, stride, padding, W, T): conv1d's W=5 and W=1 and the up-conv's
+    # W=4 are the model's kernels; T=13 is an odd length
+    CASES = [
+        ("conv1d", 2, 2, 5, 64), ("conv1d", 1, 2, 5, 32), ("conv1d", 1, 0, 1, 16),
+        ("conv1d", 2, 1, 4, 32), ("conv1d", 2, 2, 5, 13), ("conv1d", 1, 2, 5, 13),
+        ("conv_transpose1d", 2, 1, 4, 32), ("conv_transpose1d", 2, 2, 5, 16),
+        ("conv_transpose1d", 1, 2, 5, 32), ("conv_transpose1d", 1, 0, 1, 16),
+        ("conv_transpose1d", 2, 1, 4, 13),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,stride,padding,w,t", CASES)
+    def test_matches_oracle(self, op, stride, padding, w, t, dtype):
+        rng = np.random.default_rng(stride * 1000 + padding * 100 + w * 10 + t)
+        cin, cout = 40, 64
+        kshape = (cout, cin, w) if op == "conv1d" else (cin, cout, w)
+        xv = rng.normal(size=(cin, t)).astype(dtype)
+        kv = rng.normal(size=kshape).astype(dtype)
+        want_y, grads = {"conv1d": conv1d_ref,
+                         "conv_transpose1d": conv_transpose1d_ref}[op](
+                             xv, kv, stride, padding)
+        g = rng.normal(size=want_y.shape).astype(dtype)
+        want_dx, want_dk = grads(g)
+
+        x = dc.Tensor(xv.copy(), requires_grad=True)
+        k = dc.Tensor(kv.copy(), requires_grad=True)
+        y = getattr(dc, op)(x, k, stride, padding)
+        dc.tsum(dc.mul(y, dc.Tensor(g))).backward()
+        for got, want in ((y.data, want_y), (x.grad, want_dx), (k.grad, want_dk)):
+            assert got.dtype == dtype and got.shape == want.shape
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= self.RTOL[dtype], f"relative error {err:.2e}"
 
 
 class TestElementwiseAndShape:

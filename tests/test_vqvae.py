@@ -1,5 +1,9 @@
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +347,47 @@ class TestTraining:
             np.testing.assert_array_equal(p.data, snapshot[k])
         assert len(set(rep2.reconstruction)) == 1
 
+    def test_failed_report_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        old = vqvae.TrainingReport()
+        old.append(1.0, 0.5, 0.25, (2.0, 3.0, 4.0))
+        old.write_csv(path)
+        before = path.read_bytes()
+        new = vqvae.TrainingReport()
+        new.append(0.9, 0.4, 0.2, (2.0, 3.0, 4.0))
+        new.append(0.8, 0.3, 0.1, (2.0, 3.0, 4.0))
+        new.perplexities.pop()  # row 2 fails after row 1 is written
+        with pytest.raises(IndexError):
+            new.write_csv(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_checkpoint_independent_of_blas_threads(self, tmp_path):
+        # two steps at the default model and training configs, once per
+        # BLAS thread count, each in a fresh interpreter
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from pathovc import vqvae\n"
+            "rng = np.random.default_rng(5)\n"
+            "speakers = ['A', 'B', 'C']\n"
+            "data = [(s, rng.normal(size=(int(rng.integers(40, 100)), 40))"
+            ".astype(np.float32)) for s in speakers for _ in range(4)]\n"
+            "model = vqvae.HVqVaeModel(vqvae.VqVaeConfig(), speakers, seed=0)\n"
+            "vqvae.train(model, data, vqvae.TrainingConfig(steps=2))\n"
+            "vqvae.save_checkpoint(model, sys.argv[1])\n")
+        src = str(Path(vqvae.__file__).resolve().parents[2])
+        blobs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            path = tmp_path / f"threads{threads}.hvqv"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                           check=True, timeout=300)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_unknown_speaker_rejected_at_load(self):
         m = vqvae.HVqVaeModel(vqvae.VqVaeConfig(
             in_channels=4, hidden=4, latent_dim=2, codebook_size=2,
@@ -389,6 +434,17 @@ class TestNonFiniteInput:
         data = [("A", np.ones((16, 3), dtype=np.float32)), ("B", frames)]
         with time_limit(10), pytest.raises(ValueError, match="utterance 1 of speaker 'B'"):
             vqvae.train(m, data, vqvae.TrainingConfig(steps=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_loss_names_the_step(self):
+        # finite frames, but a learning rate that blows the first update up
+        m = tiny_model(dtype="float32")
+        m.codebooks_initialized = False
+        rng = np.random.default_rng(3)
+        data = [(s, rng.normal(size=(16, 3)).astype(np.float32)) for s in ("A", "B")]
+        with time_limit(10), pytest.raises(
+                vqvae.NonFiniteLossError, match="step 2: reconstruction loss is nan"):
+            vqvae.train(m, data, vqvae.TrainingConfig(steps=5, learning_rate=1e30))
 
 
 class TestCheckpoint:
@@ -449,6 +505,20 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(vqvae.CheckpointFormatError, match="trailing"):
             vqvae.load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        m = self._small_model()
+        path = tmp_path / "m.hvqv"
+        vqvae.save_checkpoint(m, path)
+        before = path.read_bytes()
+        # the last blob cannot be converted to floats, so the save fails
+        # after the header and the other blobs are written
+        last = m.params[sorted(m.params)[-1]]
+        last.data = np.full(last.data.shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            vqvae.save_checkpoint(m, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.hvqv"]
 
     def test_float64_model_refused(self, tmp_path):
         m = tiny_model(dtype="float64")
