@@ -18,6 +18,7 @@ import traceback
 from pathlib import Path
 
 from . import corpus, dsp, stats, vqvae
+from .atomic import atomic_open
 from .config import ConfigError, dump_run_config, load_run_config
 
 logger = logging.getLogger(__name__)
@@ -288,7 +289,7 @@ def cmd_pair(args, cfg) -> int:
         print("unpaired: " + ", ".join(unmatched), file=sys.stderr)
     if args.out or cfg.paths.get("out"):
         out = _out_dir(args, cfg)
-        with open(out / "pairs.csv", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "pairs.csv", "w", encoding="utf-8") as fh:
             fh.write("speaker_a,speaker_b,delta\n")
             for p in pairs:
                 fh.write(f"{p.a},{p.b},{p.delta}\n")

@@ -3,14 +3,17 @@
 Each op computes its result and hands ``_make`` one function ``backward(g)``
 that routes the upstream gradient ``g`` of the result to the op's parents.
 
-Arrays are channel-major, (C, T).  The conv ops do every contraction as one
-2-D matmul, so BLAS does the work (im2col plus GEMM, after Chellapilla, Puri
-& Simard, 2006): ``_windows`` gathers the kernel windows of a (C, T) input
-into a (C*W, n) column matrix, each kernel is viewed as a matrix with C*W
-on one side, and ``_overlap_add``, the adjoint of ``_windows``, scatters
-column matrices back.  The same inputs give the same bits on every run
-(the tests check one and two BLAS threads), but BLAS picks the summation
-order, so results can differ from a plain loop's in the last bits.
+Arrays are channel-major: (C, T), or (B, C, T) for a batch.  Every op
+indexes the last axes, so one code path serves both, and ``_unbroadcast``
+sums a parameter's gradient over the batch.  The conv ops do every
+contraction as a matmul, so BLAS does the work (im2col plus GEMM, after
+Chellapilla, Puri & Simard, 2006): ``_windows`` gathers the kernel windows
+of a (..., C, T) input into (..., C*W, n) column matrices, each kernel is
+viewed as a matrix with C*W on one side, and ``_overlap_add``, the adjoint
+of ``_windows``, scatters column matrices back.  The same inputs give the
+same bits on every run (the tests check one and two BLAS threads), but
+BLAS picks the summation order, so results can differ from a plain loop's
+in the last bits.
 """
 
 import weakref
@@ -172,9 +175,9 @@ def relu(x):
 
 
 def transpose(x):
-    if x.data.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    return _make(x.data.T.copy(), (x,), lambda g: _accumulate(x, g.T))
+    """Swaps the last two axes."""
+    return _make(np.swapaxes(x.data, -1, -2).copy(), (x,),
+                 lambda g: _accumulate(x, np.swapaxes(g, -1, -2)))
 
 
 def concat(tensors, axis=0):
@@ -207,45 +210,46 @@ def crop(x, length, axis=-1):
 
 
 def _pad(a, padding):
-    """a (C, T) with `padding` zero columns on each side.
+    """a (..., C, T) with `padding` zero columns on each side of T.
 
     A zero buffer plus one slice assignment; np.pad does the same copy at
     several times the cost on these small arrays.
     """
     if not padding:
         return a
-    out = np.zeros((a.shape[0], a.shape[1] + 2 * padding), dtype=a.dtype)
-    out[:, padding:padding + a.shape[1]] = a
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * padding,), dtype=a.dtype)
+    out[..., padding:padding + a.shape[-1]] = a
     return out
 
 
 def _windows(xp, w, stride, n):
-    """im2col: (C, W, n) with [:, j, t] = xp[:, j + stride * t]."""
-    cols = np.empty((xp.shape[0], w, n), dtype=xp.dtype)
+    """im2col: (..., C, W, n) with [..., :, j, t] = xp[..., :, j + stride * t]."""
+    cols = np.empty(xp.shape[:-1] + (w, n), dtype=xp.dtype)
     for j in range(w):
-        cols[:, j, :] = xp[:, j:j + stride * (n - 1) + 1:stride]
+        cols[..., j, :] = xp[..., j:j + stride * (n - 1) + 1:stride]
     return cols
 
 
 def _overlap_add(cols, stride, size):
-    """Adjoint of _windows: scatter-add (C, W, n) columns into (C, size)."""
-    c, w, n = cols.shape
-    out = np.zeros((c, size), dtype=cols.dtype)
+    """Adjoint of _windows: scatter-add (..., C, W, n) columns into (..., C, size)."""
+    w, n = cols.shape[-2:]
+    out = np.zeros(cols.shape[:-2] + (size,), dtype=cols.dtype)
     for j in range(w):
-        out[:, j:j + stride * (n - 1) + 1:stride] += cols[:, j, :]
+        out[..., j:j + stride * (n - 1) + 1:stride] += cols[..., j, :]
     return out
 
 
 def conv1d(x, k, stride=1, padding=0):
-    """Cross-correlation of x (Cin, T) with kernels k (Cout, Cin, W).
+    """Cross-correlation of x (Cin, T) or (B, Cin, T) with kernels k (Cout, Cin, W).
 
-    Lowered to GEMMs over the im2col matrix cols_m = _windows(x padded)
-    viewed as (Cin*W, Tout): y = k_m @ cols_m with k_m = k as (Cout, Cin*W);
-    dk = g @ cols_m.T; dx overlap-adds the columns k_m.T @ g.
+    Lowered to GEMMs over the im2col matrices cols_m = _windows(x padded)
+    viewed as (..., Cin*W, Tout): y = k_m @ cols_m with k_m = k as
+    (Cout, Cin*W); dk = g @ cols_m.T, summed over the batch; dx
+    overlap-adds the columns k_m.T @ g.
     """
-    if x.data.ndim != 2 or k.data.ndim != 3:
-        raise ShapeError("conv1d expects x (Cin, T) and k (Cout, Cin, W)")
-    cin, t = x.data.shape
+    if x.data.ndim not in (2, 3) or k.data.ndim != 3:
+        raise ShapeError("conv1d expects x ([B,] Cin, T) and k (Cout, Cin, W)")
+    cin, t = x.data.shape[-2:]
     cout, kcin, w = k.data.shape
     if kcin != cin:
         raise ShapeError(f"conv1d channel mismatch: x has {cin}, kernel expects {kcin}")
@@ -255,28 +259,32 @@ def conv1d(x, k, stride=1, padding=0):
     if t_out < 1:
         raise ShapeError(f"conv1d output would be empty (T={t}, W={w}, pad={padding})")
 
-    cols_m = _windows(_pad(x.data, padding), w, stride, t_out).reshape(cin * w, t_out)
+    lead = x.data.shape[:-2]
+    k_m = k.data.reshape(cout, cin * w)
+    cols_m = _windows(_pad(x.data, padding), w, stride, t_out).reshape(
+        lead + (cin * w, t_out))
 
     def bw(g):
-        _accumulate(k, (g @ cols_m.T).reshape(k.data.shape))
+        dk = _unbroadcast(g @ np.swapaxes(cols_m, -1, -2), k_m.shape)
+        _accumulate(k, dk.reshape(k.data.shape))
         if x.requires_grad:
-            dcols = (k.data.reshape(cout, cin * w).T @ g).reshape(cin, w, t_out)
+            dcols = (k_m.T @ g).reshape(lead + (cin, w, t_out))
             dxp = _overlap_add(dcols, stride, t + 2 * padding)
-            _accumulate(x, dxp[:, padding:padding + t])
-    return _make(k.data.reshape(cout, cin * w) @ cols_m, (x, k), bw)
+            _accumulate(x, dxp[..., padding:padding + t])
+    return _make(k_m @ cols_m, (x, k), bw)
 
 
 def conv_transpose1d(x, k, stride=1, padding=0):
-    """Transposed convolution of x (Cin, T) with kernels k (Cin, Cout, W).
+    """Transposed convolution of x (Cin, T) or (B, Cin, T) with kernels k (Cin, Cout, W).
 
     The adjoint of conv1d, lowered to GEMMs the same way with k_m = k as
     (Cin, Cout*W): the forward overlap-adds the columns k_m.T @ x; the
-    backward takes cols_m = _windows(g padded) as (Cout*W, T), then
-    dx = k_m @ cols_m and dk = x @ cols_m.T.
+    backward takes cols_m = _windows(g padded) as (..., Cout*W, T), then
+    dx = k_m @ cols_m and dk = x @ cols_m.T, summed over the batch.
     """
-    if x.data.ndim != 2 or k.data.ndim != 3:
-        raise ShapeError("conv_transpose1d expects x (Cin, T) and k (Cin, Cout, W)")
-    cin, t = x.data.shape
+    if x.data.ndim not in (2, 3) or k.data.ndim != 3:
+        raise ShapeError("conv_transpose1d expects x ([B,] Cin, T) and k (Cin, Cout, W)")
+    cin, t = x.data.shape[-2:]
     kcin, cout, w = k.data.shape
     if kcin != cin:
         raise ShapeError(f"conv_transpose1d channel mismatch: x has {cin}, kernel expects {kcin}")
@@ -287,21 +295,21 @@ def conv_transpose1d(x, k, stride=1, padding=0):
     if t_out < 1:
         raise ShapeError("conv_transpose1d output would be empty")
 
-    cols = (k.data.reshape(cin, cout * w).T @ x.data).reshape(cout, w, t)
-    y = _overlap_add(cols, stride, t_full)
+    lead = x.data.shape[:-2]
+    k_m = k.data.reshape(cin, cout * w)
+    y = _overlap_add((k_m.T @ x.data).reshape(lead + (cout, w, t)), stride, t_full)
 
     def bw(g):
-        cols_m = _windows(_pad(g, padding), w, stride, t).reshape(cout * w, t)
-        _accumulate(x, k.data.reshape(cin, cout * w) @ cols_m)
-        _accumulate(k, (x.data @ cols_m.T).reshape(k.data.shape))
-    return _make(y[:, padding:padding + t_out].copy() if padding else y, (x, k), bw)
+        cols_m = _windows(_pad(g, padding), w, stride, t).reshape(lead + (cout * w, t))
+        _accumulate(x, k_m @ cols_m)
+        dk = _unbroadcast(x.data @ np.swapaxes(cols_m, -1, -2), k_m.shape)
+        _accumulate(k, dk.reshape(k.data.shape))
+    return _make(y[..., padding:padding + t_out].copy() if padding else y, (x, k), bw)
 
 
 def embedding(table, indices):
-    """Row lookup into table (K, D); returns (len(indices), D)."""
+    """Row lookup into table (K, D); returns indices.shape + (D,)."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("embedding expects a 1-D index sequence")
     if table.data.ndim != 2:
         raise ShapeError("embedding table must be 2-D")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):

@@ -5,6 +5,7 @@ import wave
 
 import numpy as np
 
+from ..atomic import atomic_open
 from .audio import Waveform
 
 MCEP_MAGIC = b"MCEP1"
@@ -28,7 +29,7 @@ def read_wav(path) -> Waveform:
 
 def write_wav(path, w: Waveform) -> None:
     pcm = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
+    with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
@@ -40,7 +41,7 @@ def write_mcep(path, frames: np.ndarray) -> None:
     if frames.ndim != 2:
         raise ValueError("MCEP1 frames must be a T x C matrix")
     t, c = frames.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MCEP_MAGIC)
         f.write(struct.pack("<II", t, c))
         f.write(frames.tobytes())
@@ -54,6 +55,8 @@ def read_mcep(path) -> np.ndarray:
     if blob[:len(MCEP_MAGIC)] != MCEP_MAGIC:
         raise FeatureFormatError(f"{path}: bad magic, not an MCEP1 file")
     t, c = struct.unpack_from("<II", blob, len(MCEP_MAGIC))
+    if t == 0:
+        raise FeatureFormatError(f"{path}: header declares zero frames")
     body = blob[len(MCEP_MAGIC) + 8:]
     expected = 4 * t * c
     if len(body) != expected:

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import scipy.stats
 
+from .atomic import atomic_open
+
 logger = logging.getLogger(__name__)
 
 MOS_CONDITIONS = ("healthy_natural", "gt_high", "gt_mid", "gt_low",
@@ -400,7 +402,7 @@ def export_tables(results: dict, out_dir) -> list:
     written = []
 
     mos_path = out_dir / "mos_summary.csv"
-    with open(mos_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(mos_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MOS_TABLE_COLUMNS)
         summaries = results.get("mos", {})
@@ -414,7 +416,7 @@ def export_tables(results: dict, out_dir) -> list:
     written.append(mos_path)
 
     grid_path = out_dir / "similarity_grid.csv"
-    with open(grid_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(grid_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=GRID_COLUMNS)
         writer.writeheader()
         for row in results.get("similarity", []):
@@ -423,7 +425,7 @@ def export_tables(results: dict, out_dir) -> list:
 
     if "wilcoxon" in results:
         w_path = out_dir / "wilcoxon.csv"
-        with open(w_path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(w_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=WILCOXON_COLUMNS)
             writer.writeheader()
             for row in results["wilcoxon"]:

@@ -6,6 +6,10 @@ Decoding starts from q3 and walks back down, every stage consuming its
 quantized latents, the previous decoder output, and the conditioning
 speaker embedding. Conversion re-decodes a source utterance under the
 target speaker's embedding.
+One code path takes one time-major utterance (T, C) or a batch (B, T, C)
+of equal-length crops; the graph inside is channel-major, (C, T) or
+(B, C, T).  Each loss term is the mean over the batch of the
+per-utterance means.
 """
 
 from dataclasses import dataclass, field
@@ -64,7 +68,7 @@ class LossBreakdown:
     codebook: float
     commitment: float
     perplexities: tuple
-    indices: list = field(repr=False, default_factory=list)
+    indices: list = field(repr=False, default_factory=list)  # (..., T_n) per stage
     # graph nodes of the three components, for gradient inspection
     nodes: dict = field(repr=False, default_factory=dict)
 
@@ -76,25 +80,25 @@ class LossBreakdown:
 def quantize(z: np.ndarray, codebook: np.ndarray):
     """Nearest codeword per row; ties go to the lowest index.
 
-    z is (T, D), codebook (K, D). Returns (q, indices) with q rows taken
-    verbatim from the codebook.
+    z is (..., T, D), codebook (K, D). Returns (q, indices) with q rows
+    taken verbatim from the codebook and indices shaped like z[..., 0].
     """
     z = np.asarray(z)
     codebook = np.asarray(codebook)
     if codebook.ndim != 2 or codebook.shape[0] == 0:
         raise EmptyCodebookError("codebook has no codewords")
-    if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
+    if z.ndim < 2 or z.shape[-1] != codebook.shape[1]:
         raise dc.ShapeError(
             f"latents of width {z.shape[-1]} do not match codewords of width "
             f"{codebook.shape[1]}")
-    d = ((z[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
-    indices = np.argmin(d, axis=1)
+    d = ((z[..., None, :] - codebook) ** 2).sum(axis=-1)
+    indices = np.argmin(d, axis=-1)
     return codebook[indices].copy(), indices
 
 
 def codebook_perplexity(indices, k: int) -> float:
     """exp(entropy) of empirical codeword usage; 1 = collapse, k = uniform."""
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64).ravel()
     if indices.size == 0:
         raise ValueError("perplexity needs at least one index")
     if indices.min() < 0 or indices.max() >= k:
@@ -168,8 +172,8 @@ class HVqVaeModel:
     @staticmethod
     def _frames_of(x):
         frames = x.frames if hasattr(x, "frames") else np.asarray(x)
-        if frames.ndim != 2:
-            raise ValueError("input must be a T x C matrix")
+        if frames.ndim not in (2, 3):
+            raise ValueError("input must be a T x C matrix or a B x T x C batch")
         return frames
 
     def _check_length(self, t):
@@ -178,11 +182,11 @@ class HVqVaeModel:
                 f"input of {t} frames is too short; three halvings need at "
                 f"least {MIN_FRAMES}")
 
-    def _x_tensor(self, frames):
-        return dc.Tensor(np.ascontiguousarray(frames.T, dtype=self.cfg.dtype))
+    def _channel_major(self, a):
+        return dc.Tensor(np.ascontiguousarray(np.swapaxes(a, -1, -2), dtype=self.cfg.dtype))
 
     def _encode_graph(self, x):
-        """x is channel-major (C, T). Returns per-stage (u, z) Tensors."""
+        """x is channel-major (..., C, T). Returns per-stage (u, z) Tensors."""
         p = self.params
         k = self.cfg.kernel_size
         pad = k // 2
@@ -197,29 +201,29 @@ class HVqVaeModel:
             stages.append((h, z))
         return stages
 
-    def _embedding_frames(self, speaker_id, t):
-        idx = self.speaker_index(speaker_id)
-        row = dc.embedding(self.params["speaker_table"], np.array([idx]))
-        zeros = dc.Tensor(np.zeros((self.cfg.embed_dim, t), dtype=self.cfg.dtype))
-        return dc.add(dc.transpose(row), zeros)
+    def _embedding_frames(self, speakers, like):
+        """Speaker-table rows `speakers` repeated over like's (..., D, T) frames."""
+        rows = dc.embedding(self.params["speaker_table"], np.asarray(speakers)[..., None])
+        zeros = dc.Tensor(np.zeros(like.shape[:-2] + (self.cfg.embed_dim, like.shape[-1]),
+                                   dtype=self.cfg.dtype))
+        return dc.add(dc.transpose(rows), zeros)
 
-    def _decode_graph(self, qs, speaker_id, lengths):
-        """qs are channel-major (D, T_n) Tensors; lengths = [T, T1, T2, T3]."""
+    def _decode_graph(self, qs, speakers, n_frames):
+        """qs: channel-major (..., D, T_n) Tensors, finest first; speakers:
+        speaker-table rows, one or one per batch item."""
         p = self.params
         k = self.cfg.kernel_size
         pad = k // 2
         v = None
         for n in (3, 2, 1):
-            parts = [qs[n - 1]]
-            if v is not None:
-                parts.append(v)
-            parts.append(self._embedding_frames(speaker_id, lengths[n]))
-            inp = dc.concat(parts, axis=0)
+            parts = [qs[n - 1]] if v is None else [qs[n - 1], v]
+            parts.append(self._embedding_frames(speakers, qs[n - 1]))
+            inp = dc.concat(parts, axis=-2)
             h = dc.relu(dc.add(
                 dc.conv_transpose1d(inp, p[f"dec{n}.up.w"], self.cfg.stride,
                                     self.cfg.stride // 2),
                 p[f"dec{n}.up.b"]))
-            h = dc.crop(h, lengths[n - 1], axis=-1)
+            h = dc.crop(h, qs[n - 2].shape[-1] if n > 1 else n_frames, axis=-1)
             out = dc.add(dc.conv1d(h, p[f"dec{n}.out.w"], 1, pad), p[f"dec{n}.out.b"])
             v = dc.relu(out) if n > 1 else out
         return v
@@ -227,39 +231,39 @@ class HVqVaeModel:
     def encode(self, x):
         """Returns (us, zs): per-stage hidden and latent sequences, time-major."""
         frames = self._frames_of(x)
-        self._check_length(frames.shape[0])
-        stages = self._encode_graph(self._x_tensor(frames))
-        us = tuple(u.data.T.copy() for u, _ in stages)
-        zs = tuple(z.data.T.copy() for _, z in stages)
+        self._check_length(frames.shape[-2])
+        stages = self._encode_graph(self._channel_major(frames))
+        us = tuple(np.swapaxes(u.data, -1, -2).copy() for u, _ in stages)
+        zs = tuple(np.swapaxes(z.data, -1, -2).copy() for _, z in stages)
         return us, zs
 
     def quantize_stage(self, z, stage: int):
         return quantize(z, self.params[f"codebook{stage}"].data)
 
     def decode(self, qs, speaker_id, n_frames: int | None = None):
-        """qs: three time-major (T_n, D) arrays, finest first. Returns (T, C).
+        """qs: three time-major (..., T_n, D) arrays, finest first. Returns
+        (..., T, C).
 
         n_frames restores the original frame count when it was odd; the
         default assumes an exact halving chain.
         """
-        self.speaker_index(speaker_id)
-        q_tensors = [dc.Tensor(np.ascontiguousarray(np.asarray(q).T, dtype=self.cfg.dtype))
-                     for q in qs]
-        t1 = q_tensors[0].data.shape[1]
+        speaker = self.speaker_index(speaker_id)
+        q_tensors = [self._channel_major(q) for q in qs]
+        t1 = q_tensors[0].shape[-1]
         if n_frames is None:
             n_frames = t1 * self.cfg.stride
         if not t1 * self.cfg.stride - self.cfg.stride < n_frames <= t1 * self.cfg.stride:
             raise ValueError(f"n_frames {n_frames} inconsistent with {t1} stage-1 latents")
-        lengths = [n_frames, t1,
-                   q_tensors[1].data.shape[1], q_tensors[2].data.shape[1]]
-        out = self._decode_graph(q_tensors, speaker_id, lengths)
-        return out.data.T.copy()
+        out = self._decode_graph(q_tensors, speaker, n_frames)
+        return np.swapaxes(out.data, -1, -2).copy()
 
-    def _forward_graph(self, frames, speaker_id, mask=None,
-                       quantize_bypass=False):
-        """Builds the full training graph. frames is (T, C) time-major.
+    def _forward_graph(self, frames, speakers, mask, quantize_bypass=False):
+        """Builds the full training graph over time-major frames (..., T, C).
 
-        mask, if given, is a (T,) 0/1 validity vector for padded frames.
+        speakers are speaker-table rows, one or one per batch item; mask,
+        (..., T), is 1 on valid frames and 0 on padding.  The reconstruction
+        weights are mask / mask.sum(-1), so each term is the mean over the
+        batch of the per-utterance means.
         quantize_bypass feeds the decoder the raw latents instead of the
         quantized ones; the losses are unchanged. In that mode the whole
         graph is smooth, so gradient checks against finite differences are
@@ -268,21 +272,19 @@ class HVqVaeModel:
         Tensor, LossBreakdown).
         """
         cfg = self.cfg
-        self._check_length(frames.shape[0])
-        x = self._x_tensor(frames)
-        t = x.data.shape[1]
+        self._check_length(frames.shape[-2])
+        mask = np.asarray(mask, dtype=cfg.dtype)
+        valid = mask.sum(axis=-1, keepdims=True)
+        if np.any(valid <= 0):
+            raise ValueError("every utterance needs at least one unmasked frame")
+        x = self._channel_major(frames)
         stages = self._encode_graph(x)
-        lengths = [t] + [z.data.shape[1] for _, z in stages]
 
-        qs = []
-        cb_terms = []
-        commit_terms = []
-        perplexities = []
-        index_lists = []
+        qs, cb_terms, commit_terms, index_lists = [], [], [], []
         for n, (_, z) in enumerate(stages, start=1):
             cb = self.params[f"codebook{n}"]
             z_rows = dc.transpose(z)
-            _, indices = quantize(z_rows.data, cb.data)
+            _, indices = self.quantize_stage(z_rows.data, n)
             q_rows = dc.embedding(cb, indices)
             cb_terms.append(dc.squared_error(q_rows, dc.Tensor(z_rows.data)))
             commit_terms.append(dc.squared_error(z_rows, dc.Tensor(q_rows.data)))
@@ -290,14 +292,10 @@ class HVqVaeModel:
                 qs.append(dc.transpose(z_rows))
             else:
                 qs.append(dc.transpose(dc.straight_through(z_rows, q_rows)))
-            perplexities.append(codebook_perplexity(indices, cfg.codebook_size))
             index_lists.append(indices)
 
-        xhat = self._decode_graph(qs, speaker_id, lengths)
-        weight = None
-        if mask is not None:
-            weight = np.broadcast_to(
-                np.asarray(mask, dtype=cfg.dtype)[None, :], x.data.shape)
+        xhat = self._decode_graph(qs, speakers, frames.shape[-2])
+        weight = np.broadcast_to((mask / valid)[..., None, :], x.shape)
         recon = dc.abs_error(xhat, x, weight=weight)
         cb_loss = dc.add(dc.add(cb_terms[0], cb_terms[1]), cb_terms[2])
         commit = dc.add(dc.add(commit_terms[0], commit_terms[1]), commit_terms[2])
@@ -306,27 +304,30 @@ class HVqVaeModel:
             reconstruction=float(recon.data),
             codebook=float(cb_loss.data),
             commitment=float(cfg.beta) * float(commit.data),
-            perplexities=tuple(perplexities),
+            perplexities=tuple(codebook_perplexity(ix, cfg.codebook_size)
+                               for ix in index_lists),
             indices=index_lists,
             nodes={"reconstruction": recon, "codebook": cb_loss,
-                   "commitment": commit, "output": xhat})
+                   "commitment": commit})
         return total, breakdown
 
     def forward_loss(self, x, speaker_id, mask=None, quantize_bypass=False):
-        return self._forward_graph(self._frames_of(x), speaker_id, mask,
+        frames = self._frames_of(x)
+        mask = np.ones(frames.shape[:-1]) if mask is None else mask
+        return self._forward_graph(frames, self.speaker_index(speaker_id), mask,
                                    quantize_bypass=quantize_bypass)
 
     def convert(self, source, target_speaker):
         """Encode source, quantize, decode under the target embedding."""
         frames = self._frames_of(source)
-        self._check_length(frames.shape[0])
+        self._check_length(frames.shape[-2])
         self.speaker_index(target_speaker)
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
         _, zs = self.encode(frames)
         qs = [self.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
-        return self.decode(qs, target_speaker, n_frames=frames.shape[0])
+        return self.decode(qs, target_speaker, n_frames=frames.shape[-2])
 
     def init_codebooks(self, z_samples, rng):
         """Seed each codebook from observed latents plus small jitter.

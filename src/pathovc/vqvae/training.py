@@ -73,32 +73,39 @@ def _validate_dataset(model, dataset):
             raise ValueError(
                 f"utterance {i}: expected T x {model.cfg.in_channels} frames, "
                 f"got shape {frames.shape}")
+        if frames.shape[0] == 0:
+            raise ValueError(f"utterance {i} of speaker {speaker_id!r} has no frames")
         if not np.all(np.isfinite(frames)):
             raise ValueError(
                 f"utterance {i} of speaker {speaker_id!r}: frames contain NaN or Inf")
-        items.append((speaker_id, frames))
+        items.append((model.speaker_index(speaker_id), frames))
     return items
 
 
 def _crop(frames, crop_frames, rng):
-    """Random fixed-length crop; short utterances are zero-padded and masked."""
-    t = frames.shape[0]
-    if t >= crop_frames:
-        start = int(rng.integers(0, t - crop_frames + 1))
-        return frames[start:start + crop_frames], None
-    pad = np.zeros((crop_frames, frames.shape[1]), dtype=frames.dtype)
-    pad[:t] = frames
+    """Random crop_frames window and its 0/1 mask; short utterances are zero-padded."""
+    t = min(frames.shape[0], crop_frames)
+    start = int(rng.integers(0, frames.shape[0] - t + 1)) if t == crop_frames else 0
+    crop = np.zeros((crop_frames, frames.shape[1]), dtype=frames.dtype)
+    crop[:t] = frames[start:start + t]
     mask = np.zeros(crop_frames, dtype=frames.dtype)
-    mask[:t] = 1.0
-    return pad, mask
+    mask[:t] = 1
+    return crop, mask
+
+
+def _batch(items, picks, crop_frames, rng):
+    """One crop per pick, stacked: frames (B, T, C), speaker rows (B,), mask (B, T)."""
+    crops, masks = zip(*(_crop(items[i][1], crop_frames, rng) for i in picks))
+    return np.stack(crops), np.array([items[i][0] for i in picks]), np.stack(masks)
 
 
 def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
     """Runs cfg.steps of Adam on the three-term loss; returns (model, report).
 
     dataset is a sequence of (speaker_id, frames) with time-major frames.
-    Codebooks are seeded from the first batch's encoder latents unless the
-    model already carries initialized codebooks.  Raises NonFiniteLossError,
+    Each step builds one graph over a (B, T, C) batch of crops.  Codebooks
+    are seeded from the first batch's encoder latents unless the model
+    already carries initialized codebooks.  Raises NonFiniteLossError,
     naming the step and the loss term, as soon as a step's forward pass
     gives a NaN or Inf loss.
     """
@@ -106,48 +113,26 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
     rng = np.random.default_rng(cfg.seed)
     report = TrainingReport()
 
-    first_picks = rng.integers(0, len(items), size=cfg.batch_size)
+    picks = rng.integers(0, len(items), size=cfg.batch_size)
     if not model.codebooks_initialized:
-        pools = [[], [], []]
-        for i in first_picks:
-            frames, _ = _crop(items[i][1], cfg.crop_frames, rng)
-            _, zs = model.encode(frames)
-            for n in range(3):
-                pools[n].append(zs[n])
-        model.init_codebooks([np.concatenate(p, axis=0) for p in pools], rng)
+        _, zs = model.encode(_batch(items, picks, cfg.crop_frames, rng)[0])
+        model.init_codebooks([z.reshape(-1, z.shape[-1]) for z in zs], rng)
 
     opt = dc.Adam(model.parameters(), lr=cfg.learning_rate)
-    batch = first_picks
-    for step in range(cfg.steps):
+    for step in range(1, cfg.steps + 1):
         opt.zero_grad()
-        total = None
-        recon = cb = commit = 0.0
-        stage_indices = [[], [], []]
-        for i in batch:
-            speaker_id, frames = items[i]
-            crop, mask = _crop(frames, cfg.crop_frames, rng)
-            loss, parts = model._forward_graph(crop, speaker_id, mask)
-            total = loss if total is None else dc.add(total, loss)
-            recon += parts.reconstruction
-            cb += parts.codebook
-            commit += parts.commitment
-            for n in range(3):
-                stage_indices[n].append(parts.indices[n])
-        for name, value in (("reconstruction", recon), ("codebook", cb),
-                            ("commitment", commit)):
-            if not np.isfinite(value):
+        loss, parts = model._forward_graph(*_batch(items, picks, cfg.crop_frames, rng))
+        for name in ("reconstruction", "codebook", "commitment"):
+            if not np.isfinite(getattr(parts, name)):
                 # finite inputs can still diverge; stop before the step
                 # writes NaN into the parameters
                 raise NonFiniteLossError(
-                    f"training diverged at step {step + 1}: {name} loss is "
-                    f"{value}; try a lower learning_rate")
-        scale = 1.0 / cfg.batch_size
-        (total * scale).backward()
+                    f"training diverged at step {step}: {name} loss is "
+                    f"{getattr(parts, name)}; try a lower learning_rate")
+        loss.backward()
         opt.step()
-        perp = tuple(
-            codebook_perplexity(np.concatenate(stage_indices[n]),
-                                model.cfg.codebook_size)
-            for n in range(3))
-        report.append(recon * scale, cb * scale, commit * scale, perp)
-        batch = rng.integers(0, len(items), size=cfg.batch_size)
+        report.append(parts.reconstruction, parts.codebook, parts.commitment,
+                      tuple(codebook_perplexity(ix, model.cfg.codebook_size)
+                            for ix in parts.indices))
+        picks = rng.integers(0, len(items), size=cfg.batch_size)
     return model, report

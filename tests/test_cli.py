@@ -204,6 +204,16 @@ class TestTrain:
                      "--features", str(feats)]) == 1
         assert bad.name in capsys.readouterr().err
 
+    def test_zero_frame_features_refused(self, env, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        bad = sorted((feats / "features").glob("*_B1.mcep"))[0]
+        dsp.write_mcep(bad, np.zeros((0, 40), dtype=np.float32))
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]),
+                     "--features", str(feats)]) == 1
+        assert f"{bad.name}: header declares zero frames" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_writes_no_checkpoint(self, env, tmp_path, capsys):
         ini = tmp_path / "hot.ini"

@@ -159,16 +159,28 @@ class TestConvAgainstEinsum:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op,stride,padding,w,t", CASES)
     def test_matches_oracle(self, op, stride, padding, w, t, dtype):
+        self._check(op, stride, padding, w, t, dtype, lead=())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,stride,padding,w,t", CASES)
+    def test_batch_matches_oracle_per_item(self, op, stride, padding, w, t, dtype):
+        self._check(op, stride, padding, w, t, dtype, lead=(3,))
+
+    def _check(self, op, stride, padding, w, t, dtype, lead):
+        """x of shape lead + (Cin, T); the oracle runs item by item, and
+        the wanted dk is the sum of the items' dk."""
         rng = np.random.default_rng(stride * 1000 + padding * 100 + w * 10 + t)
         cin, cout = 40, 64
         kshape = (cout, cin, w) if op == "conv1d" else (cin, cout, w)
-        xv = rng.normal(size=(cin, t)).astype(dtype)
+        xv = rng.normal(size=lead + (cin, t)).astype(dtype)
         kv = rng.normal(size=kshape).astype(dtype)
-        want_y, grads = {"conv1d": conv1d_ref,
-                         "conv_transpose1d": conv_transpose1d_ref}[op](
-                             xv, kv, stride, padding)
+        ref = {"conv1d": conv1d_ref, "conv_transpose1d": conv_transpose1d_ref}[op]
+        ys, grads = zip(*(ref(xi, kv, stride, padding) for xi in xv.reshape(-1, cin, t)))
+        want_y = np.stack(ys).reshape(lead + ys[0].shape)
         g = rng.normal(size=want_y.shape).astype(dtype)
-        want_dx, want_dk = grads(g)
+        dxs, dks = zip(*(fn(gi) for fn, gi in zip(grads, g.reshape((-1,) + ys[0].shape))))
+        want_dx = np.stack(dxs).reshape(xv.shape)
+        want_dk = sum(dks)
 
         x = dc.Tensor(xv.copy(), requires_grad=True)
         k = dc.Tensor(kv.copy(), requires_grad=True)

@@ -467,3 +467,15 @@ class TestExportTables:
             rows = list(csv.reader(fh))
         assert rows[0] == list(stats.WILCOXON_COLUMNS)
         assert rows[1][0] == "gt_high"
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        row = {"condition_a": "gt_high", "condition_b": "vc_high", "n": 3,
+               "statistic": 0.0, "p_value": 0.25, "method": "exact"}
+        stats.export_tables({"wilcoxon": [row]}, tmp_path)
+        before = (tmp_path / "wilcoxon.csv").read_bytes()
+        # DictWriter rejects the unknown key after the header is written
+        with pytest.raises(ValueError):
+            stats.export_tables({"wilcoxon": [dict(row, extra=1)]}, tmp_path)
+        assert (tmp_path / "wilcoxon.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "mos_summary.csv", "similarity_grid.csv", "wilcoxon.csv"]

@@ -252,6 +252,48 @@ class TestForwardLoss:
         full = m.forward_loss(padded, "A")[1].reconstruction
         assert parts_masked.reconstruction != pytest.approx(full, rel=1e-6)
 
+    def test_all_padding_mask_rejected(self):
+        with pytest.raises(ValueError, match="at least one unmasked frame"):
+            tiny_model().forward_loss(np.ones((16, 3)), "A", mask=np.zeros(16))
+
+
+class TestBatchedGraph:
+    def test_batch_is_mean_of_single_utterance_graphs(self):
+        # one graph over a (B, T, C) batch against B graphs over (T, C):
+        # loss terms and every parameter gradient are the mean of the
+        # single-utterance ones, the padded utterance included
+        m = tiny_model(seed=23)
+        frames = np.random.default_rng(24).normal(size=(3, 16, 3))
+        frames[0, 10:] = 0.0
+        mask = np.ones((3, 16))
+        mask[0, 10:] = 0.0
+        speakers = ["B", "A", "B"]
+
+        def take_grads():
+            grads = {k: p.grad for k, p in m.params.items()}
+            for p in m.params.values():
+                p.grad = None
+            return grads
+
+        want_terms = np.zeros(3)
+        for b in range(3):
+            loss, parts = m.forward_loss(frames[b], speakers[b], mask=mask[b])
+            (loss * (1 / 3)).backward()
+            want_terms += [parts.reconstruction, parts.codebook, parts.commitment]
+        want = take_grads()
+        loss, parts = m._forward_graph(
+            frames, np.array([m.speaker_index(s) for s in speakers]), mask)
+        loss.backward()
+        got = take_grads()
+        np.testing.assert_allclose(
+            [parts.reconstruction, parts.codebook, parts.commitment],
+            want_terms / 3, rtol=1e-12)
+        for name in sorted(m.params):
+            assert (got[name] is None) == (want[name] is None), name
+            if want[name] is not None:
+                np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                           err_msg=name)
+
 
 class TestPerplexity:
     def test_collapse_is_one(self):
@@ -424,6 +466,15 @@ class TestNonFiniteInput:
         pools = [np.ones((4, 2)), np.full((4, 2), np.nan), np.ones((4, 2))]
         with time_limit(10), pytest.raises(ValueError, match="stage 2"):
             m.init_codebooks(pools, np.random.default_rng(0))
+
+    def test_train_rejects_zero_frame_utterance(self):
+        m = tiny_model(dtype="float32")
+        m.codebooks_initialized = False
+        data = [("A", np.ones((16, 3), dtype=np.float32)),
+                ("B", np.zeros((0, 3), dtype=np.float32))]
+        with time_limit(10), pytest.raises(
+                ValueError, match="utterance 1 of speaker 'B' has no frames"):
+            vqvae.train(m, data, vqvae.TrainingConfig(steps=1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_train_rejects_non_finite_frames(self, bad):
