@@ -88,44 +88,108 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int) -> np.ndarray:
-    """Time-major complex STFT, no centering: T = 1 + (len - window) // hop."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < window_size:
-        raise ValueError(
-            f"signal of {x.size} samples is shorter than the {window_size}-sample window")
-    t = 1 + (x.size - window_size) // hop_size
-    win = _hann_periodic(window_size)
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
-    return np.fft.rfft(frames * win, n=fft_size, axis=1)
-
-
 # Near both ends the window-square sum is only a window tail (down to
 # ~1e-10 of its peak), and dividing by it there lifts the edge samples far
 # above the body.  Flooring it at this fraction of its peak bounds that gain.
 _ISTFT_DEN_FLOOR = 0.1
 
 
+class _StftPlan:
+    """Window, overlap-add denominator and work buffers for ``t`` frames.
+
+    One plan serves any number of ``stft`` and ``istft`` calls of that
+    frame count and those sizes. The arrays they return are views of the
+    plan's buffers (``spec`` and ``signal``), so the next call with the same
+    plan overwrites them: copy what must outlive it. Without a ``plan=``
+    argument each call builds its own, and its result is a fresh array.
+    """
+
+    def __init__(self, t: int, fft_size: int, hop_size: int, window_size: int):
+        self.sizes = (t, fft_size, hop_size, window_size)
+        self.window = _hann_periodic(window_size)
+        self.length = (t - 1) * hop_size + window_size
+        self._den = None
+        self.frames = np.empty((t, fft_size))
+        self.windowed = np.empty((t, window_size))
+        self.spec = np.empty((t, fft_size // 2 + 1), dtype=np.complex128)
+        # t + ceil(window / hop) - 1 hop blocks; the first `length` samples
+        # are the signal
+        self.signal = np.empty((t - 1 - (-window_size // hop_size)) * hop_size)
+
+    def overlap_add(self, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Zero ``out``, add hop-shifted ``frames``; its first ``length`` samples.
+
+        Frame i, column j*hop + c lands in row i + j of ``out`` seen as
+        (t + k - 1, hop) blocks, so k strided adds do the work of t frame
+        adds. Running j downwards adds each sample's frames in increasing
+        frame order, as a per-frame loop does, so the sums are the same.
+        """
+        hop = self.sizes[2]
+        t, width = frames.shape
+        rows = out.reshape(-1, hop)
+        rows.fill(0.0)
+        for j in range((width - 1) // hop, -1, -1):
+            block = frames[:, j * hop:(j + 1) * hop]
+            rows[j:j + t, :block.shape[1]] += block
+        return out[:self.length]
+
+    @property
+    def den(self) -> np.ndarray:
+        """Floored window-square sum that ``istft`` divides by; built once."""
+        if self._den is None:
+            t, _, _, window_size = self.sizes
+            squares = np.broadcast_to(self.window * self.window, (t, window_size))
+            den = self.overlap_add(squares, np.empty_like(self.signal))
+            self._den = np.maximum(den, max(_ISTFT_DEN_FLOOR * den.max(), 1e-12))
+        return self._den
+
+
+def _plan_for(plan, t, fft_size, hop_size, window_size) -> _StftPlan:
+    """``plan`` when it fits these sizes, a new plan when it is None."""
+    if plan is None:
+        return _StftPlan(t, fft_size, hop_size, window_size)
+    if plan.sizes != (t, fft_size, hop_size, window_size):
+        raise ValueError(
+            f"STFT plan for (frames, fft, hop, window) = {plan.sizes} used for "
+            f"{(t, fft_size, hop_size, window_size)}")
+    return plan
+
+
+def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
+         plan: _StftPlan | None = None) -> np.ndarray:
+    """Time-major complex STFT, no centering: T = 1 + (len - window) // hop.
+
+    With ``plan``, the result is the plan's ``spec`` buffer.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < window_size:
+        raise ValueError(
+            f"signal of {x.size} samples is shorter than the {window_size}-sample window")
+    t = 1 + (x.size - window_size) // hop_size
+    plan = _plan_for(plan, t, fft_size, hop_size, window_size)
+    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
+    np.multiply(frames, plan.window, out=plan.windowed)
+    return np.fft.rfft(plan.windowed, n=fft_size, axis=1, out=plan.spec)
+
+
 def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
-          length: int | None = None) -> np.ndarray:
-    """Least-squares inverse of stft: windowed overlap-add over sum of squares."""
+          length: int | None = None, plan: _StftPlan | None = None) -> np.ndarray:
+    """Least-squares inverse of stft: windowed overlap-add over sum of squares.
+
+    With ``plan`` and no padding past the full length, the result is a view
+    of the plan's ``signal`` buffer.
+    """
     spec = np.asarray(spec)
-    t = spec.shape[0]
-    win = _hann_periodic(window_size)
-    frames = np.fft.irfft(spec, n=fft_size, axis=1)[:, :window_size]
-    total = (t - 1) * hop_size + window_size
-    num = np.zeros(total)
-    den = np.zeros(total)
-    for i in range(t):
-        lo = i * hop_size
-        num[lo:lo + window_size] += frames[i] * win
-        den[lo:lo + window_size] += win * win
-    out = num / np.maximum(den, max(_ISTFT_DEN_FLOOR * den.max(), 1e-12))
+    plan = _plan_for(plan, spec.shape[0], fft_size, hop_size, window_size)
+    np.fft.irfft(spec, n=fft_size, axis=1, out=plan.frames)
+    np.multiply(plan.frames[:, :window_size], plan.window, out=plan.windowed)
+    out = plan.overlap_add(plan.windowed, plan.signal)
+    np.divide(out, plan.den, out=out)
     if length is not None:
-        if length <= total:
+        if length <= plan.length:
             out = out[:length]
         else:
-            out = np.pad(out, (0, length - total))
+            out = np.pad(out, (0, length - plan.length))
     return out
 
 

@@ -1,11 +1,12 @@
 """Mel-spectrogram and mel-cepstrum extraction, inversion, and synthesis."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .audio import Waveform, istft, stft
+from .audio import Waveform, _StftPlan, istft, stft
 from .config import DspConfig
 
 LOG_FLOOR = 1e-10
@@ -60,20 +61,30 @@ def mel_filterbank(cfg: DspConfig, normalize: bool = False) -> np.ndarray:
 
     Filter m rises from mel point m-1 to a peak of 1 at point m and falls
     to zero at point m+1; normalize=True rescales each row to unit area.
+    The plain bank is cached per analysis setting and read-only; the
+    normalized one is a fresh array.
     """
-    n_bins = cfg.fft_size // 2 + 1
-    bin_mels = hertz_to_mel(np.arange(n_bins) * cfg.sample_rate / cfg.fft_size)
-    points = np.linspace(hertz_to_mel(cfg.fmin), hertz_to_mel(cfg.fmax),
-                         cfg.n_mels + 2)
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    fb = _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
+                         cfg.fmin, cfg.fmax)
+    if normalize:
+        areas = fb.sum(axis=1, keepdims=True)
+        fb = fb / np.maximum(areas, 1e-12)
+    return fb
+
+
+@functools.lru_cache(maxsize=16)
+def _mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax) -> np.ndarray:
+    # keyed on the values: DspConfig is mutable and cannot be a key
+    n_bins = fft_size // 2 + 1
+    bin_mels = hertz_to_mel(np.arange(n_bins) * sample_rate / fft_size)
+    points = np.linspace(hertz_to_mel(fmin), hertz_to_mel(fmax), n_mels + 2)
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         lo, mid, hi = points[m], points[m + 1], points[m + 2]
         rising = (bin_mels - lo) / (mid - lo)
         falling = (hi - bin_mels) / (hi - mid)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    if normalize:
-        areas = fb.sum(axis=1, keepdims=True)
-        fb = fb / np.maximum(areas, 1e-12)
+    fb.flags.writeable = False
     return fb
 
 
@@ -135,7 +146,9 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
 
     Zero-phase start, then alternate least-squares inversion and magnitude
     replacement; the spectral-convergence error is non-increasing. Returns
-    the waveform, or (waveform, per-iteration errors) when asked.
+    the waveform, or (waveform, per-iteration errors) when asked. Every
+    iteration runs in the buffers of one STFT plan, and the errors are
+    computed only when asked for.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -146,15 +159,21 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
         silent = Waveform(np.zeros(length), cfg.sample_rate)
         return (silent, [0.0] * iterations) if return_convergence else silent
 
-    length = (target.shape[0] - 1) * cfg.hop_size + cfg.window_size
-    spec = target.astype(np.complex128)
+    sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
+    plan = _StftPlan(target.shape[0], *sizes)
+    spec = plan.spec
+    spec[...] = target
+    mag = np.empty(target.shape)
     errors = []
-    x = None
     for _ in range(iterations):
-        x = istft(spec, cfg.fft_size, cfg.hop_size, cfg.window_size, length)
-        estimate = stft(x, cfg.fft_size, cfg.hop_size, cfg.window_size)
-        mag = np.abs(estimate)
-        errors.append(spectral_convergence(mag, target))
-        spec = target * estimate / np.maximum(mag, 1e-12)
-    out = Waveform(x, cfg.sample_rate)
+        x = istft(spec, *sizes, plan=plan)
+        estimate = stft(x, *sizes, plan=plan)  # plan.spec, i.e. spec
+        np.abs(estimate, out=mag)
+        if return_convergence:
+            errors.append(spectral_convergence(mag, target))
+        # spec = target * estimate / max(|estimate|, 1e-12), in place
+        np.maximum(mag, 1e-12, out=mag)
+        np.multiply(target, estimate, out=spec)
+        np.divide(spec, mag, out=spec)
+    out = Waveform(x.copy(), cfg.sample_rate)
     return (out, errors) if return_convergence else out

@@ -81,7 +81,11 @@ def load_checkpoint(path) -> HVqVaeModel:
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointFormatError(f"{path}: truncated blob for {name}")
-        model.params[name].data = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+        data = np.frombuffer(chunk, dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(data)):
+            raise CheckpointFormatError(
+                f"{path}: parameter {name} holds NaN or Inf values")
+        model.params[name].data = data.copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")

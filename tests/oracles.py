@@ -217,3 +217,61 @@ def greedy_pairing_ref(speakers, max_delta):
         taken.update((a_id, b_id))
         out.append((a_id, b_id, delta))
     return out
+
+
+def _hann_periodic_ref(n):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def stft_ref(x, fft_size, hop_size, window_size):
+    """Time-major complex STFT, no centering: T = 1 + (len - window) // hop."""
+    x = np.asarray(x, dtype=np.float64)
+    t = 1 + (x.size - window_size) // hop_size
+    win = _hann_periodic_ref(window_size)
+    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
+    return np.fft.rfft(frames * win, n=fft_size, axis=1)
+
+
+def istft_ref(spec, fft_size, hop_size, window_size, length=None):
+    """Least-squares inverse STFT by a per-frame overlap-add loop.
+
+    The window-square sum is floored at a tenth of its peak, as in the
+    package.
+    """
+    spec = np.asarray(spec)
+    t = spec.shape[0]
+    win = _hann_periodic_ref(window_size)
+    frames = np.fft.irfft(spec, n=fft_size, axis=1)[:, :window_size]
+    total = (t - 1) * hop_size + window_size
+    num = np.zeros(total)
+    den = np.zeros(total)
+    for i in range(t):
+        lo = i * hop_size
+        num[lo:lo + window_size] += frames[i] * win
+        den[lo:lo + window_size] += win * win
+    out = num / np.maximum(den, max(0.1 * den.max(), 1e-12))
+    if length is not None:
+        if length <= total:
+            out = out[:length]
+        else:
+            out = np.pad(out, (0, length - total))
+    return out
+
+
+def griffin_lim_ref(target, fft_size, hop_size, window_size, iterations):
+    """Griffin-Lim from linear magnitudes ``target``: (samples, errors).
+
+    A fresh array per step, as the arithmetic reads; each error is the
+    spectral convergence ||mag - target|| / ||target||.
+    """
+    length = (target.shape[0] - 1) * hop_size + window_size
+    spec = target.astype(np.complex128)
+    errors = []
+    x = None
+    for _ in range(iterations):
+        x = istft_ref(spec, fft_size, hop_size, window_size, length)
+        estimate = stft_ref(x, fft_size, hop_size, window_size)
+        mag = np.abs(estimate)
+        errors.append(float(np.linalg.norm(mag - target) / np.linalg.norm(target)))
+        spec = target * estimate / np.maximum(mag, 1e-12)
+    return x, errors

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathovc import dsp
+from pathovc import dsp, vqvae
 from pathovc.cli import main
 
 RUN_INI = """\
@@ -281,6 +281,20 @@ class TestConvert:
                      str(env["feats"]), "--source", "M04",
                      "--target", "M12"]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_is_user_error(self, env, tmp_path, capsys):
+        model = vqvae.load_checkpoint(env["ckpt"])
+        name = sorted(model.params)[0]
+        model.params[name].data.flat[0] = np.nan
+        ckpt = tmp_path / "nan.hvqv"
+        vqvae.save_checkpoint(model, ckpt)
+        out = tmp_path / "c"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "convert", str(ckpt), "--features", str(env["feats"]),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert "nan.hvqv" in err and name in err
+        assert list(out.glob("*.mcep")) == []
 
     def test_unknown_source_reported(self, env, tmp_path, capsys):
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from pathovc import dsp
+from pathovc.dsp import audio, features
 
 from oracles import (
     dct2_ortho_ref,
     fft_peak_bin,
+    griffin_lim_ref,
     hz_to_mel_ref,
     idct2_ortho_ref,
+    istft_ref,
     mel_to_hz_ref,
+    stft_ref,
 )
 
 
@@ -183,6 +187,31 @@ class TestMelFilterbank:
         mel = noise_mag @ fb.T
         assert np.all(mel > 0)
 
+    def test_cached_bank_is_shared_and_read_only(self):
+        cfg = dsp.DspConfig()
+        fb = dsp.mel_filterbank(cfg)
+        assert dsp.mel_filterbank(dsp.DspConfig()) is fb
+        with pytest.raises(ValueError, match="read-only"):
+            fb[0, 0] = 1.0
+
+    def test_normalized_bank_is_a_fresh_array(self):
+        cfg = dsp.DspConfig()
+        a = dsp.mel_filterbank(cfg, normalize=True)
+        b = dsp.mel_filterbank(cfg, normalize=True)
+        assert a is not b and a.flags.writeable
+        a[0, 0] = 5.0
+        assert b[0, 0] != 5.0
+
+    def test_cache_follows_a_mutated_config(self):
+        # DspConfig is mutable, so the cache must key on its values
+        cfg = dsp.DspConfig()
+        assert dsp.mel_filterbank(cfg).shape == (80, 513)
+        cfg.n_mels, cfg.fmax = 40, 8000.0
+        fb = dsp.mel_filterbank(cfg)
+        assert fb.shape == (40, 513)
+        rebuilt = features._mel_filterbank.__wrapped__(24000, 1024, 40, 80.0, 8000.0)
+        assert fb.tobytes() == rebuilt.tobytes()
+
 
 class TestMelSpectrogram:
     def test_frame_count_formula(self):
@@ -304,6 +333,132 @@ class TestGriffinLim:
         ms = dsp.MelSpectrogram(np.ones((2, 80)), 256 / 24000, 24000)
         with pytest.raises(ValueError, match="iterations"):
             dsp.griffin_lim(ms, cfg, 0)
+
+
+# default; window % hop != 0; fft > window; hop == window; hop = 999
+STFT_CONFIGS = [
+    dsp.DspConfig(),
+    dsp.DspConfig(hop_size=300),
+    dsp.DspConfig(fft_size=2048, window_size=1200),
+    dsp.DspConfig(hop_size=1024),
+    dsp.DspConfig(hop_size=999),
+]
+STFT_GRID = [(c, t) for c in range(len(STFT_CONFIGS)) for t in (1, 2, 7, 61, 140)]
+
+
+def _grid_case(c, t):
+    """Config, a signal of exactly t frames and a random mel spectrogram."""
+    cfg = STFT_CONFIGS[c]
+    rng = np.random.default_rng(100 * c + t)
+    x = rng.normal(size=(t - 1) * cfg.hop_size + cfg.window_size)
+    ms = dsp.MelSpectrogram(np.abs(rng.normal(size=(t, cfg.n_mels))),
+                            cfg.hop_size / cfg.sample_rate, cfg.sample_rate)
+    return cfg, x, ms
+
+
+def _sizes(cfg):
+    return cfg.fft_size, cfg.hop_size, cfg.window_size
+
+
+class TestStftAgainstLoopOracle:
+    """Byte equality with the per-frame-loop STFT pair and Griffin-Lim."""
+
+    @pytest.mark.parametrize("c,t", STFT_GRID)
+    def test_stft(self, c, t):
+        cfg, x, _ = _grid_case(c, t)
+        got = dsp.stft(x, *_sizes(cfg))
+        assert got.shape == (t, cfg.fft_size // 2 + 1)
+        assert got.tobytes() == stft_ref(x, *_sizes(cfg)).tobytes()
+
+    @pytest.mark.parametrize("c,t", STFT_GRID)
+    def test_istft_every_length(self, c, t):
+        cfg, x, _ = _grid_case(c, t)
+        spec = stft_ref(x, *_sizes(cfg))
+        for length in (None, x.size // 2, x.size, x.size + 37):
+            got = dsp.istft(spec, *_sizes(cfg), length)
+            want = istft_ref(spec, *_sizes(cfg), length)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c,t", STFT_GRID)
+    def test_reduce_noise_and_mel_spectrogram(self, c, t, monkeypatch):
+        cfg, x, _ = _grid_case(c, t)
+        w = dsp.Waveform(x, cfg.sample_rate)
+        got = dsp.reduce_noise(w, cfg).samples.tobytes()
+        mel = dsp.mel_spectrogram(w, cfg).frames.tobytes()
+        monkeypatch.setattr(audio, "stft", stft_ref)
+        monkeypatch.setattr(audio, "istft", istft_ref)
+        monkeypatch.setattr(features, "stft", stft_ref)
+        assert got == dsp.reduce_noise(w, cfg).samples.tobytes()
+        assert mel == dsp.mel_spectrogram(w, cfg).frames.tobytes()
+
+    @pytest.mark.parametrize("c,t", STFT_GRID)
+    def test_griffin_lim(self, c, t):
+        cfg, _, ms = _grid_case(c, t)
+        wav, errors = dsp.griffin_lim(ms, cfg, 5, return_convergence=True)
+        x, want = griffin_lim_ref(dsp.mel_to_linear(ms, cfg), *_sizes(cfg), 5)
+        assert wav.samples.tobytes() == x.tobytes()
+        assert errors == want
+        assert dsp.griffin_lim(ms, cfg, 5).samples.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("t", [0, 1, 7])
+    def test_silent_input(self, t):
+        cfg = dsp.DspConfig()
+        ms = dsp.MelSpectrogram(np.zeros((t, 80)), 256 / 24000, 24000)
+        wav, errors = dsp.griffin_lim(ms, cfg, 4, return_convergence=True)
+        n = (t - 1) * cfg.hop_size + cfg.window_size if t else 0
+        assert wav.samples.tobytes() == np.zeros(n).tobytes()
+        assert errors == [0.0] * 4
+
+
+class TestStftResultsNotShared:
+    """A result must not change when the function is called again."""
+
+    def test_stft(self):
+        cfg = STFT_CONFIGS[0]
+        x = np.random.default_rng(1).normal(size=3000)
+        first = dsp.stft(x, *_sizes(cfg))
+        keep = first.copy()
+        dsp.stft(-x, *_sizes(cfg))
+        assert first.tobytes() == keep.tobytes()
+
+    def test_istft(self):
+        cfg = STFT_CONFIGS[0]
+        x = np.random.default_rng(2).normal(size=3000)
+        spec = dsp.stft(x, *_sizes(cfg))
+        first = dsp.istft(spec, *_sizes(cfg))
+        keep = first.copy()
+        dsp.istft(2.0 * spec, *_sizes(cfg))
+        assert first.tobytes() == keep.tobytes()
+
+    def test_griffin_lim(self):
+        cfg = STFT_CONFIGS[0]
+        ms = _grid_case(0, 7)[2]
+        first = dsp.griffin_lim(ms, cfg, 3)
+        keep = first.samples.copy()
+        dsp.griffin_lim(dsp.MelSpectrogram(2.0 * ms.frames, ms.frame_shift,
+                                           ms.sample_rate), cfg, 3)
+        assert first.samples.tobytes() == keep.tobytes()
+
+
+class TestStftPlan:
+    def test_shared_plan_gives_the_same_bytes(self):
+        cfg, x, _ = _grid_case(1, 61)
+        plan = audio._StftPlan(61, *_sizes(cfg))
+        spec = dsp.stft(x, *_sizes(cfg), plan=plan)
+        assert spec is plan.spec
+        assert spec.tobytes() == stft_ref(x, *_sizes(cfg)).tobytes()
+        want = istft_ref(spec, *_sizes(cfg))
+        for _ in range(2):
+            assert dsp.istft(spec, *_sizes(cfg), plan=plan).tobytes() == want.tobytes()
+
+    def test_plan_of_other_sizes_rejected(self):
+        cfg, x, _ = _grid_case(0, 7)
+        plan = audio._StftPlan(8, *_sizes(cfg))
+        with pytest.raises(ValueError, match="STFT plan"):
+            dsp.stft(x, *_sizes(cfg), plan=plan)
+        with pytest.raises(ValueError, match="STFT plan"):
+            dsp.istft(np.zeros((8, 513)), 1024, 300, 1024, plan=plan)
 
 
 class TestWavIO:

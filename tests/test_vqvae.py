@@ -557,6 +557,17 @@ class TestCheckpoint:
         with pytest.raises(vqvae.CheckpointFormatError, match="trailing"):
             vqvae.load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        m = self._small_model()
+        name = sorted(m.params)[1]
+        m.params[name].data.flat[2] = bad
+        path = tmp_path / "n.hvqv"
+        vqvae.save_checkpoint(m, path)
+        with pytest.raises(vqvae.CheckpointFormatError,
+                           match=f"n.hvqv: parameter {name} holds NaN or Inf"):
+            vqvae.load_checkpoint(path)
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         m = self._small_model()
         path = tmp_path / "m.hvqv"
