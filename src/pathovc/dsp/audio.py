@@ -144,17 +144,6 @@ class _StftPlan:
         return self._den
 
 
-def _plan_for(plan, t, fft_size, hop_size, window_size) -> _StftPlan:
-    """``plan`` when it fits these sizes, a new plan when it is None."""
-    if plan is None:
-        return _StftPlan(t, fft_size, hop_size, window_size)
-    if plan.sizes != (t, fft_size, hop_size, window_size):
-        raise ValueError(
-            f"STFT plan for (frames, fft, hop, window) = {plan.sizes} used for "
-            f"{(t, fft_size, hop_size, window_size)}")
-    return plan
-
-
 def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
          plan: _StftPlan | None = None) -> np.ndarray:
     """Time-major complex STFT, no centering: T = 1 + (len - window) // hop.
@@ -166,7 +155,8 @@ def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
         raise ValueError(
             f"signal of {x.size} samples is shorter than the {window_size}-sample window")
     t = 1 + (x.size - window_size) // hop_size
-    plan = _plan_for(plan, t, fft_size, hop_size, window_size)
+    if plan is None:
+        plan = _StftPlan(t, fft_size, hop_size, window_size)
     frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
     np.multiply(frames, plan.window, out=plan.windowed)
     return np.fft.rfft(plan.windowed, n=fft_size, axis=1, out=plan.spec)
@@ -180,7 +170,8 @@ def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
     of the plan's ``signal`` buffer.
     """
     spec = np.asarray(spec)
-    plan = _plan_for(plan, spec.shape[0], fft_size, hop_size, window_size)
+    if plan is None:
+        plan = _StftPlan(spec.shape[0], fft_size, hop_size, window_size)
     np.fft.irfft(spec, n=fft_size, axis=1, out=plan.frames)
     np.multiply(plan.frames[:, :window_size], plan.window, out=plan.windowed)
     out = plan.overlap_add(plan.windowed, plan.signal)
