@@ -276,6 +276,8 @@ def cmd_pair(args, cfg) -> int:
     manifest = _load_manifest(args, cfg)
     max_delta = (args.max_delta if args.max_delta is not None
                  else cfg.pairing.max_delta)
+    if not max_delta >= 0:  # NaN fails this too
+        raise UserError(f"--max-delta must be a non-negative number, got {max_delta}")
     pairs = corpus.pair_speakers(
         manifest, max_delta=max_delta,
         include_female=args.include_female or cfg.pairing.include_female,
@@ -323,7 +325,7 @@ def cmd_stats(args, cfg) -> int:
         out = _out_dir(args, cfg)
 
     if args.mode == "mos":
-        summaries = stats.mos_summary(rs)
+        summaries = stats.mos_summary(rs.mos_scores())
         print("condition,n,mean,ci_low,ci_high")
         order = [c for c in stats.MOS_CONDITIONS if c in summaries]
         for cond in order:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from pathlib import Path
 
 from .corpus import DEFAULT_BAND_CUTS
@@ -57,10 +58,16 @@ def _parse_scalar(kind, text: str, where: str):
     if kind is bool:
         return _parse_bool(text, where)
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError(
             f"{where}: expected {kind.__name__}, got {text!r}") from None
+    # NaN fails every comparison, so a range check such as
+    # trim_threshold_db >= 0 lets it through, and it then silently
+    # disables what the key controls
+    if kind is float and math.isnan(value):
+        raise ConfigError(f"{where}: expected a number, got {text!r}")
+    return value
 
 
 def _parse_cuts(text: str, where: str):

@@ -81,12 +81,6 @@ class CorpusManifest:
     speakers: list = field(default_factory=list)
     utterances: list = field(default_factory=list)
 
-    def speaker(self, speaker_id: str) -> SpeakerRecord:
-        for s in self.speakers:
-            if s.speaker_id == speaker_id:
-                return s
-        raise KeyError(f"unknown speaker {speaker_id!r}")
-
     @property
     def speaker_ids(self):
         return [s.speaker_id for s in self.speakers]
@@ -243,36 +237,33 @@ def pair_speakers(m: CorpusManifest, max_delta: float,
     speaker id order, so the result is deterministic.  Speakers left
     without a partner are logged.
     """
-    if max_delta < 0:
+    # written so that NaN fails too: it would pass every delta check
+    if not max_delta >= 0:
         raise ValueError(f"max_delta must be non-negative, got {max_delta}")
     eligible = [s for s in m.speakers if include_female or s.sex == "M"]
     eligible.sort(key=lambda s: s.speaker_id)
-    pool = {s.speaker_id: s for s in eligible}
+    candidates = []
+    for i, a in enumerate(eligible):
+        for b in eligible[i + 1:]:
+            if a.intelligibility_band != b.intelligibility_band:
+                continue
+            if not allow_cross_sex and a.sex != b.sex:
+                continue
+            delta = _score_delta(a.intelligibility_score, b.intelligibility_score)
+            if delta <= max_delta:
+                candidates.append((delta, a.speaker_id, b.speaker_id))
+    # taking the smallest candidate whose speakers are both free, over and
+    # over, is one sweep through the candidates in sorted order
+    candidates.sort()
+    taken = set()
     pairs = []
-    while True:
-        best = None
-        ids = sorted(pool)
-        for i, a_id in enumerate(ids):
-            for b_id in ids[i + 1:]:
-                a, b = pool[a_id], pool[b_id]
-                if a.intelligibility_band != b.intelligibility_band:
-                    continue
-                if not allow_cross_sex and a.sex != b.sex:
-                    continue
-                delta = _score_delta(a.intelligibility_score,
-                                     b.intelligibility_score)
-                if delta > max_delta:
-                    continue
-                cand = (delta, a_id, b_id)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            break
-        delta, a_id, b_id = best
-        pairs.append(SpeakerPair(a_id, b_id, delta))
-        del pool[a_id], pool[b_id]
-    for sid in sorted(pool):
-        logger.warning("speaker %s left unpaired", sid)
+    for delta, a_id, b_id in candidates:
+        if a_id not in taken and b_id not in taken:
+            taken.update((a_id, b_id))
+            pairs.append(SpeakerPair(a_id, b_id, delta))
+    for s in eligible:
+        if s.speaker_id not in taken:
+            logger.warning("speaker %s left unpaired", s.speaker_id)
     return pairs
 
 

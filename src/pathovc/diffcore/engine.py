@@ -70,14 +70,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self.dtype), self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

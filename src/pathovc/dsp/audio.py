@@ -28,10 +28,6 @@ class Waveform:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains NaN or Inf samples")
 
-    @property
-    def duration(self):
-        return self.samples.size / self.sample_rate
-
 
 def normalize(w: Waveform) -> Waveform:
     """Scale so peak |sample| is exactly 1; all-zero input passes through.
@@ -72,14 +68,13 @@ def trim_silence(w: Waveform, threshold_db: float = -40.0,
     if peak == 0.0:
         raise AllSilentError("clip has no signal above the trim threshold")
     frame = max(1, int(round(w.sample_rate * frame_ms / 1000.0)))
-    n_frames = (x.size + frame - 1) // frame
     gate = peak * 10.0 ** (threshold_db / 20.0)
-    loud = [np.max(np.abs(x[i * frame:(i + 1) * frame])) >= gate
-            for i in range(n_frames)]
-    if not any(loud):
+    # per-frame peaks; the last frame may be short
+    loud = np.maximum.reduceat(np.abs(x), np.arange(0, x.size, frame)) >= gate
+    if not loud.any():
         raise AllSilentError("clip has no frame above the trim threshold")
-    first = loud.index(True)
-    last = n_frames - 1 - loud[::-1].index(True)
+    first = int(np.argmax(loud))
+    last = loud.size - 1 - int(np.argmax(loud[::-1]))
     out = x[first * frame:min((last + 1) * frame, x.size)]
     return Waveform(out.copy(), w.sample_rate)
 

@@ -43,10 +43,6 @@ class MelCepstrogram:
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("cepstral frames must be finite")
 
-    @property
-    def order(self):
-        return self.frames.shape[1] - 1
-
 
 def hertz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -56,20 +52,15 @@ def mel_to_hertz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: DspConfig, normalize: bool = False) -> np.ndarray:
+def mel_filterbank(cfg: DspConfig) -> np.ndarray:
     """Triangular filters on the mel scale, (n_mels, fft_size//2 + 1).
 
     Filter m rises from mel point m-1 to a peak of 1 at point m and falls
-    to zero at point m+1; normalize=True rescales each row to unit area.
-    The plain bank is cached per analysis setting and read-only; the
-    normalized one is a fresh array.
+    to zero at point m+1. The bank is cached per analysis setting and
+    read-only.
     """
-    fb = _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
-                         cfg.fmin, cfg.fmax)
-    if normalize:
-        areas = fb.sum(axis=1, keepdims=True)
-        fb = fb / np.maximum(areas, 1e-12)
-    return fb
+    return _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
+                           cfg.fmin, cfg.fmax)
 
 
 @functools.lru_cache(maxsize=16)
@@ -78,20 +69,12 @@ def _mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax) -> np.ndarray:
     n_bins = fft_size // 2 + 1
     bin_mels = hertz_to_mel(np.arange(n_bins) * sample_rate / fft_size)
     points = np.linspace(hertz_to_mel(fmin), hertz_to_mel(fmax), n_mels + 2)
-    fb = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lo, mid, hi = points[m], points[m + 1], points[m + 2]
-        rising = (bin_mels - lo) / (mid - lo)
-        falling = (hi - bin_mels) / (hi - mid)
-        fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    lo, mid, hi = points[:-2, None], points[1:-1, None], points[2:, None]
+    rising = (bin_mels - lo) / (mid - lo)
+    falling = (hi - bin_mels) / (hi - mid)
+    fb = np.clip(np.minimum(rising, falling), 0.0, None)
     fb.flags.writeable = False
     return fb
-
-
-def filter_center_frequencies(cfg: DspConfig) -> np.ndarray:
-    points = np.linspace(hertz_to_mel(cfg.fmin), hertz_to_mel(cfg.fmax),
-                         cfg.n_mels + 2)
-    return mel_to_hertz(points[1:-1])
 
 
 def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -168,13 +169,14 @@ class MosSummary:
     ci_high: object
 
 
-def mos_summary(rs) -> dict:
+def mos_summary(scores_by_condition: dict) -> dict:
     """Per-condition mean with a 95% Student-t confidence interval.
 
-    With a single rating the interval is undefined and both bounds are
-    None.  Conditions present but empty are dropped with a warning.
+    ``scores_by_condition`` maps each condition to its scores, as
+    ``RatingSet.mos_scores`` returns them.  With a single rating the
+    interval is undefined and both bounds are None.  Conditions present
+    but empty are dropped with a warning.
     """
-    scores_by_condition = rs.mos_scores() if isinstance(rs, RatingSet) else dict(rs)
     out = {}
     for cond, scores in scores_by_condition.items():
         if not scores:
@@ -220,9 +222,6 @@ class WilcoxonResult:
     n: int
     method: str
 
-    def __iter__(self):
-        return iter((self.statistic, self.p_value))
-
 
 def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired scores.
@@ -264,17 +263,9 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        # tie groups shrink the variance of W+
-        sizes = []
-        seen = sorted(abs(d) for d in diffs)
-        i = 0
-        while i < len(seen):
-            j = i
-            while j < len(seen) and seen[j] == seen[i]:
-                j += 1
-            sizes.append(j - i)
-            i = j
-        var -= sum(t ** 3 - t for t in sizes) / 48.0
+        # tie groups shrink the variance of W+; each group has its own
+        # midrank, so counting equal midranks gives the group sizes
+        var -= sum(t ** 3 - t for t in Counter(doubled).values()) / 48.0
         if var <= 0:
             raise AllZeroDifferencesError(
                 "tie correction leaves zero variance; the test is undefined")
@@ -313,21 +304,16 @@ class AbAgreement:
 def ab_agreement(trials, expectation: str) -> AbAgreement:
     """Share of AB judgments agreeing with the expected outcome.
 
-    ``trials`` is an iterable of judgment labels for one comparison
-    group.  ``expectation`` is "same" or "different".  The plain share
-    counts agreement at either confidence; the sure-only share counts
-    only the confident agreements against the same denominator.
+    ``trials`` is the list of judgment labels of one comparison group,
+    as ``RatingSet.ab_groups`` returns them.  ``expectation`` is "same"
+    or "different".  The plain share counts agreement at either
+    confidence; the sure-only share counts only the confident agreements
+    against the same denominator.
     Fractions are exact; the percent properties report them cut to two
     decimals.
     """
     if expectation not in ("same", "different"):
         raise ValueError(f"expectation must be same or different, got {expectation!r}")
-    if isinstance(trials, RatingSet):
-        groups = trials.ab_groups()
-        if len(groups) != 1:
-            raise ValueError(
-                f"expected one comparison group, found {len(groups)}")
-        (trials,) = groups.values()
     judgments = list(trials)
     if not judgments:
         raise ValueError("no trials given")

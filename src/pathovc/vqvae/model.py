@@ -72,10 +72,6 @@ class LossBreakdown:
     # graph nodes of the three components, for gradient inspection
     nodes: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def total(self):
-        return self.reconstruction + self.codebook + self.commitment
-
 
 def quantize(z: np.ndarray, codebook: np.ndarray):
     """Nearest codeword per row; ties go to the lowest index.
@@ -171,7 +167,7 @@ class HVqVaeModel:
 
     @staticmethod
     def _frames_of(x):
-        frames = x.frames if hasattr(x, "frames") else np.asarray(x)
+        frames = np.asarray(x)
         if frames.ndim not in (2, 3):
             raise ValueError("input must be a T x C matrix or a B x T x C batch")
         return frames
@@ -186,20 +182,20 @@ class HVqVaeModel:
         return dc.Tensor(np.ascontiguousarray(np.swapaxes(a, -1, -2), dtype=self.cfg.dtype))
 
     def _encode_graph(self, x):
-        """x is channel-major (..., C, T). Returns per-stage (u, z) Tensors."""
+        """x is channel-major (..., C, T). Returns the per-stage latent Tensors."""
         p = self.params
         k = self.cfg.kernel_size
         pad = k // 2
-        stages = []
+        zs = []
         h = x
         for n in (1, 2, 3):
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv1.w"], self.cfg.stride, pad),
                                p[f"enc{n}.conv1.b"]))
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv2.w"], 1, pad),
                                p[f"enc{n}.conv2.b"]))
-            z = dc.add(dc.conv1d(h, p[f"enc{n}.proj.w"], 1, 0), p[f"enc{n}.proj.b"])
-            stages.append((h, z))
-        return stages
+            zs.append(dc.add(dc.conv1d(h, p[f"enc{n}.proj.w"], 1, 0),
+                             p[f"enc{n}.proj.b"]))
+        return zs
 
     def _embedding_frames(self, speakers, like):
         """Speaker-table rows `speakers` repeated over like's (..., D, T) frames."""
@@ -229,29 +225,23 @@ class HVqVaeModel:
         return v
 
     def encode(self, x):
-        """Returns (us, zs): per-stage hidden and latent sequences, time-major."""
+        """Returns the three per-stage latent sequences, time-major."""
         frames = self._frames_of(x)
         self._check_length(frames.shape[-2])
-        stages = self._encode_graph(self._channel_major(frames))
-        us = tuple(np.swapaxes(u.data, -1, -2).copy() for u, _ in stages)
-        zs = tuple(np.swapaxes(z.data, -1, -2).copy() for _, z in stages)
-        return us, zs
+        zs = self._encode_graph(self._channel_major(frames))
+        return tuple(np.swapaxes(z.data, -1, -2).copy() for z in zs)
 
     def quantize_stage(self, z, stage: int):
         return quantize(z, self.params[f"codebook{stage}"].data)
 
-    def decode(self, qs, speaker_id, n_frames: int | None = None):
+    def decode(self, qs, speaker_id, n_frames: int):
         """qs: three time-major (..., T_n, D) arrays, finest first. Returns
-        (..., T, C).
-
-        n_frames restores the original frame count when it was odd; the
-        default assumes an exact halving chain.
+        (..., T, C) with T = n_frames, the input's frame count, which
+        restores it when it was odd.
         """
         speaker = self.speaker_index(speaker_id)
         q_tensors = [self._channel_major(q) for q in qs]
         t1 = q_tensors[0].shape[-1]
-        if n_frames is None:
-            n_frames = t1 * self.cfg.stride
         if not t1 * self.cfg.stride - self.cfg.stride < n_frames <= t1 * self.cfg.stride:
             raise ValueError(f"n_frames {n_frames} inconsistent with {t1} stage-1 latents")
         out = self._decode_graph(q_tensors, speaker, n_frames)
@@ -278,10 +268,10 @@ class HVqVaeModel:
         if np.any(valid <= 0):
             raise ValueError("every utterance needs at least one unmasked frame")
         x = self._channel_major(frames)
-        stages = self._encode_graph(x)
+        zs = self._encode_graph(x)
 
         qs, cb_terms, commit_terms, index_lists = [], [], [], []
-        for n, (_, z) in enumerate(stages, start=1):
+        for n, z in enumerate(zs, start=1):
             cb = self.params[f"codebook{n}"]
             z_rows = dc.transpose(z)
             _, indices = self.quantize_stage(z_rows.data, n)
@@ -325,7 +315,7 @@ class HVqVaeModel:
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
-        _, zs = self.encode(frames)
+        zs = self.encode(frames)
         qs = [self.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
         return self.decode(qs, target_speaker, n_frames=frames.shape[-2])
 

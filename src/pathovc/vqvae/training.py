@@ -115,7 +115,7 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
 
     picks = rng.integers(0, len(items), size=cfg.batch_size)
     if not model.codebooks_initialized:
-        _, zs = model.encode(_batch(items, picks, cfg.crop_frames, rng)[0])
+        zs = model.encode(_batch(items, picks, cfg.crop_frames, rng)[0])
         model.init_codebooks([z.reshape(-1, z.shape[-1]) for z in zs], rng)
 
     opt = dc.Adam(model.parameters(), lr=cfg.learning_rate)

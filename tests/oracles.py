@@ -125,6 +125,44 @@ def mel_to_hz_ref(m):
     return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
 
+def mel_filterbank_ref(sample_rate, fft_size, n_mels, fmin, fmax):
+    """Triangular mel filterbank built one filter per loop pass."""
+    def to_mel(f):
+        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+    n_bins = fft_size // 2 + 1
+    bin_mels = to_mel(np.arange(n_bins) * sample_rate / fft_size)
+    points = np.linspace(to_mel(fmin), to_mel(fmax), n_mels + 2)
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
+        lo, mid, hi = points[m], points[m + 1], points[m + 2]
+        rising = (bin_mels - lo) / (mid - lo)
+        falling = (hi - bin_mels) / (hi - mid)
+        fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return fb
+
+
+def trim_silence_ref(x, sample_rate, threshold_db, frame_ms):
+    """Frame-granular silence trim by a per-frame loop.
+
+    Returns the kept samples, or None when no frame reaches the gate.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    peak = np.max(np.abs(x)) if x.size else 0.0
+    if peak == 0.0:
+        return None
+    frame = max(1, int(round(sample_rate * frame_ms / 1000.0)))
+    n_frames = (x.size + frame - 1) // frame
+    gate = peak * 10.0 ** (threshold_db / 20.0)
+    loud = [np.max(np.abs(x[i * frame:(i + 1) * frame])) >= gate
+            for i in range(n_frames)]
+    if not any(loud):
+        return None
+    first = loud.index(True)
+    last = n_frames - 1 - loud[::-1].index(True)
+    return x[first * frame:min((last + 1) * frame, x.size)]
+
+
 def fft_peak_bin(samples, fft_size):
     """Dominant non-DC rfft bin of a centered slice of the signal."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -192,18 +230,22 @@ def mos_ci_ref(scores, t_quantile):
     return mean, half
 
 
-def greedy_pairing_ref(speakers, max_delta):
+def greedy_pairing_ref(speakers, max_delta, include_female=False,
+                       allow_cross_sex=False):
     """Reference greedy matcher over (id, sex, score, band) tuples.
 
     Enumerates every same-band candidate pair up front with exact
     fractional deltas, sorts once by (delta, id_a, id_b), and sweeps,
-    skipping speakers already taken.  Returns [(a, b, delta_fraction)].
+    skipping speakers already taken.  Female speakers take part only
+    with ``include_female``, mixed-sex pairs only with
+    ``allow_cross_sex``.  Returns [(a, b, delta_fraction)].
     """
     cands = []
-    rows = sorted(speakers, key=lambda s: s[0])
+    rows = sorted((s for s in speakers if include_female or s[1] == "M"),
+                  key=lambda s: s[0])
     for i, a in enumerate(rows):
         for b in rows[i + 1:]:
-            if a[3] != b[3] or a[1] != b[1]:
+            if a[3] != b[3] or (a[1] != b[1] and not allow_cross_sex):
                 continue
             delta = abs(Fraction(str(a[2])) - Fraction(str(b[2])))
             if delta <= Fraction(str(max_delta)):

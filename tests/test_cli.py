@@ -125,6 +125,16 @@ class TestPreprocess:
         assert ((out2 / "index.json").read_text()
                 == (env["feats"] / "index.json").read_text())
 
+    @pytest.mark.parametrize("key", ["trim_threshold_db", "noise_gate_db"])
+    def test_nan_dsp_setting_is_user_error(self, env, tmp_path, capsys, key):
+        ini = tmp_path / "nan.ini"
+        ini.write_text(f"[dsp]\n{key} = nan\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out),
+                     "preprocess", str(env["manifest"])]) == 1
+        assert f"[dsp] {key}" in capsys.readouterr().err
+        assert not (out / "index.json").exists()
+
     def test_out_dir_required(self, env, capsys):
         assert main(["preprocess", str(env["manifest"])]) == 1
         assert "--out" in capsys.readouterr().err
@@ -320,6 +330,11 @@ class TestPair:
         assert main(["pair", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and "not a number" in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_max_delta_is_user_error(self, env, capsys, value):
+        assert main(["pair", str(env["manifest"]), "--max-delta", value]) == 1
+        assert "--max-delta must be a non-negative number" in capsys.readouterr().err
 
     def test_unmatched_reported(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

