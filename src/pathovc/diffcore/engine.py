@@ -38,7 +38,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=()):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None

@@ -48,10 +48,6 @@ def hertz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_to_hertz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 def mel_filterbank(cfg: DspConfig) -> np.ndarray:
     """Triangular filters on the mel scale, (n_mels, fft_size//2 + 1).
 

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from ..atomic import atomic_open
-from .model import HVqVaeModel, VqVaeConfig
+from .model import HVqVaeModel, VqVaeConfig, _param_layout
 
 MAGIC = b"HVQV1"
 VERSION = 1
@@ -63,31 +63,52 @@ def load_checkpoint(path) -> HVqVaeModel:
         cfg = VqVaeConfig(**header["config"])
         speakers = header["speakers"]
         manifest = header["params"]
+        layout = {name: shape for name, shape, _ in _param_layout(cfg, len(speakers))}
+        if cfg.dtype != np.float32:
+            raise ValueError(f"param_dtype {cfg.param_dtype}, blobs are float32")
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointFormatError(f"{path}: unreadable config block: {e}") from None
 
-    model = HVqVaeModel(cfg, speakers, seed=0)
-    if sorted(n for n, _ in manifest) != sorted(model.params):
-        raise CheckpointFormatError(f"{path}: parameter manifest does not match model")
+    if not isinstance(manifest, list) or not all(
+            isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], str) and isinstance(entry[1], list)
+            for entry in manifest):
+        raise CheckpointFormatError(
+            f"{path}: malformed parameter manifest; entries must be "
+            "[name, shape] pairs")
+    names = sorted(name for name, _ in manifest)
+    if names != sorted(layout):
+        missing = sorted(set(layout) - set(names))
+        extra = sorted(set(names) - set(layout))
+        raise CheckpointFormatError(
+            f"{path}: parameter manifest does not match model (missing: "
+            f"{', '.join(missing) or 'none'}; unexpected: "
+            f"{', '.join(extra) or 'none'})")
 
+    view = memoryview(raw)
+    arrays = {}
     offset = base + header_len
     for name, shape in manifest:
-        shape = tuple(shape)
-        if model.params[name].data.shape != shape:
+        want = layout[name]
+        if tuple(shape) != want:
             raise CheckpointFormatError(
-                f"{path}: parameter {name} has shape {shape}, model expects "
-                f"{model.params[name].data.shape}")
-        nbytes = 4 * int(np.prod(shape))
-        chunk = raw[offset:offset + nbytes]
+                f"{path}: parameter {name} has shape {tuple(shape)}, model "
+                f"expects {want}")
+        nbytes = 4 * int(np.prod(want))
+        chunk = view[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointFormatError(f"{path}: truncated blob for {name}")
-        data = np.frombuffer(chunk, dtype="<f4").reshape(shape)
+        data = np.frombuffer(chunk, dtype="<f4").reshape(want)
         if not np.all(np.isfinite(data)):
             raise CheckpointFormatError(
                 f"{path}: parameter {name} holds NaN or Inf values")
-        model.params[name].data = data.copy()
+        arrays[name] = data.copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    try:
+        model = HVqVaeModel._from_arrays(cfg, speakers, arrays)
+    except (ValueError, TypeError) as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
     model.codebooks_initialized = bool(header.get("codebooks_initialized", False))
     return model

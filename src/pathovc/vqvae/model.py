@@ -73,11 +73,48 @@ class LossBreakdown:
     nodes: dict = field(repr=False, default_factory=dict)
 
 
+def _candidates(rows, codebook):
+    """(N, K) mask of the codewords each row's nearest may be, by GEMM.
+
+    Codewords are ranked by |c|^2 - 2 z.c, the expanded squared distance
+    less its row constant |z|^2.  With unit roundoff u and
+    gamma_n = n u / (1 - n u), that is within (gamma_D + 2u) s^2 of the
+    exact value and the direct ((z - c)**2).sum(-1) within
+    gamma_{D+2} s^2, s = |z| + max|c|; so the direct winner lies within
+    2(gamma_D + gamma_{D+2} + 2u) s^2 of the expanded minimum.  The
+    margin 8(D + 4)(u s^2 + smallest subnormal) covers that, gradual
+    underflow and the rounding of s itself whenever (D + 8) u <= 1/4.
+    The bound is derived for float32 and float64; any other dtype gets
+    an empty mask.
+    """
+    work = np.result_type(rows.dtype, codebook.dtype)
+    if work not in (np.float32, np.float64):
+        return np.zeros((rows.shape[0], codebook.shape[0]), dtype=bool)
+    r = rows.astype(work, copy=False)
+    c = codebook.astype(work, copy=False)
+    cc = np.einsum("ij,ij->i", c, c)
+    d = r @ c.T
+    d *= -2
+    d += cc
+    info = np.finfo(work)
+    k = 8 * (rows.shape[1] + 4)
+    margin = np.sqrt(np.einsum("ij,ij->i", r, r)) + np.sqrt(cc.max())
+    margin *= margin
+    margin *= k * float(info.eps) / 2
+    margin += k * float(info.smallest_subnormal)
+    margin += d.min(axis=1)
+    return d <= margin[:, None]
+
+
 def quantize(z: np.ndarray, codebook: np.ndarray):
     """Nearest codeword per row; ties go to the lowest index.
 
     z is (..., T, D), codebook (K, D). Returns (q, indices) with q rows
     taken verbatim from the codebook and indices shaped like z[..., 0].
+    A row with one GEMM candidate (see _candidates) takes it; a row with
+    several is re-ranked among them by the direct distance, and a row
+    with none (NaN, overflow) over the whole codebook.  The indices
+    therefore equal the exhaustive search's.
     """
     z = np.asarray(z)
     codebook = np.asarray(codebook)
@@ -87,9 +124,17 @@ def quantize(z: np.ndarray, codebook: np.ndarray):
         raise dc.ShapeError(
             f"latents of width {z.shape[-1]} do not match codewords of width "
             f"{codebook.shape[1]}")
-    d = ((z[..., None, :] - codebook) ** 2).sum(axis=-1)
-    indices = np.argmin(d, axis=-1)
-    return codebook[indices].copy(), indices
+    rows = z.reshape(-1, z.shape[-1])
+    near = _candidates(rows, codebook)
+    count = near.sum(axis=1)
+    indices = near.argmax(axis=1)
+    rerank = np.flatnonzero(count != 1)
+    if rerank.size:
+        direct = ((rows[rerank, None, :] - codebook) ** 2).sum(axis=-1)
+        keep = near[rerank] | (count[rerank] == 0)[:, None]
+        indices[rerank] = np.where(keep, direct, np.inf).argmin(axis=1)
+    indices = indices.reshape(z.shape[:-1])
+    return codebook[indices], indices
 
 
 def codebook_perplexity(indices, k: int) -> float:
@@ -104,8 +149,46 @@ def codebook_perplexity(indices, k: int) -> float:
     return float(np.exp(-np.sum(p * np.log(p))))
 
 
+def _param_layout(cfg: VqVaeConfig, n_speakers: int):
+    """[(name, shape, init std)] in draw order; std None means zeros."""
+    def conv_std(cin, w):
+        return np.sqrt(2.0 / (cin * w))
+
+    k, uk, h, d, e, c = (cfg.kernel_size, cfg.up_kernel_size, cfg.hidden,
+                         cfg.latent_dim, cfg.embed_dim, cfg.in_channels)
+    layout = []
+    for n in (1, 2, 3):
+        cin = c if n == 1 else h
+        layout += [(f"enc{n}.conv1.w", (h, cin, k), conv_std(cin, k)),
+                   (f"enc{n}.conv1.b", (h, 1), None),
+                   (f"enc{n}.conv2.w", (h, h, k), conv_std(h, k)),
+                   (f"enc{n}.conv2.b", (h, 1), None),
+                   (f"enc{n}.proj.w", (d, h, 1), conv_std(h, 1)),
+                   (f"enc{n}.proj.b", (d, 1), None)]
+    for n in (1, 2, 3):
+        cin = d + e if n == 3 else d + h + e
+        cout = c if n == 1 else h
+        layout += [(f"dec{n}.up.w", (cin, h, uk), conv_std(cin, uk)),
+                   (f"dec{n}.up.b", (h, 1), None),
+                   (f"dec{n}.out.w", (cout, h, k), conv_std(h, k)),
+                   (f"dec{n}.out.b", (cout, 1), None)]
+    layout += [(f"codebook{n}", (cfg.codebook_size, d), 0.05) for n in (1, 2, 3)]
+    layout.append(("speaker_table", (n_speakers, e), 0.01))
+    return layout
+
+
 class HVqVaeModel:
     def __init__(self, cfg: VqVaeConfig, speakers, seed: int = 0):
+        self._bind(cfg, speakers)
+        rng = np.random.default_rng(seed)
+        dt = cfg.dtype
+        self.params = {
+            name: dc.Tensor(np.zeros(shape, dtype=dt) if std is None
+                            else (std * rng.standard_normal(shape)).astype(dt),
+                            requires_grad=True)
+            for name, shape, std in _param_layout(cfg, len(self.speakers))}
+
+    def _bind(self, cfg, speakers):
         self.cfg = cfg
         self.speakers = list(speakers)
         if len(set(self.speakers)) != len(self.speakers):
@@ -114,45 +197,24 @@ class HVqVaeModel:
             raise ValueError("at least one speaker required")
         self._speaker_index = {s: i for i, s in enumerate(self.speakers)}
         self.codebooks_initialized = False
-        self.params = {}
-        self._init_params(np.random.default_rng(seed))
 
-    def _init_params(self, rng):
-        cfg = self.cfg
-        dt = cfg.dtype
-
-        def par(name, shape, std=None):
-            if std is None:
-                data = np.zeros(shape, dtype=dt)
-            else:
-                data = (std * rng.standard_normal(shape)).astype(dt)
-            self.params[name] = dc.Tensor(data, requires_grad=True)
-
-        def conv_std(cin, w):
-            return np.sqrt(2.0 / (cin * w))
-
-        k, uk, h, d, e, c = (cfg.kernel_size, cfg.up_kernel_size, cfg.hidden,
-                             cfg.latent_dim, cfg.embed_dim, cfg.in_channels)
-        for n in (1, 2, 3):
-            cin = c if n == 1 else h
-            par(f"enc{n}.conv1.w", (h, cin, k), conv_std(cin, k))
-            par(f"enc{n}.conv1.b", (h, 1))
-            par(f"enc{n}.conv2.w", (h, h, k), conv_std(h, k))
-            par(f"enc{n}.conv2.b", (h, 1))
-            par(f"enc{n}.proj.w", (d, h, 1), conv_std(h, 1))
-            par(f"enc{n}.proj.b", (d, 1))
-
-        for n in (1, 2, 3):
-            cin = d + e if n == 3 else d + h + e
-            cout = c if n == 1 else h
-            par(f"dec{n}.up.w", (cin, h, uk), conv_std(cin, uk))
-            par(f"dec{n}.up.b", (h, 1))
-            par(f"dec{n}.out.w", (cout, h, k), conv_std(h, k))
-            par(f"dec{n}.out.b", (cout, 1))
-
-        for n in (1, 2, 3):
-            par(f"codebook{n}", (cfg.codebook_size, d), 0.05)
-        par("speaker_table", (len(self.speakers), e), 0.01)
+    @classmethod
+    def _from_arrays(cls, cfg: VqVaeConfig, speakers, arrays):
+        """A model holding `arrays`, {name: array}, as its parameters, with no
+        random draw.  Names and shapes must match the parameter layout; the
+        arrays are held, not copied."""
+        model = cls.__new__(cls)
+        model._bind(cfg, speakers)
+        layout = _param_layout(cfg, len(model.speakers))
+        if sorted(arrays) != sorted(name for name, _, _ in layout):
+            raise ValueError("parameter names do not match the model")
+        for name, shape, _ in layout:
+            if arrays[name].shape != shape:
+                raise ValueError(f"parameter {name} has shape {arrays[name].shape}, "
+                                 f"model expects {shape}")
+        model.params = {name: dc.Tensor(arrays[name], requires_grad=True)
+                        for name, _, _ in layout}
+        return model
 
     def parameters(self):
         return [self.params[k] for k in sorted(self.params)]

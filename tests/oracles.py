@@ -188,6 +188,45 @@ def nearest_codeword_ref(row, codebook):
     return best_i
 
 
+def init_params_ref(cfg, n_speakers, seed):
+    """{name: array} of a fresh model's parameters, drawn one par() call
+    at a time in the model's historical order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    dt = np.dtype(cfg.param_dtype)
+    params = {}
+
+    def par(name, shape, std=None):
+        if std is None:
+            params[name] = np.zeros(shape, dtype=dt)
+        else:
+            params[name] = (std * rng.standard_normal(shape)).astype(dt)
+
+    def conv_std(cin, w):
+        return np.sqrt(2.0 / (cin * w))
+
+    k, uk, h, d, e, c = (cfg.kernel_size, cfg.up_kernel_size, cfg.hidden,
+                         cfg.latent_dim, cfg.embed_dim, cfg.in_channels)
+    for n in (1, 2, 3):
+        cin = c if n == 1 else h
+        par(f"enc{n}.conv1.w", (h, cin, k), conv_std(cin, k))
+        par(f"enc{n}.conv1.b", (h, 1))
+        par(f"enc{n}.conv2.w", (h, h, k), conv_std(h, k))
+        par(f"enc{n}.conv2.b", (h, 1))
+        par(f"enc{n}.proj.w", (d, h, 1), conv_std(h, 1))
+        par(f"enc{n}.proj.b", (d, 1))
+    for n in (1, 2, 3):
+        cin = d + e if n == 3 else d + h + e
+        cout = c if n == 1 else h
+        par(f"dec{n}.up.w", (cin, h, uk), conv_std(cin, uk))
+        par(f"dec{n}.up.b", (h, 1))
+        par(f"dec{n}.out.w", (cout, h, k), conv_std(h, k))
+        par(f"dec{n}.out.b", (cout, 1))
+    for n in (1, 2, 3):
+        par(f"codebook{n}", (cfg.codebook_size, d), 0.05)
+    par("speaker_table", (n_speakers, e), 0.01)
+    return params
+
+
 def _midranks_abs(diffs):
     """Midranks of |diffs| computed by pairwise counting."""
     mags = [abs(d) for d in diffs]
@@ -317,3 +356,14 @@ def griffin_lim_ref(target, fft_size, hop_size, window_size, iterations):
         errors.append(float(np.linalg.norm(mag - target) / np.linalg.norm(target)))
         spec = target * estimate / np.maximum(mag, 1e-12)
     return x, errors
+
+
+def adam_ref(data, grad, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam step as the formula reads, a fresh array per
+    operation; returns the new (data, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * (grad * grad)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    data = data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype)
+    return data, m, v

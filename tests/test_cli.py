@@ -306,6 +306,20 @@ class TestConvert:
         assert "nan.hvqv" in err and name in err
         assert list(out.glob("*.mcep")) == []
 
+    def test_malformed_checkpoint_manifest_is_user_error(self, env, tmp_path, capsys):
+        raw = env["ckpt"].read_bytes()
+        n = int.from_bytes(raw[7:11], "little")
+        header = json.loads(raw[11:11 + n])
+        header["params"][0][1] = 3  # a shape that is not a list
+        blob = json.dumps(header).encode()
+        ckpt = tmp_path / "bad.hvqv"
+        ckpt.write_bytes(raw[:7] + len(blob).to_bytes(4, "little") + blob + raw[11 + n:])
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
+                     "convert", str(ckpt), "--features", str(env["feats"]),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert "bad.hvqv" in err and "malformed parameter manifest" in err
+
     def test_unknown_source_reported(self, env, tmp_path, capsys):
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
                      "convert", str(env["ckpt"]), "--features",

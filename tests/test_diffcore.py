@@ -3,8 +3,8 @@ import pytest
 
 from pathovc import diffcore as dc
 
-from oracles import (conv1d_ref, conv_transpose1d_ref, finite_difference_grad,
-                     max_relative_error)
+from oracles import (adam_ref, conv1d_ref, conv_transpose1d_ref,
+                     finite_difference_grad, max_relative_error)
 
 TOL = 1e-4
 STEP = 1e-4
@@ -44,6 +44,19 @@ def check_grads(build, *arrays, n_cases=10, seed=0, margin=None):
 
 
 class TestBasics:
+    @pytest.mark.parametrize("value, want", [
+        (np.arange(3), np.float64),
+        (np.array([True, False]), np.float64),
+        ([1, 2], np.float64),
+        (np.ones(2, dtype=np.float16), np.float16),
+        (np.ones(2, dtype=np.float32), np.float32),
+        (np.ones(2, dtype=np.float64), np.float64),
+    ])
+    def test_floats_keep_their_dtype_others_become_float64(self, value, want):
+        t = dc.Tensor(value)
+        assert t.data.dtype == want
+        np.testing.assert_array_equal(t.data, np.asarray(value, dtype=want))
+
     def test_sum_gradient_all_ones(self):
         x = dc.Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
         dc.tsum(x).backward()
@@ -359,3 +372,28 @@ class TestAdam:
             opt.step()
         final = loss_value().item()
         assert final <= 0.01 * first
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_allocating_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(51)
+        shapes = [(6, 4, 5), (3, 1), (7,), (2, 9)]
+        params = [dc.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for s in shapes]
+        opt = dc.Adam(params, lr=3e-3)
+        ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for p in params]
+        for t in range(1, 7):
+            opt.zero_grad()
+            for i, p in enumerate(params):
+                # the last parameter gets no gradient on every other step
+                if i == len(params) - 1 and t % 2:
+                    continue
+                p.grad = rng.normal(scale=10.0 ** -i, size=p.data.shape).astype(dtype)
+                data, m, v = ref[i]
+                ref[i] = adam_ref(data, p.grad, m, v, t, lr=3e-3)
+            opt.step()
+            for i, p in enumerate(params):
+                assert p.data.dtype == dtype
+                assert p.data.tobytes() == ref[i][0].tobytes(), (t, i)
+                assert opt._m[i].tobytes() == ref[i][1].tobytes(), (t, i)
+                assert opt._v[i].tobytes() == ref[i][2].tobytes(), (t, i)

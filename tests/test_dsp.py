@@ -214,8 +214,6 @@ class TestMelFilterbank:
     def test_mel_scale_matches_reference(self):
         for f in (0.0, 80.0, 440.0, 7600.0, 12000.0):
             assert dsp.hertz_to_mel(f) == pytest.approx(hz_to_mel_ref(f), abs=1e-9)
-            m = hz_to_mel_ref(f)
-            assert dsp.mel_to_hertz(m) == pytest.approx(mel_to_hz_ref(m), abs=1e-6)
 
     @pytest.mark.parametrize("sizes", [
         (24000, 1024, 80, 80.0, 7600.0),

@@ -1,5 +1,7 @@
+import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -11,7 +13,8 @@ import pytest
 from pathovc import diffcore as dc
 from pathovc import vqvae
 
-from oracles import finite_difference_grad, max_relative_error, nearest_codeword_ref
+from oracles import (finite_difference_grad, init_params_ref, max_relative_error,
+                     nearest_codeword_ref)
 from synthdata import make_two_speaker_dataset, train_toy_model
 
 
@@ -61,6 +64,77 @@ class TestQuantize:
         q, idx = vqvae.quantize(rng.normal(size=(50, 4)).astype(np.float32), cb)
         for t in range(50):
             assert q[t].tobytes() == cb[idx[t]].tobytes()
+
+    @staticmethod
+    def _check_against_oracle(z, cb):
+        q, idx = vqvae.quantize(z, cb)
+        assert idx.shape == z.shape[:-1] and q.shape == z.shape
+        for pos in np.ndindex(*z.shape[:-1]):
+            want = nearest_codeword_ref(z[pos], cb)
+            assert idx[pos] == want, pos
+            assert q[pos].tobytes() == cb[want].tobytes(), pos
+
+    @pytest.mark.parametrize("t", [32, 16, 8])
+    def test_stage_shaped_float32_batches_match_exhaustive_search(self, t):
+        rng = np.random.default_rng(t)
+        z = rng.normal(size=(8, t, 64)).astype(np.float32)
+        # codewords seeded from latents plus jitter, as init_codebooks does
+        picks = z.reshape(-1, 64)[rng.integers(0, 8 * t, size=64)]
+        cb = (picks + 0.01 * rng.normal(size=(64, 64))).astype(np.float32)
+        self._check_against_oracle(z, cb)
+
+    @pytest.mark.parametrize("shape", [(1, 64), (1, 1, 64), (3, 1, 64)])
+    def test_single_rows_match_exhaustive_search(self, shape):
+        rng = np.random.default_rng(len(shape))
+        cb = rng.normal(size=(64, 64)).astype(np.float32)
+        self._check_against_oracle(rng.normal(size=shape).astype(np.float32), cb)
+
+    def test_duplicate_codewords_resolve_to_lowest_index(self):
+        rng = np.random.default_rng(9)
+        cb = rng.normal(size=(64, 64)).astype(np.float32)
+        cb[[40, 41, 63]] = cb[7]
+        cb[50] = cb[45]
+        z = np.concatenate([cb[[7, 45, 40, 50]],
+                            rng.normal(size=(60, 64)).astype(np.float32)])
+        self._check_against_oracle(z[None], cb)
+        assert vqvae.quantize(z, cb)[1][:4].tolist() == [7, 45, 7, 45]
+
+    def test_near_ties_one_ulp_apart(self):
+        """Codewords whose distances to a row differ by one ulp, or tie.
+
+        Every value is near 1024 and a multiple of 2**-6, so the direct
+        distances, sums of squares of multiples of 2**-6 in [2048, 4096),
+        are exact in float32 in any summation order, and 2**-12 is one ulp
+        there.  The expansion |z|^2 - 2 z.c + |c|^2 of the same rows
+        rounds at about 2**26 and cannot tell them apart.
+        """
+        rng = np.random.default_rng(11)
+        step = 2.0 ** -6
+        n_rows, k, dim = 20, 64, 64
+        slots = rng.permutation(k)[:3 * n_rows].reshape(n_rows, 3)
+        # rows and free codewords far apart: only the planted ones compete
+        z = 1024.0 + step * rng.integers(-3000, 3000, size=(n_rows, dim))
+        cb = 1024.0 + step * rng.integers(-3000, 3000, size=(k, dim))
+        want = []
+        for row in range(n_rows):
+            delta = step * rng.integers(-600, 600, size=dim)
+            delta[0] = 0.0
+            while not 2048 <= np.sum(delta ** 2) < 4095:
+                delta[1:] *= 0.9 if np.sum(delta ** 2) >= 4095 else 1.1
+                delta = step * np.round(delta / step)
+                delta[0] = 0.0
+            one_up = delta.copy()
+            one_up[0] = step  # distance + 2**-12, one ulp above
+            tie = delta[::-1].copy()  # the same distance
+            a, b, c = slots[row]
+            cb[a], cb[b], cb[c] = z[row] + one_up, z[row] + delta, z[row] + tie
+            want.append(min(b, c))
+        z, cb = z.astype(np.float32), cb.astype(np.float32)
+        for row in range(n_rows):
+            d = ((z[row] - cb) ** 2).sum(axis=-1)
+            assert np.sort(d)[1] == d.min()  # tie kept exact
+        self._check_against_oracle(z, cb)
+        assert vqvae.quantize(z, cb)[1].tolist() == want
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(vqvae.EmptyCodebookError):
@@ -562,6 +636,86 @@ class TestCheckpoint:
         with pytest.raises(vqvae.CheckpointFormatError,
                            match=f"n.hvqv: parameter {name} holds NaN or Inf"):
             vqvae.load_checkpoint(path)
+
+    @staticmethod
+    def _edit_header(path, edit):
+        """Rewrites the checkpoint at path with edit(header dict) applied."""
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 7)
+        header = json.loads(raw[11:11 + n])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + n:])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ps: ps.pop(3), r"missing: dec1\.out\.b; unexpected: none"),
+        (lambda ps: ps.append(["enc9.proj.w", [2, 2]]),
+         r"missing: none; unexpected: enc9\.proj\.w"),
+        (lambda ps: ps.append(list(ps[0])), "does not match model"),
+        (lambda ps: ps[4].__setitem__(1, [4, 6]),
+         r"parameter dec1\.out\.w has shape \(4, 6\), model expects \(4, 6, 5\)"),
+        (lambda ps: ps[0].__setitem__(1, 24), "malformed parameter manifest"),
+        (lambda ps: ps[0].pop(), "malformed parameter manifest"),
+        (lambda ps: ps.__setitem__(0, "codebook1"), "malformed parameter manifest"),
+        (lambda ps: ps[0].__setitem__(0, 7), "malformed parameter manifest"),
+    ], ids=["missing", "extra", "duplicate", "wrong-shape", "shape-not-list",
+            "not-a-pair", "not-a-list", "name-not-str"])
+    def test_manifest_mismatch_is_format_error(self, tmp_path, edit, message):
+        path = tmp_path / "p.hvqv"
+        vqvae.save_checkpoint(self._small_model(), path)
+        self._edit_header(path, lambda header: edit(header["params"]))
+        with pytest.raises(vqvae.CheckpointFormatError, match=f"p.hvqv: .*{message}"):
+            vqvae.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("speakers", ["M04", "M04"]), ("speakers", []), ("speakers", 3),
+        ("speakers", [["M04"], ["M12"]]),
+        ("params", {"codebook1": [4, 3]})])
+    def test_malformed_header_is_format_error(self, tmp_path, field, value):
+        path = tmp_path / "h.hvqv"
+        vqvae.save_checkpoint(self._small_model(), path)
+        self._edit_header(path, lambda header: header.__setitem__(field, value))
+        with pytest.raises(vqvae.CheckpointFormatError, match="h.hvqv: "):
+            vqvae.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["float64", "no-such-type"])
+    def test_non_float32_param_dtype_is_format_error(self, tmp_path, dtype):
+        path = tmp_path / "d.hvqv"
+        vqvae.save_checkpoint(self._small_model(), path)
+        self._edit_header(path, lambda h: h["config"].__setitem__("param_dtype", dtype))
+        with pytest.raises(vqvae.CheckpointFormatError, match="unreadable config"):
+            vqvae.load_checkpoint(path)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        m = self._small_model()
+        path = tmp_path / "r.hvqv"
+        vqvae.save_checkpoint(m, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back = vqvae.load_checkpoint(path)
+        for name, p in back.params.items():
+            assert p.data.tobytes() == m.params[name].data.tobytes()
+            assert p.data.flags.owndata and p.data.flags.writeable
+            assert p.requires_grad
+
+    @pytest.mark.parametrize("cfg, n_speakers", [
+        (vqvae.VqVaeConfig(), 4),
+        (vqvae.VqVaeConfig(in_channels=4, hidden=6, latent_dim=3, codebook_size=4,
+                           embed_dim=2), 2),
+        (vqvae.VqVaeConfig(in_channels=3, hidden=4, latent_dim=2, codebook_size=3,
+                           embed_dim=2, param_dtype="float64"), 1),
+    ])
+    def test_seeded_init_matches_draw_loop(self, cfg, n_speakers):
+        for seed in (0, 21):
+            m = vqvae.HVqVaeModel(cfg, [f"S{i}" for i in range(n_speakers)], seed=seed)
+            want = init_params_ref(cfg, n_speakers, seed)
+            assert list(m.params) == list(want)
+            for name, arr in want.items():
+                got = m.params[name].data
+                assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         m = self._small_model()
