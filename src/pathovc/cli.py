@@ -26,12 +26,6 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_NAME = "model.hvqv"
 REPORT_NAME = "training_report.csv"
 
-# judgment an AB comparison is scored against: ground-truth self
-# comparisons and converted-versus-target expect "same"; comparisons
-# across distinct speakers expect "different"
-AB_EXPECTATIONS = {"S_vs_S": "same", "T_vs_T": "same", "S_vs_T": "different",
-                   "VC_vs_S": "different", "VC_vs_T": "same"}
-
 USER_ERRORS = (ConfigError, corpus.ManifestError, stats.RatingsFormatError,
                vqvae.CheckpointFormatError, vqvae.UnknownSpeakerError,
                vqvae.NonFiniteLossError, dsp.FeatureFormatError, OSError)
@@ -195,15 +189,15 @@ def cmd_train(args, cfg) -> int:
     for key in keys:
         if key not in store.entries:
             continue
-        frames = dsp.read_mcep(store.feature_path(key))
+        path = store.feature_path(key)
+        frames = dsp.read_mcep(path)
+        if frames.shape[1] != cfg.model.in_channels:
+            raise UserError(f"{path} carries {frames.shape[1]} coefficients but "
+                            f"the model expects {cfg.model.in_channels}; adjust "
+                            "[model] in_channels or re-run preprocess")
         dataset.append((store.entries[key]["speaker_id"], frames))
     if not dataset:
         raise UserError("no training utterances have features; nothing to do")
-    width = dataset[0][1].shape[1]
-    if width != cfg.model.in_channels:
-        raise UserError(f"feature files carry {width} coefficients but the "
-                        f"model expects {cfg.model.in_channels}; adjust "
-                        "[model] in_channels or re-run preprocess")
 
     training = dataclasses.replace(cfg.training, seed=seed)
     model = vqvae.HVqVaeModel(cfg.model, manifest.speaker_ids, seed=seed)
@@ -251,7 +245,7 @@ def cmd_convert(args, cfg) -> int:
     failures = []
     written = 0
     for key, entry in selected:
-        stem = key.replace("/", "_") + f"_to_{args.target}"
+        stem = Path(entry["feature_path"]).stem + f"_to_{args.target}"
         try:
             frames = dsp.read_mcep(store.feature_path(key))
             converted = model.convert(frames, args.target)
@@ -282,9 +276,9 @@ def cmd_pair(args, cfg) -> int:
         manifest, max_delta=max_delta,
         include_female=args.include_female or cfg.pairing.include_female,
         allow_cross_sex=args.allow_cross_sex or cfg.pairing.allow_cross_sex)
-    print("speaker_a,speaker_b,delta")
-    for p in pairs:
-        print(f"{p.a},{p.b},{p.delta}")
+    table = "speaker_a,speaker_b,delta\n" + "".join(
+        f"{p.a},{p.b},{p.delta}\n" for p in pairs)
+    sys.stdout.write(table)
     paired = {p.a for p in pairs} | {p.b for p in pairs}
     unmatched = [s for s in manifest.speaker_ids if s not in paired]
     if unmatched:
@@ -292,9 +286,7 @@ def cmd_pair(args, cfg) -> int:
     if args.out or cfg.paths.get("out"):
         out = _out_dir(args, cfg)
         with atomic_open(out / "pairs.csv", "w", encoding="utf-8") as fh:
-            fh.write("speaker_a,speaker_b,delta\n")
-            for p in pairs:
-                fh.write(f"{p.a},{p.b},{p.delta}\n")
+            fh.write(table)
     return 0
 
 
@@ -364,7 +356,7 @@ def cmd_stats(args, cfg) -> int:
             raise UserError("no ab rows in the ratings file")
         print("pair,direction,comparison,expectation,n,percent,percent_sure")
         for (pair, direction, kind), judgments in sorted(groups.items()):
-            expectation = AB_EXPECTATIONS[kind]
+            expectation = stats.AB_EXPECTATIONS[kind]
             agg = stats.ab_agreement(judgments, expectation)
             print(f"{pair},{direction},{kind},{expectation},{agg.n},"
                   f"{agg.percent_matching:.2f}%,"

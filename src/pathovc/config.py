@@ -15,7 +15,7 @@ import io
 import math
 from pathlib import Path
 
-from .corpus import DEFAULT_BAND_CUTS
+from .corpus import DEFAULT_BAND_CUTS, check_band_cuts
 from .dsp import DspConfig
 from .vqvae import TrainingConfig, VqVaeConfig
 
@@ -71,11 +71,12 @@ def _parse_scalar(kind, text: str, where: str):
 
 
 def _parse_cuts(text: str, where: str):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{where}: expected three comma-separated cut "
-                          f"points, got {text!r}")
-    return tuple(_parse_scalar(float, p, where) for p in parts)
+    cuts = tuple(_parse_scalar(float, p.strip(), where) for p in text.split(","))
+    try:
+        check_band_cuts(cuts)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return cuts
 
 
 def _field_kinds(dc_type, keys=None):

@@ -40,6 +40,12 @@ class ManifestError(ValueError):
     """Raised when a manifest file violates the format or its invariants."""
 
 
+def check_band_cuts(cuts) -> None:
+    """Raise ValueError unless ``cuts`` are three increasing values in (0, 100)."""
+    if not (len(cuts) == 3 and 0.0 < cuts[0] < cuts[1] < cuts[2] < 100.0):
+        raise ValueError(f"band cuts must be three increasing values in (0, 100), got {cuts}")
+
+
 def band_for_score(score: float, cuts=DEFAULT_BAND_CUTS) -> str:
     """Map an intelligibility score to its band label.
 
@@ -48,8 +54,7 @@ def band_for_score(score: float, cuts=DEFAULT_BAND_CUTS) -> str:
     """
     if not 0.0 <= score <= 100.0:
         raise ValueError(f"intelligibility score {score} outside [0, 100]")
-    if not (len(cuts) == 3 and 0.0 < cuts[0] < cuts[1] < cuts[2] < 100.0):
-        raise ValueError(f"band cuts must be three increasing values in (0, 100), got {cuts}")
+    check_band_cuts(cuts)
     for cut, name in zip(cuts, BAND_NAMES):
         if score < cut:
             return name
@@ -105,9 +110,9 @@ def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS,
     """Read and fully validate a manifest CSV.
 
     Raises ManifestError naming the offending line for malformed rows,
-    duplicate speakers or utterance keys, unknown speaker references,
-    band labels inconsistent with ``band_cuts``, and (when
-    ``require_audio``) missing audio files.
+    ids holding a path separator, duplicate speakers or utterance keys,
+    unknown speaker references, band labels inconsistent with
+    ``band_cuts``, and (when ``require_audio``) missing audio files.
     """
     path = Path(path)
     if not path.is_file():
@@ -137,6 +142,11 @@ def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS,
             sid, sex, score_text, band, word, block, audio = (c.strip() for c in row)
             if not sid:
                 raise ManifestError(f"{path} line {lineno}: speaker_id is empty")
+            # the ids name the utterance's feature file
+            for column, value in (("speaker_id", sid), ("word_id", word)):
+                if "/" in value or "\\" in value:
+                    raise ManifestError(f"{path} line {lineno}: {column} {value!r} "
+                                        "contains a path separator")
 
             utterance_fields = (word, block, audio)
             if not any(utterance_fields):

@@ -126,17 +126,14 @@ def _make(data, parents, backward):
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
                  _parents=tuple(parents))
     if out.requires_grad:
-        _set_backward(out, backward)
+        # _backward takes no argument, so benchmarks/spans.py can wrap it to
+        # time the conv backwards.  It reaches out.grad through a weak
+        # reference: a strong one would make every node a reference cycle,
+        # and a step's whole graph would then outlive its loss until the
+        # cyclic collector ran.
+        node = weakref.ref(out)
+        out._backward = lambda: backward(node().grad)
     return out
-
-
-def _set_backward(out, backward):
-    # _backward takes no argument, so benchmarks/spans.py can wrap it to
-    # time the conv backwards.  It reaches out.grad through a weak reference:
-    # a strong one would make every node a reference cycle, and a step's
-    # whole graph would then outlive its loss until the cyclic collector ran.
-    node = weakref.ref(out)
-    out._backward = lambda: backward(node().grad)
 
 
 def add(a, b):
@@ -320,12 +317,7 @@ def straight_through(z, q):
     """Forward q, backward identity onto z; q receives no gradient."""
     if z.data.shape != q.data.shape:
         raise ShapeError(f"straight_through shape mismatch: {z.data.shape} vs {q.data.shape}")
-    # q stays a parent, so the graph's order is the same as for any other
-    # op, but only z decides whether the result needs a gradient
-    out = Tensor(q.data.copy(), requires_grad=z.requires_grad, _parents=(z, q))
-    if out.requires_grad:
-        _set_backward(out, lambda g: _accumulate(z, g))
-    return out
+    return _make(q.data.copy(), (z, q), lambda g: _accumulate(z, g))
 
 
 def tsum(x):

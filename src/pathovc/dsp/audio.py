@@ -158,11 +158,12 @@ def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
 
 
 def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
-          length: int | None = None, plan: _StftPlan | None = None) -> np.ndarray:
+          plan: _StftPlan | None = None) -> np.ndarray:
     """Least-squares inverse of stft: windowed overlap-add over sum of squares.
 
-    With ``plan`` and no padding past the full length, the result is a view
-    of the plan's ``signal`` buffer.
+    For T frames of ``spec`` the result has (T - 1) * hop_size +
+    window_size samples.  With ``plan`` it is a view of the plan's
+    ``signal`` buffer.
     """
     spec = np.asarray(spec)
     if plan is None:
@@ -171,11 +172,6 @@ def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
     np.multiply(plan.frames[:, :window_size], plan.window, out=plan.windowed)
     out = plan.overlap_add(plan.windowed, plan.signal)
     np.divide(out, plan.den, out=out)
-    if length is not None:
-        if length <= plan.length:
-            out = out[:length]
-        else:
-            out = np.pad(out, (0, length - plan.length))
     return out
 
 
@@ -214,6 +210,8 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
     atten = 10.0 ** (cfg.noise_attenuation_db / 20.0)
     gain = np.clip(np.maximum(raw, smooth), atten, 1.0)
 
-    out = istft(spec * gain, cfg.fft_size, cfg.hop_size, cfg.window_size,
-                length=xp.size)
+    # the inverse has len(xp) - (len(xp) - window) % hop samples; with
+    # pad = window >= hop that is more than pad + len(x), so the slice
+    # below always lies inside it
+    out = istft(spec * gain, cfg.fft_size, cfg.hop_size, cfg.window_size)
     return Waveform(out[pad:pad + x.size].copy(), w.sample_rate)

@@ -24,7 +24,11 @@ logger = logging.getLogger(__name__)
 
 MOS_CONDITIONS = ("healthy_natural", "gt_high", "gt_mid", "gt_low",
                   "vc_high", "vc_mid", "vc_low")
-AB_COMPARISONS = ("S_vs_S", "T_vs_T", "S_vs_T", "VC_vs_S", "VC_vs_T")
+# judgment each AB comparison is scored against: ground-truth self
+# comparisons and converted-versus-target expect "same"; comparisons
+# across distinct speakers expect "different"
+AB_EXPECTATIONS = {"S_vs_S": "same", "T_vs_T": "same", "S_vs_T": "different",
+                   "VC_vs_S": "different", "VC_vs_T": "same"}
 AB_JUDGMENTS = ("same_sure", "same_not_sure",
                 "different_not_sure", "different_sure")
 RATINGS_COLUMNS = ("listener_id", "kind", "group_key", "value")
@@ -147,10 +151,10 @@ def _validate_row(kind, group, value, path, lineno):
             raise RatingsFormatError(
                 f"{path} line {lineno}: ab group_key must look like "
                 f"pair:direction:comparison, got {group!r}")
-        if parts[2] not in AB_COMPARISONS:
+        if parts[2] not in AB_EXPECTATIONS:
             raise RatingsFormatError(
                 f"{path} line {lineno}: unknown comparison {parts[2]!r}; "
-                f"expected one of {', '.join(AB_COMPARISONS)}")
+                f"expected one of {', '.join(AB_EXPECTATIONS)}")
         if value not in AB_JUDGMENTS:
             raise RatingsFormatError(
                 f"{path} line {lineno}: unknown judgment {value!r}; "
@@ -197,22 +201,6 @@ def mos_summary(scores_by_condition: dict) -> dict:
     return out
 
 
-def _midranks(magnitudes):
-    """Average ranks of tied absolute differences, doubled to stay integral."""
-    order = sorted(range(len(magnitudes)), key=lambda i: magnitudes[i])
-    doubled = [0] * len(magnitudes)
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and magnitudes[order[j]] == magnitudes[order[i]]:
-            j += 1
-        # ranks i+1 .. j average to (i+j+1)/2; store twice that
-        for k in range(i, j):
-            doubled[order[k]] = i + j + 1
-        i = j
-    return doubled
-
-
 @dataclass(frozen=True)
 class WilcoxonResult:
     statistic: float
@@ -242,7 +230,8 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     if n == 0:
         raise AllZeroDifferencesError(
             "all paired differences are zero; the signed-rank test is undefined")
-    doubled = _midranks([abs(d) for d in diffs])
+    # midranks of |d|, doubled so that ties stay integral
+    doubled = [int(r) for r in 2 * scipy.stats.rankdata([abs(d) for d in diffs])]
     dw_plus = sum(r for d, r in zip(diffs, doubled) if d > 0)
     dw_total = sum(doubled)
     dw = min(dw_plus, dw_total - dw_plus)
@@ -331,10 +320,7 @@ def ab_agreement(trials, expectation: str) -> AbAgreement:
 
 # per (pair, direction) panel: the converted samples judged against one
 # reference speaker, next to that reference's own ground-truth trials
-GRID_REFERENCES = (
-    ("source", "VC_vs_S", "different", "S_vs_S", "same"),
-    ("target", "VC_vs_T", "same", "T_vs_T", "same"),
-)
+GRID_REFERENCES = (("source", "VC_vs_S", "S_vs_S"), ("target", "VC_vs_T", "T_vs_T"))
 
 
 def similarity_grid(rs: RatingSet) -> list:
@@ -349,19 +335,19 @@ def similarity_grid(rs: RatingSet) -> list:
     keys = sorted({(p, d) for p, d, _ in groups})
     rows = []
     for pair, direction in keys:
-        for reference, vc_kind, vc_expect, gt_kind, gt_expect in GRID_REFERENCES:
+        for reference, vc_kind, gt_kind in GRID_REFERENCES:
             row = {"pair": pair, "direction": direction, "reference": reference,
                    "vc_comparison": vc_kind, "vc_n": "", "vc_percent": "",
                    "vc_percent_sure": "", "gt_comparison": gt_kind,
                    "gt_n": "", "gt_percent": "", "gt_percent_sure": ""}
             vc = groups.get((pair, direction, vc_kind))
             if vc:
-                agg = ab_agreement(vc, vc_expect)
+                agg = ab_agreement(vc, AB_EXPECTATIONS[vc_kind])
                 row.update(vc_n=agg.n, vc_percent=agg.percent_matching,
                            vc_percent_sure=agg.percent_matching_sure_only)
             gt = groups.get((pair, direction, gt_kind))
             if gt:
-                agg = ab_agreement(gt, gt_expect)
+                agg = ab_agreement(gt, AB_EXPECTATIONS[gt_kind])
                 row.update(gt_n=agg.n, gt_percent=agg.percent_matching,
                            gt_percent_sure=agg.percent_matching_sure_only)
             rows.append(row)

@@ -201,19 +201,12 @@ class HVqVaeModel:
     @classmethod
     def _from_arrays(cls, cfg: VqVaeConfig, speakers, arrays):
         """A model holding `arrays`, {name: array}, as its parameters, with no
-        random draw.  Names and shapes must match the parameter layout; the
-        arrays are held, not copied."""
+        random draw.  The caller has checked their names and shapes against
+        the parameter layout; the arrays are held, not copied."""
         model = cls.__new__(cls)
         model._bind(cfg, speakers)
-        layout = _param_layout(cfg, len(model.speakers))
-        if sorted(arrays) != sorted(name for name, _, _ in layout):
-            raise ValueError("parameter names do not match the model")
-        for name, shape, _ in layout:
-            if arrays[name].shape != shape:
-                raise ValueError(f"parameter {name} has shape {arrays[name].shape}, "
-                                 f"model expects {shape}")
         model.params = {name: dc.Tensor(arrays[name], requires_grad=True)
-                        for name, _, _ in layout}
+                        for name, _, _ in _param_layout(cfg, len(model.speakers))}
         return model
 
     def parameters(self):

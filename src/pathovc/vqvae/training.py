@@ -7,7 +7,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..atomic import atomic_open
-from .model import HVqVaeModel, UnknownSpeakerError, codebook_perplexity
+from .model import MIN_FRAMES, HVqVaeModel, UnknownSpeakerError, codebook_perplexity
 
 
 class NonFiniteLossError(ValueError):
@@ -25,8 +25,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
-        if self.crop_frames < 8:
-            raise ValueError("crop_frames must admit three halvings (>= 8)")
+        if self.crop_frames < MIN_FRAMES:
+            raise ValueError(f"crop_frames must admit three halvings (>= {MIN_FRAMES})")
 
 
 @dataclass

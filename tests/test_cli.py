@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathovc import dsp, vqvae
+from pathovc import cli, dsp, vqvae
 from pathovc.cli import main
+from pathovc.config import load_run_config
 
 RUN_INI = """\
 [model]
@@ -135,6 +136,18 @@ class TestPreprocess:
         assert f"[dsp] {key}" in capsys.readouterr().err
         assert not (out / "index.json").exists()
 
+    def test_path_separator_in_word_id_is_user_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M01,M,2,very_low,,,\n"
+            f"M01,,,,a/b,B1,{tmp_path / 'a.wav'}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: word_id 'a/b'" in err
+        assert not (out / "features").exists()
+
     def test_out_dir_required(self, env, capsys):
         assert main(["preprocess", str(env["manifest"])]) == 1
         assert "--out" in capsys.readouterr().err
@@ -201,6 +214,31 @@ class TestTrain:
                      "train", str(env["manifest"]),
                      "--features", str(env["feats"])]) == 1
         assert "in_channels" in capsys.readouterr().err
+
+    @staticmethod
+    def _narrow_last_b1(env, tmp_path):
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        bad = sorted((feats / "features").glob("*_B1.mcep"))[-1]
+        dsp.write_mcep(bad, dsp.read_mcep(bad)[:, :20])
+        return feats, bad
+
+    def test_narrow_feature_file_named(self, env, tmp_path, capsys):
+        feats, bad = self._narrow_last_b1(env, tmp_path)
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]),
+                     "--features", str(feats)]) == 1
+        err = capsys.readouterr().err
+        assert bad.name in err and "in_channels" in err
+
+    def test_narrow_feature_file_raises_user_error(self, env, tmp_path):
+        feats, bad = self._narrow_last_b1(env, tmp_path)
+        args = cli.build_parser().parse_args(
+            ["--out", str(tmp_path / "m"), "train", str(env["manifest"]),
+             "--features", str(feats)])
+        cfg = load_run_config(env["ini"])
+        with pytest.raises(cli.UserError, match=f"{bad.name} carries 20 coefficients"):
+            cli.cmd_train(args, cfg)
 
     def test_non_finite_features_refused(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
@@ -349,6 +387,12 @@ class TestPair:
     def test_bad_max_delta_is_user_error(self, env, capsys, value):
         assert main(["pair", str(env["manifest"]), "--max-delta", value]) == 1
         assert "--max-delta must be a non-negative number" in capsys.readouterr().err
+
+    def test_decreasing_band_cuts_is_user_error(self, env, tmp_path, capsys):
+        ini = tmp_path / "cuts.ini"
+        ini.write_text("[corpus]\nband_cuts = 60, 40, 20\n")
+        assert main(["--config", str(ini), "pair", str(env["manifest"])]) == 1
+        assert f"{ini} [corpus] band_cuts" in capsys.readouterr().err
 
     def test_unmatched_reported(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

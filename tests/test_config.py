@@ -77,6 +77,13 @@ class TestLoad:
         with pytest.raises(config.ConfigError, match="three"):
             config.load_run_config(path)
 
+    def test_decreasing_band_cuts_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[corpus]\nband_cuts = 60, 40, 20\n")
+        with pytest.raises(config.ConfigError) as exc:
+            config.load_run_config(path)
+        assert f"{path} [corpus] band_cuts: band cuts must be three" in str(exc.value)
+
     @pytest.mark.parametrize("section,key,value", [
         ("dsp", "trim_threshold_db", "nan"),
         ("dsp", "noise_gate_db", "NaN"),

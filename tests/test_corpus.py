@@ -62,6 +62,12 @@ class TestBandForScore:
         with pytest.raises(ValueError, match="cuts"):
             corpus.band_for_score(10.0, cuts=(50.0, 40.0, 80.0))
 
+    @pytest.mark.parametrize("cuts", [(60.0, 40.0, 20.0), (25.0, 50.0),
+                                      (0.0, 50.0, 75.0), (25.0, 50.0, 100.0)])
+    def test_check_band_cuts_rejects(self, cuts):
+        with pytest.raises(ValueError, match="three increasing values"):
+            corpus.check_band_cuts(cuts)
+
 
 class TestParseManifest:
     def test_six_speaker_fixture(self, tmp_path, dummy_wav):
@@ -122,6 +128,20 @@ class TestParseManifest:
     def test_score_out_of_range(self, tmp_path):
         path = write_manifest(tmp_path / "m.csv", [("M04", "M", "105", "high")], [])
         with pytest.raises(corpus.ManifestError, match="105"):
+            corpus.parse_manifest(path)
+
+    @pytest.mark.parametrize("column,sid,word,line", [
+        ("speaker_id", "M/04", "CW1", 2),
+        ("speaker_id", "M\\04", "CW1", 2),
+        ("word_id", "M04", "a/b", 3),
+        ("word_id", "M04", "a\\b", 3),
+    ])
+    def test_path_separator_in_id_names_line(self, tmp_path, dummy_wav,
+                                             column, sid, word, line):
+        path = write_manifest(tmp_path / "m.csv", [(sid, "M", "2", "very_low")],
+                              [(sid, word, "B1", str(dummy_wav))])
+        with pytest.raises(corpus.ManifestError,
+                           match=f"line {line}: {column} .* path separator"):
             corpus.parse_manifest(path)
 
     def test_bad_block_rejected(self, tmp_path, dummy_wav):
