@@ -26,13 +26,14 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_NAME = "model.hvqv"
 REPORT_NAME = "training_report.csv"
 
-USER_ERRORS = (ConfigError, corpus.ManifestError, stats.RatingsFormatError,
-               vqvae.CheckpointFormatError, vqvae.UnknownSpeakerError,
-               vqvae.NonFiniteLossError, dsp.FeatureFormatError, OSError)
-
 
 class UserError(Exception):
     """Bad input or usage; reported without a traceback, exit code 1."""
+
+
+USER_ERRORS = (UserError, ConfigError, corpus.ManifestError, stats.RatingsFormatError,
+               vqvae.CheckpointFormatError, vqvae.UnknownSpeakerError,
+               vqvae.NonFiniteLossError, dsp.FeatureFormatError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,9 +384,6 @@ def main(argv=None) -> int:
         if not args.command:
             raise UserError("no command given; see pathovc --help")
         return COMMANDS[args.command](args, cfg)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -245,7 +245,7 @@ def pair_speakers(m: CorpusManifest, max_delta: float,
     ``include_female``; mixed-sex pairs only when ``allow_cross_sex``.
     Each speaker lands in at most one pair.  Ties on delta resolve by
     speaker id order, so the result is deterministic.  Speakers left
-    without a partner are logged.
+    without a partner are in no pair; the caller reports them.
     """
     # written so that NaN fails too: it would pass every delta check
     if not max_delta >= 0:
@@ -271,9 +271,6 @@ def pair_speakers(m: CorpusManifest, max_delta: float,
         if a_id not in taken and b_id not in taken:
             taken.update((a_id, b_id))
             pairs.append(SpeakerPair(a_id, b_id, delta))
-    for s in eligible:
-        if s.speaker_id not in taken:
-            logger.warning("speaker %s left unpaired", s.speaker_id)
     return pairs
 
 
@@ -349,8 +346,4 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     with atomic_open(out_dir / "errors.txt", "w", encoding="utf-8") as fh:
         for key, msg in store.errors:
             fh.write(f"{key}\t{msg}\n")
-    if store.skipped:
-        logger.info("skipped %d all-silent clip(s)", len(store.skipped))
-    if store.errors:
-        logger.warning("failed to process %d clip(s)", len(store.errors))
     return store

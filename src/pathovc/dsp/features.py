@@ -33,8 +33,8 @@ class MelSpectrogram:
 @dataclass
 class MelCepstrogram:
     frames: np.ndarray
-    frame_shift: float | None = None
-    sample_rate: int | None = None
+    frame_shift: float
+    sample_rate: int
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -100,9 +100,7 @@ def invert_mel_cepstrum(mc: MelCepstrogram, n_mels: int) -> MelSpectrogram:
         raise ValueError(f"{c} cepstral coefficients exceed {n_mels} mel bands")
     padded = np.pad(mc.frames, ((0, 0), (0, n_mels - c)))
     logmel = scipy.fft.idct(padded, type=2, norm="ortho", axis=1)
-    shift = mc.frame_shift if mc.frame_shift is not None else 0.0
-    rate = mc.sample_rate if mc.sample_rate is not None else 0
-    return MelSpectrogram(np.exp(logmel), shift, rate)
+    return MelSpectrogram(np.exp(logmel), mc.frame_shift, mc.sample_rate)
 
 
 def mel_to_linear(ms: MelSpectrogram, cfg: DspConfig) -> np.ndarray:

@@ -220,21 +220,17 @@ class HVqVaeModel:
                 f"speaker {speaker_id!r} is not in the embedding table "
                 f"(known: {', '.join(self.speakers)})") from None
 
-    @staticmethod
-    def _frames_of(x):
+    def _input(self, x):
+        """Time-major x, (T, C) or (B, T, C), as a channel-major Tensor."""
         frames = np.asarray(x)
         if frames.ndim not in (2, 3):
             raise ValueError("input must be a T x C matrix or a B x T x C batch")
-        return frames
-
-    def _check_length(self, t):
-        if t < MIN_FRAMES:
+        if frames.shape[-2] < MIN_FRAMES:
             raise ValueError(
-                f"input of {t} frames is too short; three halvings need at "
-                f"least {MIN_FRAMES}")
-
-    def _channel_major(self, a):
-        return dc.Tensor(np.ascontiguousarray(np.swapaxes(a, -1, -2), dtype=self.cfg.dtype))
+                f"input of {frames.shape[-2]} frames is too short; three halvings "
+                f"need at least {MIN_FRAMES}")
+        return dc.Tensor(np.ascontiguousarray(np.swapaxes(frames, -1, -2),
+                                              dtype=self.cfg.dtype))
 
     def _encode_graph(self, x):
         """x is channel-major (..., C, T). Returns the per-stage latent Tensors."""
@@ -281,34 +277,16 @@ class HVqVaeModel:
 
     def encode(self, x):
         """Returns the three per-stage latent sequences, time-major."""
-        frames = self._frames_of(x)
-        self._check_length(frames.shape[-2])
-        zs = self._encode_graph(self._channel_major(frames))
+        zs = self._encode_graph(self._input(x))
         return tuple(np.swapaxes(z.data, -1, -2).copy() for z in zs)
-
-    def quantize_stage(self, z, stage: int):
-        return quantize(z, self.params[f"codebook{stage}"].data)
-
-    def decode(self, qs, speaker_id, n_frames: int):
-        """qs: three time-major (..., T_n, D) arrays, finest first. Returns
-        (..., T, C) with T = n_frames, the input's frame count, which
-        restores it when it was odd.
-        """
-        speaker = self.speaker_index(speaker_id)
-        q_tensors = [self._channel_major(q) for q in qs]
-        t1 = q_tensors[0].shape[-1]
-        if not t1 * self.cfg.stride - self.cfg.stride < n_frames <= t1 * self.cfg.stride:
-            raise ValueError(f"n_frames {n_frames} inconsistent with {t1} stage-1 latents")
-        out = self._decode_graph(q_tensors, speaker, n_frames)
-        return np.swapaxes(out.data, -1, -2).copy()
 
     def _forward_graph(self, frames, speakers, mask, quantize_bypass=False):
         """Builds the full training graph over time-major frames (..., T, C).
 
         speakers are speaker-table rows, one or one per batch item; mask,
-        (..., T), is 1 on valid frames and 0 on padding.  The reconstruction
-        weights are mask / mask.sum(-1), so each term is the mean over the
-        batch of the per-utterance means.
+        (..., T), is 1 on valid frames and 0 on padding (None: no padding).
+        The reconstruction weights are mask / mask.sum(-1), so each term is
+        the mean over the batch of the per-utterance means.
         quantize_bypass feeds the decoder the raw latents instead of the
         quantized ones; the losses are unchanged. In that mode the whole
         graph is smooth, so gradient checks against finite differences are
@@ -317,19 +295,19 @@ class HVqVaeModel:
         Tensor, LossBreakdown).
         """
         cfg = self.cfg
-        self._check_length(frames.shape[-2])
-        mask = np.asarray(mask, dtype=cfg.dtype)
+        x = self._input(frames)
+        mask = np.asarray(np.ones(x.shape[:-2] + x.shape[-1:]) if mask is None else mask,
+                          dtype=cfg.dtype)
         valid = mask.sum(axis=-1, keepdims=True)
         if np.any(valid <= 0):
             raise ValueError("every utterance needs at least one unmasked frame")
-        x = self._channel_major(frames)
         zs = self._encode_graph(x)
 
         qs, cb_terms, commit_terms, index_lists = [], [], [], []
         for n, z in enumerate(zs, start=1):
             cb = self.params[f"codebook{n}"]
             z_rows = dc.transpose(z)
-            _, indices = self.quantize_stage(z_rows.data, n)
+            _, indices = quantize(z_rows.data, cb.data)
             q_rows = dc.embedding(cb, indices)
             cb_terms.append(dc.squared_error(q_rows, dc.Tensor(z_rows.data)))
             commit_terms.append(dc.squared_error(z_rows, dc.Tensor(q_rows.data)))
@@ -339,7 +317,7 @@ class HVqVaeModel:
                 qs.append(dc.transpose(dc.straight_through(z_rows, q_rows)))
             index_lists.append(indices)
 
-        xhat = self._decode_graph(qs, speakers, frames.shape[-2])
+        xhat = self._decode_graph(qs, speakers, x.shape[-1])
         weight = np.broadcast_to((mask / valid)[..., None, :], x.shape)
         recon = dc.abs_error(xhat, x, weight=weight)
         cb_loss = dc.add(dc.add(cb_terms[0], cb_terms[1]), cb_terms[2])
@@ -357,22 +335,23 @@ class HVqVaeModel:
         return total, breakdown
 
     def forward_loss(self, x, speaker_id, mask=None, quantize_bypass=False):
-        frames = self._frames_of(x)
-        mask = np.ones(frames.shape[:-1]) if mask is None else mask
-        return self._forward_graph(frames, self.speaker_index(speaker_id), mask,
+        return self._forward_graph(x, self.speaker_index(speaker_id), mask,
                                    quantize_bypass=quantize_bypass)
 
     def convert(self, source, target_speaker):
-        """Encode source, quantize, decode under the target embedding."""
-        frames = self._frames_of(source)
-        self._check_length(frames.shape[-2])
-        self.speaker_index(target_speaker)
+        """Encode source, quantize, decode under the target embedding; the
+        output has source's shape, odd frame counts included."""
+        x = self._input(source)
+        speaker = self.speaker_index(target_speaker)
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
-        zs = self.encode(frames)
-        qs = [self.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
-        return self.decode(qs, target_speaker, n_frames=frames.shape[-2])
+        # keep the latents' data only, so the encoder graph is freed before decoding
+        zs = [np.swapaxes(z.data, -1, -2) for z in self._encode_graph(x)]
+        qs = [dc.Tensor(np.swapaxes(quantize(z, self.params[f"codebook{n}"].data)[0], -1, -2))
+              for n, z in enumerate(zs, start=1)]
+        out = self._decode_graph(qs, speaker, x.shape[-1])
+        return np.swapaxes(out.data, -1, -2).copy()
 
     def init_codebooks(self, z_samples, rng):
         """Seed each codebook from observed latents plus small jitter.

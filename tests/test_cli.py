@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -117,6 +118,23 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert "M04/W0/B1" in err
 
+    def test_skips_and_failures_reported_once(self, tmp_path, capsys, caplog):
+        silent = tmp_path / "silent.wav"
+        dsp.write_wav(silent, dsp.Waveform(np.zeros(8000), 16000))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M04,M,2,very_low,,,\n"
+            f"M04,,,,W0,B1,{silent}\n"
+            f"M04,,,,W1,B1,{tmp_path / 'ghost.wav'}\n")
+        with caplog.at_level(logging.INFO):
+            assert main(["--out", str(tmp_path / "out"),
+                         "preprocess", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert "skipped 1 all-silent clip(s)" in captured.out
+        assert "1 clip(s) failed" in captured.err
+        assert not caplog.records
+
     def test_rerun_byte_identical(self, env, tmp_path):
         out2 = tmp_path / "again"
         assert main(["--config", str(env["ini"]), "--out", str(out2),
@@ -209,7 +227,7 @@ class TestTrain:
 
     def test_feature_width_mismatch_refused(self, env, tmp_path, capsys):
         ini = tmp_path / "narrow.ini"
-        ini.write_text(RUN_INI + "in_channels = 10\n")
+        ini.write_text(RUN_INI.replace("[model]\n", "[model]\nin_channels = 10\n"))
         assert main(["--config", str(ini), "--out", str(tmp_path / "m"),
                      "train", str(env["manifest"]),
                      "--features", str(env["feats"])]) == 1
@@ -401,6 +419,17 @@ class TestPair:
             "M04,M,2,very_low,,,\n")
         assert main(["pair", str(manifest)]) == 0
         assert "M04" in capsys.readouterr().err
+
+    def test_unpaired_speaker_reported_once(self, tmp_path, capsys, caplog):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M04,M,2,very_low,,,\n"
+            "M12,M,7.4,very_low,,,\n")
+        with caplog.at_level(logging.INFO):
+            assert main(["pair", str(manifest), "--max-delta", "1"]) == 0
+        assert capsys.readouterr().err == "unpaired: M04, M12\n"
+        assert not caplog.records
 
 
 def write_ratings(path: Path, rows):

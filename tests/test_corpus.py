@@ -233,11 +233,11 @@ class TestPairSpeakers:
 
     def test_single_speaker_unmatched(self, tmp_path, caplog):
         m = self.manifest(tmp_path, TABLE_SPEAKERS[:1])
-        with caplog.at_level(logging.WARNING, logger="pathovc.corpus"):
+        with caplog.at_level(logging.INFO, logger="pathovc.corpus"):
             pairs = corpus.pair_speakers(m, max_delta=10.0)
         assert pairs == []
-        assert any("M04" in r.message and "unpaired" in r.message
-                   for r in caplog.records)
+        # the caller reports unpaired speakers; pairing itself logs nothing
+        assert not caplog.records
 
     def test_max_delta_excludes_distant_pairs(self, tmp_path):
         m = self.manifest(tmp_path, TABLE_SPEAKERS)

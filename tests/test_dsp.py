@@ -314,19 +314,21 @@ class TestMelCepstrum:
 
     def test_inverse_matches_naive_idct(self):
         rng = np.random.default_rng(10)
-        mc = dsp.MelCepstrogram(rng.normal(size=(4, 40)))
+        mc = dsp.MelCepstrogram(rng.normal(size=(4, 40)), 256 / 24000, 24000)
         ms = dsp.invert_mel_cepstrum(mc, 80)
         for t in range(4):
             ref = np.exp(idct2_ortho_ref(np.concatenate([mc.frames[t], np.zeros(40)])))
             np.testing.assert_allclose(ms.frames[t], ref, rtol=1e-9)
 
     def test_zero_cepstrum_gives_unit_energies(self):
-        ms = dsp.invert_mel_cepstrum(dsp.MelCepstrogram(np.zeros((2, 40))), 80)
+        ms = dsp.invert_mel_cepstrum(
+            dsp.MelCepstrogram(np.zeros((2, 40)), 256 / 24000, 24000), 80)
         np.testing.assert_allclose(ms.frames, 1.0)
 
     def test_too_many_coefficients_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            dsp.invert_mel_cepstrum(dsp.MelCepstrogram(np.zeros((2, 81))), 80)
+            dsp.invert_mel_cepstrum(
+                dsp.MelCepstrogram(np.zeros((2, 81)), 256 / 24000, 24000), 80)
 
 
 class TestGriffinLim:

@@ -177,8 +177,7 @@ class TestDecode:
         for name, p in m.params.items():
             if name.startswith("dec"):
                 p.data = np.zeros_like(p.data)
-        qs = [np.ones((8, 2)), np.ones((4, 2)), np.ones((2, 2))]
-        out = m.decode(qs, "A", n_frames=16)
+        out = m.convert(np.ones((16, 3)), "A")
         assert out.shape == (16, 3)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -186,25 +185,38 @@ class TestDecode:
         m = tiny_model(seed=5)
         for t in (64, 37, 8):
             x = np.random.default_rng(t).normal(size=(t, 3))
-            zs = m.encode(x)
-            qs = [m.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
-            out = m.decode(qs, "B", n_frames=t)
-            assert out.shape == (t, 3)
+            assert m.convert(x, "B").shape == (t, 3)
 
     def test_unknown_speaker_rejected(self):
-        m = tiny_model()
-        qs = [np.ones((8, 2)), np.ones((4, 2)), np.ones((2, 2))]
         with pytest.raises(vqvae.UnknownSpeakerError, match="M99"):
-            m.decode(qs, "M99", n_frames=16)
+            tiny_model().convert(np.ones((16, 3)), "M99")
 
     def test_conditioning_is_live_after_training(self, trained):
         model, _, data, _, _ = trained
         frames = data[0][1]
-        zs = model.encode(frames)
-        qs = [model.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
-        out_a = model.decode(qs, "A", n_frames=frames.shape[0])
-        out_b = model.decode(qs, "B", n_frames=frames.shape[0])
+        out_a = model.convert(frames, "A")
+        out_b = model.convert(frames, "B")
         assert np.linalg.norm(out_a - out_b) > 0
+
+
+class TestConvertGuards:
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="T x C matrix"):
+            tiny_model().convert(np.ones(16), "A")
+
+    def test_seven_frames_rejected(self):
+        with pytest.raises(ValueError, match="7 frames is too short"):
+            tiny_model().convert(np.ones((7, 3)), "A")
+
+    def test_unknown_target_checked_before_codebooks(self):
+        m = vqvae.HVqVaeModel(tiny_model().cfg, ["A", "B"])
+        with pytest.raises(vqvae.UnknownSpeakerError, match="M99"):
+            m.convert(np.ones((16, 3)), "M99")
+
+    def test_uninitialized_codebooks_rejected(self):
+        m = vqvae.HVqVaeModel(tiny_model().cfg, ["A", "B"])
+        with pytest.raises(vqvae.EmptyCodebookError, match="train the model first"):
+            m.convert(np.ones((16, 3)), "A")
 
 
 class TestForwardLoss:
@@ -414,10 +426,13 @@ class TestTraining:
         model, _, data, _, _ = trained
         frames = data[0][1]
         got = model.convert(frames, "A")
-        zs = model.encode(frames)
-        qs = [model.quantize_stage(z, n)[0] for n, z in enumerate(zs, start=1)]
-        want = model.decode(qs, "A", n_frames=frames.shape[0])
-        np.testing.assert_array_equal(got, want)
+        qs = [dc.Tensor(np.swapaxes(vqvae.quantize(z, model.params[f"codebook{n}"].data)[0],
+                                    -1, -2))
+              for n, z in enumerate(model.encode(frames), start=1)]
+        want = np.swapaxes(model._decode_graph(qs, model.speaker_index("A"),
+                                               frames.shape[0]).data, -1, -2)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
     def test_convert_deterministic(self, trained):
         model, _, data, _, _ = trained
