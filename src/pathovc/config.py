@@ -15,7 +15,7 @@ import io
 import math
 from pathlib import Path
 
-from .corpus import DEFAULT_BAND_CUTS, check_band_cuts
+from .corpus import DEFAULT_BAND_CUTS, check_band_cuts, read_utf8
 from .dsp import DspConfig
 from .vqvae import TrainingConfig, VqVaeConfig
 
@@ -116,9 +116,9 @@ def load_run_config(path=None) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
+    text = read_utf8(path, ConfigError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -15,6 +15,7 @@ minimum intelligibility-score difference within the same band.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -38,6 +39,27 @@ SEXES = ("M", "F")
 
 class ManifestError(ValueError):
     """Raised when a manifest file violates the format or its invariants."""
+
+
+class FeatureIndexError(ValueError):
+    """Raised when a feature store's ``index.json`` is not a valid index."""
+
+
+# what `build_feature_store` writes for each utterance key
+INDEX_FIELDS = {"speaker_id": str, "block": str, "feature_path": str,
+                "frames": int}
+
+
+def read_utf8(path, error) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises ``error``
+    naming the file and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path} line {line}: not UTF-8 text ({exc.reason} at "
+                    f"byte {exc.start})") from None
 
 
 def check_band_cuts(cuts) -> None:
@@ -122,7 +144,8 @@ def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS,
     utterances: list = []
     seen_keys: set = set()
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    text = read_utf8(path, ManifestError)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -291,9 +314,26 @@ class FeatureStore:
 
 
 def load_feature_store(root) -> FeatureStore:
+    """Read ``root/index.json``; a malformed index raises FeatureIndexError
+    naming the file and, where known, the line or the bad key."""
     root = Path(root)
-    with open(root / "index.json", encoding="utf-8") as fh:
-        entries = json.load(fh)
+    path = root / "index.json"
+    try:
+        entries = json.loads(read_utf8(path, FeatureIndexError))
+    except json.JSONDecodeError as exc:
+        raise FeatureIndexError(f"{path} line {exc.lineno} column {exc.colno}: "
+                                f"{exc.msg}") from None
+    if not isinstance(entries, dict):
+        raise FeatureIndexError(f"{path}: expected an object of utterance entries")
+    for key, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise FeatureIndexError(f"{path}: entry {key!r} is not an object")
+        for name, kind in INDEX_FIELDS.items():
+            if name not in entry:
+                raise FeatureIndexError(f"{path}: entry {key!r} lacks {name!r}")
+            if not isinstance(entry[name], kind):
+                raise FeatureIndexError(f"{path}: entry {key!r} has a "
+                                        f"non-{kind.__name__} {name!r}")
     return FeatureStore(root=root, entries=entries)
 
 

@@ -118,14 +118,19 @@ def spectral_convergence(mag: np.ndarray, target: np.ndarray) -> float:
 
 
 def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
-                return_convergence: bool = False):
+                return_convergence: bool = False, momentum: float = 0.0):
     """Iterative phase reconstruction from a mel spectrogram.
 
     Zero-phase start, then alternate least-squares inversion and magnitude
-    replacement; the spectral-convergence error is non-increasing. Returns
-    the waveform, or (waveform, per-iteration errors) when asked. Every
-    iteration runs in the buffers of one STFT plan, and the errors are
-    computed only when asked for.
+    replacement. With ``momentum`` 0 this is plain Griffin-Lim, whose
+    spectral-convergence error is non-increasing. Any other ``momentum``
+    (alpha) runs Fast Griffin-Lim (Perraudin, Balazs & Søndergaard, 2013):
+    the magnitude is replaced in ``estimate - alpha / (1 + alpha) * prev``,
+    where ``prev`` is the previous iteration's estimate (zero before the
+    first), and the error may rise between iterations. Returns the
+    waveform, or (waveform, per-iteration errors of the estimate) when
+    asked. Every iteration runs in buffers allocated once per call, and
+    the errors are computed only when asked for.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -141,13 +146,24 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
     spec = plan.spec
     spec[...] = target
     mag = np.empty(target.shape)
+    if momentum:
+        decay = momentum / (1.0 + momentum)
+        prev = np.zeros_like(spec)  # -decay times the previous estimate
+        accel = np.empty_like(spec)
     errors = []
     for _ in range(iterations):
         x = istft(spec, *sizes, plan=plan)
         estimate = stft(x, *sizes, plan=plan)  # plan.spec, i.e. spec
-        np.abs(estimate, out=mag)
+        if return_convergence or not momentum:
+            # with momentum, |estimate| serves only the errors
+            np.abs(estimate, out=mag)
         if return_convergence:
             errors.append(spectral_convergence(mag, target))
+        if momentum:
+            np.add(estimate, prev, out=accel)
+            np.multiply(estimate, -decay, out=prev)
+            estimate = accel
+            np.abs(estimate, out=mag)
         # spec = target * estimate / max(|estimate|, 1e-12), in place
         np.maximum(mag, 1e-12, out=mag)
         np.multiply(target, estimate, out=spec)

@@ -16,7 +16,12 @@ class FeatureFormatError(ValueError):
 
 
 def read_wav(path) -> Waveform:
-    with wave.open(str(path), "rb") as f:
+    """Read a mono PCM16 wav; a bad header raises ValueError naming ``path``."""
+    try:
+        f = wave.open(str(path), "rb")  # reads the header, closes on failure
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable wav file ({exc})") from None
+    with f:
         if f.getnchannels() != 1:
             raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
         if f.getsampwidth() != 2:

@@ -358,6 +358,30 @@ def griffin_lim_ref(target, fft_size, hop_size, window_size, iterations):
     return x, errors
 
 
+def fast_griffin_lim_ref(target, fft_size, hop_size, window_size, iterations,
+                         momentum):
+    """Fast Griffin-Lim from linear magnitudes ``target``: (samples, errors).
+
+    Perraudin, Balazs & Søndergaard (2013) with the previous estimate
+    starting at zero, a fresh array per step; each error is that of the
+    estimate, before the momentum step.
+    """
+    length = (target.shape[0] - 1) * hop_size + window_size
+    spec = target.astype(np.complex128)
+    prev = np.zeros_like(spec)
+    errors = []
+    x = None
+    for _ in range(iterations):
+        x = istft_ref(spec, fft_size, hop_size, window_size, length)
+        estimate = stft_ref(x, fft_size, hop_size, window_size)
+        errors.append(float(np.linalg.norm(np.abs(estimate) - target)
+                            / np.linalg.norm(target)))
+        accel = estimate - momentum / (1.0 + momentum) * prev
+        prev = estimate
+        spec = target * accel / np.maximum(np.abs(accel), 1e-12)
+    return x, errors
+
+
 def adam_ref(data, grad, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam step as the formula reads, a fresh array per
     operation; returns the new (data, m, v)."""

@@ -84,6 +84,14 @@ class TestParsing:
         assert main(["--config", str(bad), "pair", "whatever.csv"]) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[training]\nsteps = 5\n# caf\xff\n")
+        assert main(["--config", str(bad), "--dump-config"]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad} line 3: not UTF-8 text" in err
+        assert "internal error" not in err
+
 
 class TestDumpConfig:
     def test_prints_defaults_and_exits_zero(self, capsys):
@@ -134,6 +142,29 @@ class TestPreprocess:
         assert "skipped 1 all-silent clip(s)" in captured.out
         assert "1 clip(s) failed" in captured.err
         assert not caplog.records
+
+    def test_bad_wav_header_is_one_error_line(self, env, tmp_path, capsys):
+        # format tag 3 (IEEE float), which the wave module refuses
+        good = env["root"] / "wavs" / "M04_W0_B1.wav"
+        raw = bytearray(good.read_bytes())
+        assert raw[20:22] == b"\x01\x00"
+        raw[20:22] = b"\x03\x00"
+        bad = tmp_path / "float.wav"
+        bad.write_bytes(bytes(raw))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M04,M,2,very_low,,,\n"
+            f"M04,,,,W0,B1,{bad}\n"
+            f"M04,,,,W1,B1,{good}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(manifest)]) == 1
+        assert "internal error" not in capsys.readouterr().err
+        errors = (out / "errors.txt").read_text().splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"M04/W0/B1\t{bad}: ")
+        assert "unknown format: 3" in errors[0]
+        assert list(json.loads((out / "index.json").read_text())) == ["M04/W1/B1"]
 
     def test_rerun_byte_identical(self, env, tmp_path):
         out2 = tmp_path / "again"
@@ -290,14 +321,16 @@ class TestTrain:
         assert "diverged at step" in capsys.readouterr().err
         assert not (out / "model.hvqv").exists()
 
-    def test_corrupt_index_is_internal_error(self, env, tmp_path, capsys):
+    def test_corrupt_index_is_user_error(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
         feats.mkdir()
         (feats / "index.json").write_text("{ not json")
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
                      "train", str(env["manifest"]),
-                     "--features", str(feats)]) == 2
-        assert "internal error" in capsys.readouterr().err
+                     "--features", str(feats)]) == 1
+        err = capsys.readouterr().err
+        assert f"{feats / 'index.json'} line 1 column 3" in err
+        assert "internal error" not in err
 
 
 class TestConvert:
@@ -376,6 +409,55 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "bad.hvqv" in err and "malformed parameter manifest" in err
 
+    def test_wavs_byte_identical_run_to_run(self, env, tmp_path):
+        blobs = []
+        for run in ("one", "two"):
+            out = tmp_path / run
+            assert main(["--config", str(env["ini"]), "--out", str(out),
+                         "convert", str(env["ckpt"]), "--features",
+                         str(env["feats"]), "--source", "M04",
+                         "--target", "M12"]) == 0
+            blobs.append([p.read_bytes() for p in sorted(out.glob("*.wav"))])
+        assert len(blobs[0]) == 3 and blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bad_gl_iterations_is_user_error(self, env, tmp_path, capsys, n):
+        out = tmp_path / "c"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "convert", str(env["ckpt"]), "--features",
+                     str(env["feats"]), "--source", "M04", "--target", "M12",
+                     "--gl-iterations", n]) == 1
+        err = capsys.readouterr().err
+        assert f"--gl-iterations must be >= 1, got {n}" in err
+        assert not out.exists()
+
+    def _store_copy(self, env, tmp_path, index_text):
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        (feats / "index.json").write_text(index_text)
+        return feats
+
+    def test_truncated_index_is_user_error(self, env, tmp_path, capsys):
+        text = (env["feats"] / "index.json").read_text()
+        feats = self._store_copy(env, tmp_path, text[:len(text) // 2])
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {feats / 'index.json'} line " in err
+        assert "internal error" not in err
+
+    def test_index_entry_without_speaker_is_user_error(self, env, tmp_path, capsys):
+        index = json.loads((env["feats"] / "index.json").read_text())
+        del index["M04/W1/B2"]["speaker_id"]
+        feats = self._store_copy(env, tmp_path, json.dumps(index))
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert (f"{feats / 'index.json'}: entry 'M04/W1/B2' lacks 'speaker_id'"
+                in err)
+
     def test_unknown_source_reported(self, env, tmp_path, capsys):
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
                      "convert", str(env["ckpt"]), "--features",
@@ -400,6 +482,17 @@ class TestPair:
         assert main(["pair", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and "not a number" in err
+
+    def test_non_utf8_manifest_is_user_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(
+            b"speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            b"M01,M,2,very_low,,,\n"
+            b"M\xff2,M,7,very_low,,,\n")
+        assert main(["pair", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest} line 3: not UTF-8 text" in err
+        assert "internal error" not in err
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_bad_max_delta_is_user_error(self, env, capsys, value):

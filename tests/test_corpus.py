@@ -384,3 +384,36 @@ class TestBuildFeatureStore:
         back = corpus.load_feature_store(tmp_path / "out")
         assert "M04/CW1/B1" in back.entries
         assert back.feature_path("M04/CW1/B1").is_file()
+
+
+GOOD_ENTRY = {"speaker_id": "M04", "block": "B1",
+              "feature_path": "features/M04_CW1_B1.mcep", "frames": 9}
+
+
+class TestLoadFeatureStore:
+    @pytest.mark.parametrize("blob,message", [
+        (b'{"M04/CW1/B1": {"speaker_id": "M0\xff"}}', "line 1: not UTF-8 text"),
+        (b'{"M04/CW1/B1": {\n"speaker_id"', "line 2 column 13"),
+        (b'["M04/CW1/B1"]', "expected an object of utterance entries"),
+        (b'{"M04/CW1/B1": 3}', "entry 'M04/CW1/B1' is not an object"),
+    ])
+    def test_unreadable_index_named(self, tmp_path, blob, message):
+        (tmp_path / "index.json").write_bytes(blob)
+        with pytest.raises(corpus.FeatureIndexError) as exc:
+            corpus.load_feature_store(tmp_path)
+        assert str(exc.value).startswith(str(tmp_path / "index.json"))
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("field", sorted(GOOD_ENTRY))
+    def test_missing_or_mistyped_field_named(self, tmp_path, field):
+        index = tmp_path / "index.json"
+        entry = {k: v for k, v in GOOD_ENTRY.items() if k != field}
+        index.write_text(json.dumps({"M04/CW1/B1": entry}))
+        with pytest.raises(corpus.FeatureIndexError,
+                           match=f"entry 'M04/CW1/B1' lacks '{field}'"):
+            corpus.load_feature_store(tmp_path)
+        entry[field] = [1]
+        index.write_text(json.dumps({"M04/CW1/B1": entry}))
+        with pytest.raises(corpus.FeatureIndexError,
+                           match=f"entry 'M04/CW1/B1' has a non-.* '{field}'"):
+            corpus.load_feature_store(tmp_path)

@@ -1,14 +1,16 @@
 import math
+import re
 import wave
 
 import numpy as np
 import pytest
 
-from pathovc import dsp
+from pathovc import cli, dsp
 from pathovc.dsp import audio, features
 
 from oracles import (
     dct2_ortho_ref,
+    fast_griffin_lim_ref,
     fft_peak_bin,
     griffin_lim_ref,
     hz_to_mel_ref,
@@ -372,6 +374,45 @@ class TestGriffinLim:
             dsp.griffin_lim(ms, cfg, 0)
 
 
+def harmonic_word(f0, seconds, sr):
+    """Eleven harmonics of ``f0`` under one raised-sine syllable envelope."""
+    t = np.arange(int(sr * seconds)) / sr
+    x = sum(np.sin(2 * np.pi * k * f0 * t) / k for k in range(1, 12))
+    return dsp.Waveform(0.5 * np.sin(np.pi * t / seconds) ** 2 * x, sr)
+
+
+class TestFastGriffinLim:
+    def test_convert_default_reaches_plain_sixty(self):
+        # each word through the mel cepstrum that convert synthesizes from;
+        # Fast Griffin-Lim is not monotone, and a short high word can end a
+        # few percent above plain-60, so the mean is what is compared
+        cfg = dsp.DspConfig()
+        fast, plain = [], []
+        for f0, seconds in ((110, 0.5), (140, 0.8), (180, 1.2), (230, 0.4)):
+            w = harmonic_word(f0, seconds, cfg.sample_rate)
+            mc = dsp.mel_cepstrum(dsp.mel_spectrogram(w, cfg), cfg.cepstral_order)
+            ms = dsp.invert_mel_cepstrum(mc, cfg.n_mels)
+            _, errs = dsp.griffin_lim(ms, cfg, cli.GL_ITERATIONS,
+                                      return_convergence=True,
+                                      momentum=cli.GL_MOMENTUM)
+            fast.append(errs[-1])
+            _, errs = dsp.griffin_lim(ms, cfg, 60, return_convergence=True)
+            plain.append(errs[-1])
+        assert cli.GL_ITERATIONS < 60 and cli.GL_MOMENTUM == 0.99
+        assert np.mean(fast) <= np.mean(plain)
+
+    def test_first_iteration_is_plain(self):
+        # the previous estimate starts at zero, so the first step is plain;
+        # the waveform inverts the spectrum of the step before the last, so
+        # it first differs from plain at three iterations
+        cfg = dsp.DspConfig()
+        ms = dsp.mel_spectrogram(harmonic_word(140, 0.3, cfg.sample_rate), cfg)
+        for n, same in ((1, True), (2, True), (3, False)):
+            fast = dsp.griffin_lim(ms, cfg, n, momentum=0.99).samples
+            plain = dsp.griffin_lim(ms, cfg, n).samples
+            assert (fast.tobytes() == plain.tobytes()) == same
+
+
 # default; window % hop != 0; fft > window; hop == window; hop = 999
 STFT_CONFIGS = [
     dsp.DspConfig(),
@@ -436,6 +477,20 @@ class TestStftAgainstLoopOracle:
         assert wav.samples.tobytes() == x.tobytes()
         assert errors == want
         assert dsp.griffin_lim(ms, cfg, 5).samples.tobytes() == x.tobytes()
+        plain = dsp.griffin_lim(ms, cfg, 5, momentum=0.0)
+        assert plain.samples.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("c,t", STFT_GRID)
+    def test_fast_griffin_lim(self, c, t):
+        cfg, _, ms = _grid_case(c, t)
+        wav, errors = dsp.griffin_lim(ms, cfg, 5, return_convergence=True,
+                                      momentum=0.99)
+        x, want = fast_griffin_lim_ref(dsp.mel_to_linear(ms, cfg), *_sizes(cfg),
+                                       5, 0.99)
+        assert wav.samples.tobytes() == x.tobytes()
+        assert errors == want
+        fast = dsp.griffin_lim(ms, cfg, 5, momentum=0.99)
+        assert fast.samples.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("t", [0, 1, 7])
     def test_silent_input(self, t):
@@ -517,6 +572,22 @@ class TestWavIO:
             f.setframerate(16000)
             f.writeframes(b"\x00" * 64)
         with pytest.raises(ValueError, match="16-bit"):
+            dsp.read_wav(path)
+
+    def test_bad_header_is_value_error_naming_path(self, tmp_path):
+        path = tmp_path / "float.wav"
+        dsp.write_wav(path, dsp.Waveform(np.zeros(64), 16000))
+        raw = bytearray(path.read_bytes())
+        raw[20:22] = (3).to_bytes(2, "little")  # IEEE float format tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*unknown format: 3"):
+            dsp.read_wav(path)
+
+    def test_truncated_header_is_value_error_naming_path(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        dsp.write_wav(path, dsp.Waveform(np.zeros(64), 16000))
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             dsp.read_wav(path)
 
 
