@@ -166,7 +166,7 @@ def _train_keys(args, manifest) -> list:
     if not args.train_list:
         return sorted(u.key for u in train)
     keys = [line.strip() for line in
-            Path(args.train_list).read_text(encoding="utf-8").splitlines()
+            corpus.read_utf8(args.train_list, UserError).splitlines()
             if line.strip()]
     known = {u.key: u for u in manifest.utterances}
     unknown = [k for k in keys if k not in known]

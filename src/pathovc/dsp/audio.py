@@ -1,5 +1,6 @@
 """Waveform-level operations: normalize, resample, trim, denoise, STFT."""
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,15 +43,33 @@ def normalize(w: Waveform) -> Waveform:
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Polyphase windowed-sinc resampling (Kaiser beta 8)."""
+    """Polyphase windowed-sinc resampling (Kaiser beta 8).
+
+    The low-pass filter is the one ``resample_poly`` designs for
+    ``window=("kaiser", 8.0)``, built once per reduced up/down ratio and
+    cached read-only (``_resampling_filter``).
+    """
     if not isinstance(target_rate, (int, np.integer)) or target_rate <= 0:
         raise ValueError("target_rate must be a positive integer")
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
     ratio = Fraction(int(target_rate), int(w.sample_rate))
+    up, down = ratio.numerator, ratio.denominator
     out = scipy.signal.resample_poly(
-        w.samples, ratio.numerator, ratio.denominator, window=("kaiser", 8.0))
+        w.samples, up, down, window=_resampling_filter(up, down))
     return Waveform(out, int(target_rate))
+
+
+@functools.lru_cache(maxsize=16)
+def _resampling_filter(up: int, down: int) -> np.ndarray:
+    # resample_poly's own design for a window tuple: cutoff at the lower
+    # Nyquist rate, ten taps per phase either side; it copies an array
+    # window before scaling it by ``up``, so the cached one stays intact
+    max_rate = max(up, down)
+    h = scipy.signal.firwin(20 * max_rate + 1, 1.0 / max_rate,
+                            window=("kaiser", 8.0))
+    h.flags.writeable = False
+    return h
 
 
 def trim_silence(w: Waveform, threshold_db: float = -40.0,
@@ -139,6 +158,10 @@ class _StftPlan:
         return self._den
 
 
+def _frame_count(n: int, hop_size: int, window_size: int) -> int:
+    return 1 + (n - window_size) // hop_size
+
+
 def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
          plan: _StftPlan | None = None) -> np.ndarray:
     """Time-major complex STFT, no centering: T = 1 + (len - window) // hop.
@@ -149,7 +172,7 @@ def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
     if x.size < window_size:
         raise ValueError(
             f"signal of {x.size} samples is shorter than the {window_size}-sample window")
-    t = 1 + (x.size - window_size) // hop_size
+    t = _frame_count(x.size, hop_size, window_size)
     if plan is None:
         plan = _StftPlan(t, fft_size, hop_size, window_size)
     frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
@@ -175,14 +198,33 @@ def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
     return out
 
 
+def _open_runs(mask: np.ndarray) -> np.ndarray:
+    """Binary opening of ``mask`` along axis 0 by three frames.
+
+    The erosion is shifted ANDs with frames past either end counting as
+    False, the dilation shifted ORs; together they keep exactly the runs
+    of three or more True frames in each column.
+    """
+    core = np.zeros_like(mask)
+    np.logical_and(mask[:-2], mask[1:-1], out=core[1:-1])
+    core[1:-1] &= mask[2:]
+    out = core.copy()
+    out[:-1] |= core[1:]
+    out[1:] |= core[:-1]
+    return out
+
+
 def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
     """Stationary spectral gating.
 
     Per-bin noise floor from the lowest-energy fraction of frames, gate at
     floor + noise_gate_db, soft mask smoothed over time and frequency. The
     floor is median-filtered across frequency so a clean narrowband tone
-    does not raise its own gate; signals shorter than one window pass
-    through.
+    does not raise its own gate. A bin opens only where it passes the gate
+    for three or more consecutive frames (a binary opening over time,
+    ``_open_runs``). One ``_StftPlan`` serves the analysis and the
+    resynthesis, and the gain is applied to its spectrum in place. Signals
+    shorter than one window pass through.
     """
     x = w.samples
     if x.size < cfg.window_size or not np.any(x):
@@ -190,7 +232,9 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
 
     pad = cfg.window_size
     xp = np.pad(x, (pad, pad), mode="reflect")
-    spec = stft(xp, cfg.fft_size, cfg.hop_size, cfg.window_size)
+    sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
+    plan = _StftPlan(_frame_count(xp.size, cfg.hop_size, cfg.window_size), *sizes)
+    spec = stft(xp, *sizes, plan=plan)
     mag = np.abs(spec)
 
     energies = np.sum(mag * mag, axis=1)
@@ -201,17 +245,15 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
     floor = np.maximum(floor, 1e-10 * mag.max() + 1e-12)
 
     gate = floor * 10.0 ** (cfg.noise_gate_db / 20.0)
-    raw = mag > gate[None, :]
-    # drop bins that pass the gate for fewer than 3 consecutive frames;
-    # stationary signal content forms longer runs
-    raw = scipy.ndimage.binary_opening(
-        raw, structure=np.ones((3, 1), dtype=bool)).astype(np.float64)
+    # stationary signal content forms runs of 3 or more frames
+    raw = _open_runs(mag > gate[None, :]).astype(np.float64)
     smooth = scipy.ndimage.uniform_filter(raw, size=(3, 5), mode="nearest")
     atten = 10.0 ** (cfg.noise_attenuation_db / 20.0)
     gain = np.clip(np.maximum(raw, smooth), atten, 1.0)
 
+    spec *= gain
     # the inverse has len(xp) - (len(xp) - window) % hop samples; with
     # pad = window >= hop that is more than pad + len(x), so the slice
     # below always lies inside it
-    out = istft(spec * gain, cfg.fft_size, cfg.hop_size, cfg.window_size)
+    out = istft(spec, *sizes, plan=plan)
     return Waveform(out[pad:pad + x.size].copy(), w.sample_rate)

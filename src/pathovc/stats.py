@@ -9,6 +9,7 @@ judgment for one AB comparison group keyed ``pair:direction:comparison``.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from collections import Counter
@@ -19,6 +20,7 @@ from pathlib import Path
 import scipy.stats
 
 from .atomic import atomic_open
+from .corpus import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -65,25 +67,25 @@ class RatingSet:
         if not path.is_file():
             raise RatingsFormatError(f"ratings file not found: {path}")
         rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
+        reader = csv.reader(io.StringIO(read_utf8(path, RatingsFormatError),
+                                        newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise RatingsFormatError(
+                f"{path} line 1: empty file, header required") from None
+        if [h.strip() for h in header] != list(RATINGS_COLUMNS):
+            raise RatingsFormatError(
+                f"{path} line 1: header must be {','.join(RATINGS_COLUMNS)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 4:
                 raise RatingsFormatError(
-                    f"{path} line 1: empty file, header required") from None
-            if [h.strip() for h in header] != list(RATINGS_COLUMNS):
-                raise RatingsFormatError(
-                    f"{path} line 1: header must be {','.join(RATINGS_COLUMNS)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 4:
-                    raise RatingsFormatError(
-                        f"{path} line {lineno}: expected 4 columns, got {len(row)}")
-                listener, kind, group, value = (c.strip() for c in row)
-                _validate_row(kind, group, value, path, lineno)
-                rows.append(RatingRow(listener, kind, group, value))
+                    f"{path} line {lineno}: expected 4 columns, got {len(row)}")
+            listener, kind, group, value = (c.strip() for c in row)
+            _validate_row(kind, group, value, path, lineno)
+            rows.append(RatingRow(listener, kind, group, value))
         return cls(rows)
 
     def mos_scores(self) -> dict:

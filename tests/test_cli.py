@@ -256,6 +256,16 @@ class TestTrain:
                      str(env["feats"]), "--train-list", str(listing)]) == 1
         assert "M04/W9/B1" in capsys.readouterr().err
 
+    def test_non_utf8_train_list_is_user_error(self, env, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_bytes(b"M04/W0/B1\nM12/W\xff/B3\n")
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]), "--features",
+                     str(env["feats"]), "--train-list", str(listing)]) == 1
+        err = capsys.readouterr().err
+        assert f"{listing} line 2: not UTF-8 text" in err
+        assert "internal error" not in err
+
     def test_feature_width_mismatch_refused(self, env, tmp_path, capsys):
         ini = tmp_path / "narrow.ini"
         ini.write_text(RUN_INI.replace("[model]\n", "[model]\nin_channels = 10\n"))
@@ -581,6 +591,15 @@ class TestStats:
         ratings.write_text("listener_id,kind,group_key,value\nL0,mos,gt_high,9\n")
         assert main(["stats", str(ratings), "--mode", "mos"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_utf8_ratings_is_user_error(self, tmp_path, capsys):
+        ratings = tmp_path / "r.csv"
+        ratings.write_bytes(b"listener_id,kind,group_key,value\n"
+                            b"L0,mos,gt_high,3\nL\xff1,mos,gt_high,4\n")
+        assert main(["stats", str(ratings), "--mode", "mos"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ratings} line 3: not UTF-8 text" in err
+        assert "internal error" not in err
 
     def test_similarity_grid_written(self, tmp_path):
         rows = [(f"L{i:02d}", "ab", "M04-M12:a_to_b:VC_vs_T", "same_sure")

@@ -4,11 +4,13 @@ import wave
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from pathovc import cli, dsp
 from pathovc.dsp import audio, features
 
 from oracles import (
+    binary_opening_ref,
     dct2_ortho_ref,
     fast_griffin_lim_ref,
     fft_peak_bin,
@@ -18,6 +20,7 @@ from oracles import (
     istft_ref,
     mel_filterbank_ref,
     mel_to_hz_ref,
+    reduce_noise_ref,
     stft_ref,
     trim_silence_ref,
 )
@@ -81,6 +84,28 @@ class TestResample:
             dsp.resample(w, 0)
         with pytest.raises(ValueError, match="target_rate"):
             dsp.resample(w, -8000)
+
+    @pytest.mark.parametrize("rate,target", [(16000, 24000), (22050, 24000),
+                                             (48000, 24000), (24000, 16000)])
+    def test_cached_filter_matches_resample_poly(self, rate, target):
+        # the second call sees the cached filter as the first left it
+        x = np.random.default_rng(rate).normal(size=3001)
+        want = scipy.signal.resample_poly(
+            x, target // np.gcd(rate, target), rate // np.gcd(rate, target),
+            window=("kaiser", 8.0))
+        for _ in range(2):
+            got = dsp.resample(dsp.Waveform(x, rate), target)
+            assert got.samples.tobytes() == want.tobytes()
+
+    def test_cached_filter_read_only_and_unchanged(self):
+        h = audio._resampling_filter(3, 2)
+        keep = h.copy()
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h *= 2.0
+        dsp.resample(dsp.Waveform(np.ones(500), 16000), 24000)
+        assert audio._resampling_filter(3, 2) is h
+        assert h.tobytes() == keep.tobytes()
 
 
 class TestTrimSilence:
@@ -190,6 +215,50 @@ class TestReduceNoise:
         v = np.random.default_rng(4).normal(size=100)
         out = dsp.reduce_noise(dsp.Waveform(v.copy(), 16000), dsp.DspConfig())
         np.testing.assert_array_equal(out.samples, v)
+
+
+def _runs_mask(t, runs):
+    """(t, 4) mask, True on frames [start, start + length) of each run."""
+    mask = np.zeros((t, 4), dtype=bool)
+    for start, length in runs:
+        mask[start:start + length] = True
+    return mask
+
+
+class TestOpenRuns:
+    """The noise gate's opening against ``ndimage.binary_opening``."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 60, 200, 400])
+    @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
+    def test_random_masks(self, t, density):
+        rng = np.random.default_rng(int(t * 10 * density))
+        mask = rng.random((t, 513)) < density
+        got = audio._open_runs(mask)
+        assert got.dtype == bool
+        assert got.tobytes() == binary_opening_ref(mask).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 60])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_constant_masks(self, t, fill):
+        mask = np.full((t, 7), fill)
+        got = audio._open_runs(mask)
+        assert got.tobytes() == binary_opening_ref(mask).tobytes()
+        assert got.tobytes() == np.full((t, 7), fill and t >= 3).tobytes()
+
+    @pytest.mark.parametrize("runs,kept", [
+        ([(5, 1)], []),
+        ([(5, 2)], []),
+        ([(0, 1), (18, 2)], []),
+        ([(0, 2), (19, 1)], []),
+        ([(5, 3)], [(5, 3)]),
+        ([(0, 3), (17, 3)], [(0, 3), (17, 3)]),
+        ([(2, 1), (4, 2), (7, 4), (12, 2)], [(7, 4)]),
+    ])
+    def test_short_runs_dropped_long_runs_kept(self, runs, kept):
+        mask = _runs_mask(20, runs)
+        got = audio._open_runs(mask)
+        assert got.tobytes() == binary_opening_ref(mask).tobytes()
+        assert got.tobytes() == _runs_mask(20, kept).tobytes()
 
 
 class TestMelFilterbank:
@@ -461,12 +530,10 @@ class TestStftAgainstLoopOracle:
     def test_reduce_noise_and_mel_spectrogram(self, c, t, monkeypatch):
         cfg, x, _ = _grid_case(c, t)
         w = dsp.Waveform(x, cfg.sample_rate)
-        got = dsp.reduce_noise(w, cfg).samples.tobytes()
+        got = dsp.reduce_noise(w, cfg).samples
+        assert got.tobytes() == reduce_noise_ref(x, cfg).tobytes()
         mel = dsp.mel_spectrogram(w, cfg).frames.tobytes()
-        monkeypatch.setattr(audio, "stft", stft_ref)
-        monkeypatch.setattr(audio, "istft", istft_ref)
         monkeypatch.setattr(features, "stft", stft_ref)
-        assert got == dsp.reduce_noise(w, cfg).samples.tobytes()
         assert mel == dsp.mel_spectrogram(w, cfg).frames.tobytes()
 
     @pytest.mark.parametrize("c,t", STFT_GRID)
