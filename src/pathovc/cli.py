@@ -120,12 +120,9 @@ def _out_dir(args, cfg) -> Path:
 
 
 def _load_manifest(args, cfg):
-    # audio existence is checked per file where audio is actually read,
-    # so one bad path is reported in the summary instead of aborting
     path = _resolve(getattr(args, "manifest", None),
                     cfg.paths.get("manifest"), "manifest path")
-    return corpus.parse_manifest(path, band_cuts=cfg.band_cuts,
-                                 require_audio=False)
+    return corpus.parse_manifest(path, band_cuts=cfg.band_cuts)
 
 
 def _load_store(args, cfg) -> corpus.FeatureStore:
@@ -165,9 +162,15 @@ def _train_keys(args, manifest) -> list:
     train, _ = corpus.partition_blocks(manifest)
     if not args.train_list:
         return sorted(u.key for u in train)
-    keys = [line.strip() for line in
-            corpus.read_utf8(args.train_list, UserError).splitlines()
-            if line.strip()]
+    keys: dict = {}
+    text = corpus.read_utf8(args.train_list, UserError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key = line.strip()
+        if key in keys:
+            raise UserError(f"{args.train_list} line {lineno}: duplicate "
+                            f"utterance key {key}, first on line {keys[key]}")
+        if key:
+            keys[key] = lineno
     known = {u.key: u for u in manifest.utterances}
     unknown = [k for k in keys if k not in known]
     if unknown:
@@ -309,12 +312,12 @@ def _wilcoxon_pairs(args, rs) -> list:
                                 f"got {entry!r}")
             pairs.append(tuple(parts))
         return pairs
-    present = set(rs.mos_scores())
+    present = {condition for _, condition, _ in rs.mos}
     pairs = [(f"gt_{band}", f"vc_{band}") for band in ("high", "mid", "low")
              if {f"gt_{band}", f"vc_{band}"} <= present]
     if not pairs:
-        raise UserError("no gt/vc condition pairs found in the ratings; "
-                        "name them with --conditions a:b")
+        raise UserError(f"{rs.path}: no gt/vc condition pairs found in the "
+                        "ratings; name them with --conditions a:b")
     return pairs
 
 
@@ -334,35 +337,27 @@ def cmd_stats(args, cfg) -> int:
             lo = "" if s.ci_low is None else f"{s.ci_low:.4f}"
             hi = "" if s.ci_high is None else f"{s.ci_high:.4f}"
             print(f"{cond},{s.n},{s.mean:.4f},{lo},{hi}")
-        if out:
-            stats.export_tables({"mos": summaries}, out)
+        table = {"mos": summaries}
 
     elif args.mode == "wilcoxon":
         rows = []
-        print("condition_a,condition_b,n,statistic,p_value,method")
+        print(",".join(stats.WILCOXON_COLUMNS))
         for cond_a, cond_b in _wilcoxon_pairs(args, rs):
             a, b = rs.mos_pairs(cond_a, cond_b)
             try:
                 res = stats.wilcoxon_signed_rank(a, b)
-                row = {"condition_a": cond_a, "condition_b": cond_b,
-                       "n": res.n, "statistic": res.statistic,
-                       "p_value": res.p_value, "method": res.method}
-                print(f"{cond_a},{cond_b},{res.n},{res.statistic},"
-                      f"{res.p_value},{res.method}")
+                cells, note = (res.n, res.statistic, res.p_value, res.method), ""
             except stats.AllZeroDifferencesError:
-                row = {"condition_a": cond_a, "condition_b": cond_b,
-                       "n": 0, "statistic": "", "p_value": "",
-                       "method": "no_test"}
-                print(f"{cond_a},{cond_b},0,,,no_test "
-                      "(all differences zero)")
+                cells, note = (0, "", "", "no_test"), " (all differences zero)"
+            row = dict(zip(stats.WILCOXON_COLUMNS, (cond_a, cond_b) + cells))
+            print(",".join(str(v) for v in row.values()) + note)
             rows.append(row)
-        if out:
-            stats.export_tables({"wilcoxon": rows}, out)
+        table = {"wilcoxon": rows}
 
     else:
         groups = rs.ab_groups()
         if not groups:
-            raise UserError("no ab rows in the ratings file")
+            raise UserError(f"{rs.path}: no ab rows in the ratings file")
         print("pair,direction,comparison,expectation,n,percent,percent_sure")
         for (pair, direction, kind), judgments in sorted(groups.items()):
             expectation = stats.AB_EXPECTATIONS[kind]
@@ -370,8 +365,9 @@ def cmd_stats(args, cfg) -> int:
             print(f"{pair},{direction},{kind},{expectation},{agg.n},"
                   f"{agg.percent_matching:.2f}%,"
                   f"{agg.percent_matching_sure_only:.2f}%")
-        if out:
-            stats.export_tables({"similarity": stats.similarity_grid(rs)}, out)
+        table = {"similarity": stats.similarity_grid(rs)}
+    if out:
+        stats.export_tables(table, out)
     return 0
 
 

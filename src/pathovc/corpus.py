@@ -62,6 +62,32 @@ def read_utf8(path, error) -> str:
                     f"byte {exc.start})") from None
 
 
+def read_csv_table(path, columns, error, what):
+    """Yield ``(line number, cells)`` for each non-blank row of the CSV
+    file ``path``, its cells stripped.
+
+    A missing file (named as ``what``), an empty one, a header other than
+    ``columns`` or a row of another width raises ``error`` naming the file
+    and the line.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    reader = csv.reader(io.StringIO(read_utf8(path, error), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise error(f"{path} line 1: empty file, header required")
+    if [h.strip() for h in header] != list(columns):
+        raise error(f"{path} line 1: header must be {','.join(columns)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(columns):
+            raise error(f"{path} line {lineno}: expected {len(columns)} "
+                        f"columns, got {len(row)}")
+        yield lineno, [c.strip() for c in row]
+
+
 def check_band_cuts(cuts) -> None:
     """Raise ValueError unless ``cuts`` are three increasing values in (0, 100)."""
     if not (len(cuts) == 3 and 0.0 < cuts[0] < cuts[1] < cuts[2] < 100.0):
@@ -127,79 +153,55 @@ def _score_delta(score_a: float, score_b: float) -> float:
     return float(abs(d))
 
 
-def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS,
-                   require_audio: bool = True) -> CorpusManifest:
+def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS) -> CorpusManifest:
     """Read and fully validate a manifest CSV.
 
     Raises ManifestError naming the offending line for malformed rows,
     ids holding a path separator, duplicate speakers or utterance keys,
-    unknown speaker references, band labels inconsistent with
-    ``band_cuts``, and (when ``require_audio``) missing audio files.
+    unknown speaker references, and band labels inconsistent with
+    ``band_cuts``.  Audio paths are checked where the audio is read.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ManifestError(f"manifest not found: {path}")
-
     speakers: dict = {}
     utterances: list = []
     seen_keys: set = set()
+    for lineno, row in read_csv_table(path, MANIFEST_COLUMNS, ManifestError,
+                                      "manifest"):
+        sid, sex, score_text, band, word, block, audio = row
+        if not sid:
+            raise ManifestError(f"{path} line {lineno}: speaker_id is empty")
+        # the ids name the utterance's feature file
+        for column, value in (("speaker_id", sid), ("word_id", word)):
+            if "/" in value or "\\" in value:
+                raise ManifestError(f"{path} line {lineno}: {column} {value!r} "
+                                    "contains a path separator")
 
-    text = read_utf8(path, ManifestError)
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path} line 1: empty manifest, header required") from None
-        if [h.strip() for h in header] != list(MANIFEST_COLUMNS):
+        utterance_fields = (word, block, audio)
+        if not any(utterance_fields):
+            _add_speaker(speakers, sid, sex, score_text, band,
+                         band_cuts, path, lineno)
+            continue
+        if not all(utterance_fields):
             raise ManifestError(
-                f"{path} line 1: header must be {','.join(MANIFEST_COLUMNS)}")
+                f"{path} line {lineno}: utterance rows need word_id, "
+                "block, and audio_path; speaker rows leave all three empty")
 
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise ManifestError(
-                    f"{path} line {lineno}: expected {len(MANIFEST_COLUMNS)} "
-                    f"columns, got {len(row)}")
-            sid, sex, score_text, band, word, block, audio = (c.strip() for c in row)
-            if not sid:
-                raise ManifestError(f"{path} line {lineno}: speaker_id is empty")
-            # the ids name the utterance's feature file
-            for column, value in (("speaker_id", sid), ("word_id", word)):
-                if "/" in value or "\\" in value:
-                    raise ManifestError(f"{path} line {lineno}: {column} {value!r} "
-                                        "contains a path separator")
-
-            utterance_fields = (word, block, audio)
-            if not any(utterance_fields):
-                _add_speaker(speakers, sid, sex, score_text, band,
-                             band_cuts, path, lineno)
-                continue
-            if not all(utterance_fields):
-                raise ManifestError(
-                    f"{path} line {lineno}: utterance rows need word_id, "
-                    "block, and audio_path; speaker rows leave all three empty")
-
-            if sid not in speakers:
-                raise ManifestError(
-                    f"{path} line {lineno}: utterance references unknown "
-                    f"speaker {sid!r}; declare the speaker in an earlier row")
-            _check_metadata_consistency(speakers[sid], sex, score_text, band,
-                                        path, lineno)
-            if block not in BLOCKS:
-                raise ManifestError(
-                    f"{path} line {lineno}: block must be one of "
-                    f"{'/'.join(BLOCKS)}, got {block!r}")
-            utt = UtteranceRecord(sid, word, block, audio)
-            if utt.key in seen_keys:
-                raise ManifestError(
-                    f"{path} line {lineno}: duplicate utterance key {utt.key}")
-            seen_keys.add(utt.key)
-            if require_audio and not Path(audio).is_file():
-                raise ManifestError(
-                    f"{path} line {lineno}: audio file not found: {audio}")
-            utterances.append(utt)
+        if sid not in speakers:
+            raise ManifestError(
+                f"{path} line {lineno}: utterance references unknown "
+                f"speaker {sid!r}; declare the speaker in an earlier row")
+        _check_metadata_consistency(speakers[sid], sex, score_text, band,
+                                    path, lineno)
+        if block not in BLOCKS:
+            raise ManifestError(
+                f"{path} line {lineno}: block must be one of "
+                f"{'/'.join(BLOCKS)}, got {block!r}")
+        utt = UtteranceRecord(sid, word, block, audio)
+        if utt.key in seen_keys:
+            raise ManifestError(
+                f"{path} line {lineno}: duplicate utterance key {utt.key}")
+        seen_keys.add(utt.key)
+        utterances.append(utt)
 
     return CorpusManifest(list(speakers.values()), utterances)
 

@@ -9,7 +9,6 @@ judgment for one AB comparison group keyed ``pair:direction:comparison``.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from collections import Counter
@@ -20,7 +19,7 @@ from pathlib import Path
 import scipy.stats
 
 from .atomic import atomic_open
-from .corpus import read_utf8
+from .corpus import read_csv_table
 
 logger = logging.getLogger(__name__)
 
@@ -48,52 +47,37 @@ class AllZeroDifferencesError(ValueError):
     """Raised when every paired difference is zero, so no test applies."""
 
 
-@dataclass(frozen=True)
-class RatingRow:
-    listener_id: str
-    kind: str
-    group_key: str
-    value: str
-
-
 @dataclass
 class RatingSet:
-    """Validated listening-test rows with grouping helpers."""
-    rows: list = field(default_factory=list)
+    """Validated listening-test ratings of one file, in input order.
+
+    ``mos`` holds ``(listener, condition, score)`` rows and ``ab`` holds
+    ``(listener, (pair, direction, comparison), judgment)`` rows.
+    """
+    path: Path
+    mos: list = field(default_factory=list)
+    ab: list = field(default_factory=list)
 
     @classmethod
     def from_csv(cls, path) -> "RatingSet":
-        path = Path(path)
-        if not path.is_file():
-            raise RatingsFormatError(f"ratings file not found: {path}")
-        rows = []
-        reader = csv.reader(io.StringIO(read_utf8(path, RatingsFormatError),
-                                        newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RatingsFormatError(
-                f"{path} line 1: empty file, header required") from None
-        if [h.strip() for h in header] != list(RATINGS_COLUMNS):
-            raise RatingsFormatError(
-                f"{path} line 1: header must be {','.join(RATINGS_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
+        rs = cls(Path(path))
+        for lineno, (listener, kind, group, value) in read_csv_table(
+                rs.path, RATINGS_COLUMNS, RatingsFormatError, "ratings file"):
+            where = f"{rs.path} line {lineno}"
+            if kind == "mos":
+                rs.mos.append((listener, group, _mos_score(group, value, where)))
+            elif kind == "ab":
+                rs.ab.append((listener, _ab_group(group, value, where), value))
+            else:
                 raise RatingsFormatError(
-                    f"{path} line {lineno}: expected 4 columns, got {len(row)}")
-            listener, kind, group, value = (c.strip() for c in row)
-            _validate_row(kind, group, value, path, lineno)
-            rows.append(RatingRow(listener, kind, group, value))
-        return cls(rows)
+                    f"{where}: kind must be mos or ab, got {kind!r}")
+        return rs
 
     def mos_scores(self) -> dict:
         """Scores per condition, in input order."""
         out: dict = {}
-        for r in self.rows:
-            if r.kind == "mos":
-                out.setdefault(r.group_key, []).append(int(r.value))
+        for _, condition, score in self.mos:
+            out.setdefault(condition, []).append(score)
         return out
 
     def mos_pairs(self, condition_a: str, condition_b: str):
@@ -101,24 +85,29 @@ class RatingSet:
 
         Listeners must appear exactly once under each condition; ids
         present under only one of the two are an error, since paired
-        tests require consistent listeners.
+        tests require consistent listeners, and so are two conditions
+        that no listener rated.
         """
         by_cond: dict = {condition_a: {}, condition_b: {}}
-        for r in self.rows:
-            if r.kind != "mos" or r.group_key not in by_cond:
+        for listener, condition, score in self.mos:
+            bucket = by_cond.get(condition)
+            if bucket is None:
                 continue
-            bucket = by_cond[r.group_key]
-            if r.listener_id in bucket:
+            if listener in bucket:
                 raise RatingsFormatError(
-                    f"listener {r.listener_id!r} rated condition "
-                    f"{r.group_key!r} more than once")
-            bucket[r.listener_id] = int(r.value)
+                    f"{self.path}: listener {listener!r} rated condition "
+                    f"{condition!r} more than once")
+            bucket[listener] = score
         ids_a, ids_b = set(by_cond[condition_a]), set(by_cond[condition_b])
         if ids_a != ids_b:
             odd = sorted(ids_a ^ ids_b)
             raise RatingsFormatError(
-                f"listeners {odd} lack a rating under one of "
+                f"{self.path}: listeners {odd} lack a rating under one of "
                 f"{condition_a!r}/{condition_b!r}")
+        if not ids_a:
+            raise RatingsFormatError(
+                f"{self.path}: no mos ratings for condition {condition_a!r} "
+                f"or {condition_b!r}")
         listeners = sorted(ids_a)
         return ([by_cond[condition_a][l] for l in listeners],
                 [by_cond[condition_b][l] for l in listeners])
@@ -126,44 +115,41 @@ class RatingSet:
     def ab_groups(self) -> dict:
         """Judgments per (pair, direction, comparison), in input order."""
         out: dict = {}
-        for r in self.rows:
-            if r.kind == "ab":
-                pair, direction, comparison = r.group_key.split(":")
-                out.setdefault((pair, direction, comparison), []).append(r.value)
+        for _, group, judgment in self.ab:
+            out.setdefault(group, []).append(judgment)
         return out
 
 
-def _validate_row(kind, group, value, path, lineno):
-    if kind == "mos":
-        if group not in MOS_CONDITIONS:
-            raise RatingsFormatError(
-                f"{path} line {lineno}: unknown condition {group!r}; "
-                f"expected one of {', '.join(MOS_CONDITIONS)}")
-        try:
-            score = int(value)
-        except ValueError:
-            score = None
-        if score is None or not 1 <= score <= 5:
-            raise RatingsFormatError(
-                f"{path} line {lineno}: mos score must be an integer in "
-                f"[1, 5], got {value!r}")
-    elif kind == "ab":
-        parts = group.split(":")
-        if len(parts) != 3 or not all(parts):
-            raise RatingsFormatError(
-                f"{path} line {lineno}: ab group_key must look like "
-                f"pair:direction:comparison, got {group!r}")
-        if parts[2] not in AB_EXPECTATIONS:
-            raise RatingsFormatError(
-                f"{path} line {lineno}: unknown comparison {parts[2]!r}; "
-                f"expected one of {', '.join(AB_EXPECTATIONS)}")
-        if value not in AB_JUDGMENTS:
-            raise RatingsFormatError(
-                f"{path} line {lineno}: unknown judgment {value!r}; "
-                f"expected one of {', '.join(AB_JUDGMENTS)}")
-    else:
+def _mos_score(condition, value, where) -> int:
+    if condition not in MOS_CONDITIONS:
         raise RatingsFormatError(
-            f"{path} line {lineno}: kind must be mos or ab, got {kind!r}")
+            f"{where}: unknown condition {condition!r}; "
+            f"expected one of {', '.join(MOS_CONDITIONS)}")
+    try:
+        score = int(value)
+    except ValueError:
+        score = None
+    if score is None or not 1 <= score <= 5:
+        raise RatingsFormatError(
+            f"{where}: mos score must be an integer in [1, 5], got {value!r}")
+    return score
+
+
+def _ab_group(group, judgment, where) -> tuple:
+    parts = tuple(group.split(":"))
+    if len(parts) != 3 or not all(parts):
+        raise RatingsFormatError(
+            f"{where}: ab group_key must look like "
+            f"pair:direction:comparison, got {group!r}")
+    if parts[2] not in AB_EXPECTATIONS:
+        raise RatingsFormatError(
+            f"{where}: unknown comparison {parts[2]!r}; "
+            f"expected one of {', '.join(AB_EXPECTATIONS)}")
+    if judgment not in AB_JUDGMENTS:
+        raise RatingsFormatError(
+            f"{where}: unknown judgment {judgment!r}; "
+            f"expected one of {', '.join(AB_JUDGMENTS)}")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -364,45 +350,39 @@ WILCOXON_COLUMNS = ("condition_a", "condition_b", "n", "statistic",
                     "p_value", "method")
 
 
+def _mos_rows(summaries: dict):
+    order = [c for c in MOS_CONDITIONS if c in summaries]
+    order += [c for c in summaries if c not in MOS_CONDITIONS]
+    for cond in order:
+        s = summaries[cond]
+        yield {"condition": s.condition, "n": s.n, "mean": repr(float(s.mean)),
+               "ci_low": "" if s.ci_low is None else repr(float(s.ci_low)),
+               "ci_high": "" if s.ci_high is None else repr(float(s.ci_high))}
+
+
+# the file and columns of each table ``export_tables`` writes
+TABLES = {"mos": ("mos_summary.csv", MOS_TABLE_COLUMNS),
+          "similarity": ("similarity_grid.csv", GRID_COLUMNS),
+          "wilcoxon": ("wilcoxon.csv", WILCOXON_COLUMNS)}
+
+
 def export_tables(results: dict, out_dir) -> list:
-    """Write analysis tables as CSV files and return their paths.
+    """Write each given analysis table as a CSV file; return their paths.
 
     ``results`` may hold "mos" (mapping condition to MosSummary),
-    "similarity" (grid rows), and "wilcoxon" (row dicts).  The first two
-    files are always written, headers-only when absent.
+    "similarity" (grid rows), and "wilcoxon" (row dicts).  Only the
+    tables given are written, so tables of other runs in ``out_dir``
+    stay as they are.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    mos_path = out_dir / "mos_summary.csv"
-    with atomic_open(mos_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MOS_TABLE_COLUMNS)
-        summaries = results.get("mos", {})
-        order = [c for c in MOS_CONDITIONS if c in summaries]
-        order += [c for c in summaries if c not in MOS_CONDITIONS]
-        for cond in order:
-            s = summaries[cond]
-            writer.writerow([s.condition, s.n, repr(float(s.mean)),
-                             "" if s.ci_low is None else repr(float(s.ci_low)),
-                             "" if s.ci_high is None else repr(float(s.ci_high))])
-    written.append(mos_path)
-
-    grid_path = out_dir / "similarity_grid.csv"
-    with atomic_open(grid_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=GRID_COLUMNS)
-        writer.writeheader()
-        for row in results.get("similarity", []):
-            writer.writerow(row)
-    written.append(grid_path)
-
-    if "wilcoxon" in results:
-        w_path = out_dir / "wilcoxon.csv"
-        with atomic_open(w_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=WILCOXON_COLUMNS)
+    for key, rows in results.items():
+        name, columns = TABLES[key]
+        path = out_dir / name
+        with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
-            for row in results["wilcoxon"]:
-                writer.writerow(row)
-        written.append(w_path)
+            writer.writerows(_mos_rows(rows) if key == "mos" else rows)
+        written.append(path)
     return written

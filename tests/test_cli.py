@@ -256,6 +256,16 @@ class TestTrain:
                      str(env["feats"]), "--train-list", str(listing)]) == 1
         assert "M04/W9/B1" in capsys.readouterr().err
 
+    def test_duplicate_train_list_key_refused(self, env, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_text("M04/W0/B1\nM12/W0/B3\n\n M04/W0/B1\n")
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]), "--features",
+                     str(env["feats"]), "--train-list", str(listing)]) == 1
+        assert (f"{listing} line 4: duplicate utterance key M04/W0/B1, "
+                "first on line 1" in capsys.readouterr().err)
+        assert not (tmp_path / "m").exists()
+
     def test_non_utf8_train_list_is_user_error(self, env, tmp_path, capsys):
         listing = tmp_path / "list.txt"
         listing.write_bytes(b"M04/W0/B1\nM12/W\xff/B3\n")
@@ -585,6 +595,43 @@ class TestStats:
                      "--conditions", "healthy_natural:gt_low"]) == 0
         out = capsys.readouterr().out
         assert "healthy_natural,gt_low" in out
+
+    @pytest.mark.parametrize("pair", ["gt_mid:vc_mid", "gt_hgih:vc_hgih"])
+    def test_wilcoxon_unrated_conditions_is_user_error(self, tmp_path, capsys,
+                                                       pair):
+        rows = [(f"L{i:02d}", "mos", cond, str(2 + i))
+                for i in range(3) for cond in ("gt_high", "vc_high")]
+        ratings = tmp_path / "r.csv"
+        write_ratings(ratings, rows)
+        assert main(["stats", str(ratings), "--mode", "wilcoxon",
+                     "--conditions", pair]) == 1
+        a, b = pair.split(":")
+        assert (f"{ratings}: no mos ratings for condition {a!r} or {b!r}"
+                in capsys.readouterr().err)
+
+    def test_modes_share_one_out_dir(self, tmp_path):
+        rows = [(f"L{i:02d}", "mos", cond, str(1 + (i * 7 + j) % 5))
+                for i in range(6)
+                for j, cond in enumerate(("gt_high", "vc_high", "gt_low",
+                                          "vc_low", "healthy_natural"))]
+        rows += [(f"L{i:02d}", "ab", f"M04-M12:a_to_b:{kind}",
+                  "same_sure" if i % 3 else "different_not_sure")
+                 for i in range(6) for kind in ("VC_vs_T", "T_vs_T", "VC_vs_S")]
+        ratings = tmp_path / "r.csv"
+        write_ratings(ratings, rows)
+        tables = {"mos": "mos_summary.csv", "wilcoxon": "wilcoxon.csv",
+                  "ab": "similarity_grid.csv"}
+        shared = tmp_path / "shared"
+        for mode, name in tables.items():
+            alone = tmp_path / mode
+            for out in (alone, shared):
+                assert main(["--out", str(out), "stats", str(ratings),
+                             "--mode", mode]) == 0
+            assert [p.name for p in alone.iterdir()] == [name]
+        for mode, name in tables.items():
+            assert ((shared / name).read_bytes()
+                    == (tmp_path / mode / name).read_bytes())
+        assert sorted(p.name for p in shared.iterdir()) == sorted(tables.values())
 
     def test_malformed_ratings_rejected(self, tmp_path, capsys):
         ratings = tmp_path / "r.csv"

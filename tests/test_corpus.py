@@ -150,13 +150,13 @@ class TestParseManifest:
         with pytest.raises(corpus.ManifestError, match="block"):
             corpus.parse_manifest(path)
 
-    def test_missing_audio_rejected_by_default(self, tmp_path):
+    def test_missing_audio_left_to_feature_extraction(self, tmp_path):
+        # build_feature_store reports the missing file as one errors.txt line
+        audio = str(tmp_path / "no.wav")
         path = write_manifest(tmp_path / "m.csv", TABLE_SPEAKERS[:1],
-                              [("M04", "CW1", "B1", str(tmp_path / "no.wav"))])
-        with pytest.raises(corpus.ManifestError, match="not found"):
-            corpus.parse_manifest(path)
-        m = corpus.parse_manifest(path, require_audio=False)
-        assert len(m.utterances) == 1
+                              [("M04", "CW1", "B1", audio)])
+        m = corpus.parse_manifest(path)
+        assert [u.audio_path for u in m.utterances] == [audio]
 
     def test_metadata_contradiction_on_utterance_row(self, tmp_path, dummy_wav):
         path = tmp_path / "m.csv"
@@ -355,8 +355,7 @@ class TestBuildFeatureStore:
         m = corpus.parse_manifest(write_manifest(
             tmp_path / "m.csv", TABLE_SPEAKERS[:1],
             [("M04", "CW1", "B1", str(tmp_path / "ghost.wav")),
-             ("M04", "CW2", "B1", str(dummy_wav))]),
-            require_audio=False)
+             ("M04", "CW2", "B1", str(dummy_wav))]))
         store = corpus.build_feature_store(m, self.small_cfg(), tmp_path / "out")
         assert len(store.errors) == 1
         assert store.errors[0][0] == "M04/CW1/B1"

@@ -435,8 +435,12 @@ class TestExportTables:
         assert len(rows) == 13
 
     def test_empty_results_write_headers_only(self, tmp_path):
-        paths = stats.export_tables({}, tmp_path)
-        assert len(paths) == 2
+        assert stats.export_tables({}, tmp_path) == []
+        assert list(tmp_path.iterdir()) == []
+        paths = stats.export_tables({"mos": {}, "similarity": [],
+                                     "wilcoxon": []}, tmp_path)
+        assert [p.name for p in paths] == [
+            "mos_summary.csv", "similarity_grid.csv", "wilcoxon.csv"]
         for path in paths:
             with open(path) as fh:
                 rows = list(csv.reader(fh))
@@ -463,5 +467,4 @@ class TestExportTables:
         with pytest.raises(ValueError):
             stats.export_tables({"wilcoxon": [dict(row, extra=1)]}, tmp_path)
         assert (tmp_path / "wilcoxon.csv").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "mos_summary.csv", "similarity_grid.csv", "wilcoxon.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["wilcoxon.csv"]
