@@ -122,7 +122,7 @@ def _out_dir(args, cfg) -> Path:
 def _load_manifest(args, cfg):
     path = _resolve(getattr(args, "manifest", None),
                     cfg.paths.get("manifest"), "manifest path")
-    return corpus.parse_manifest(path, band_cuts=cfg.band_cuts)
+    return corpus.parse_manifest(path, band_cuts=cfg.corpus["band_cuts"])
 
 
 def _load_store(args, cfg) -> corpus.FeatureStore:
@@ -162,26 +162,24 @@ def _train_keys(args, manifest) -> list:
     train, _ = corpus.partition_blocks(manifest)
     if not args.train_list:
         return sorted(u.key for u in train)
+    known = {u.key: u for u in manifest.utterances}
     keys: dict = {}
     text = corpus.read_utf8(args.train_list, UserError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         key = line.strip()
+        if not key:
+            continue
+        where = f"{args.train_list} line {lineno}"
         if key in keys:
-            raise UserError(f"{args.train_list} line {lineno}: duplicate "
-                            f"utterance key {key}, first on line {keys[key]}")
-        if key:
-            keys[key] = lineno
-    known = {u.key: u for u in manifest.utterances}
-    unknown = [k for k in keys if k not in known]
-    if unknown:
-        raise UserError(f"train list names utterances missing from the "
-                        f"manifest: {', '.join(unknown[:5])}")
-    held_out = [k for k in keys if known[k].block == corpus.TEST_BLOCK]
-    if held_out:
-        raise UserError(
-            "refusing to train on held-out B2 utterances: "
-            + ", ".join(held_out[:5])
-            + (" ..." if len(held_out) > 5 else ""))
+            raise UserError(f"{where}: duplicate utterance key {key}, first on "
+                            f"line {keys[key]}")
+        if key not in known:
+            raise UserError(f"{where}: utterance {key} is missing from the manifest")
+        if known[key].block == corpus.TEST_BLOCK:
+            raise UserError(f"{where}: refusing to train on held-out B2 utterance {key}")
+        keys[key] = lineno
+    if not keys:
+        raise UserError(f"{args.train_list}: no utterance keys")
     return sorted(keys)
 
 
@@ -191,27 +189,30 @@ def cmd_train(args, cfg) -> int:
     store = _load_store(args, cfg)
     keys = _train_keys(args, manifest)
 
-    missing = [k for k in keys if k not in store.entries]
-    if missing:
+    present = [k for k in keys if k in store.entries]
+    if len(present) < len(keys):
         logger.warning("%d training utterance(s) have no features and are "
-                       "skipped", len(missing))
-    dataset = []
-    for key in keys:
-        if key not in store.entries:
-            continue
-        path = store.feature_path(key)
-        frames = dsp.read_mcep(path)
-        if frames.shape[1] != cfg.model.in_channels:
-            raise UserError(f"{path} carries {frames.shape[1]} coefficients but "
-                            f"the model expects {cfg.model.in_channels}; adjust "
-                            "[model] in_channels or re-run preprocess")
-        dataset.append((store.entries[key]["speaker_id"], frames))
-    if not dataset:
+                       "skipped", len(keys) - len(present))
+    if not present:
         raise UserError("no training utterances have features; nothing to do")
+    paths = [store.feature_path(k) for k in present]
+    dataset = [(store.entries[k]["speaker_id"], dsp.read_mcep(p))
+               for k, p in zip(present, paths)]
+    # the first file sets the model's input width
+    width = dataset[0][1].shape[1]
+    for path, (_, frames) in zip(paths, dataset):
+        if frames.shape[1] != width:
+            raise UserError(f"{path} carries {frames.shape[1]} coefficients but "
+                            f"{paths[0]} carries {width}; re-run preprocess")
 
     training = dataclasses.replace(cfg.training, seed=seed)
-    model = vqvae.HVqVaeModel(cfg.model, manifest.speaker_ids, seed=seed)
-    model, report = vqvae.train(model, dataset, training)
+    model = vqvae.HVqVaeModel(dataclasses.replace(cfg.model, in_channels=width),
+                              manifest.speaker_ids, seed=seed)
+    try:
+        model, report = vqvae.train(model, dataset, training)
+    except vqvae.NonFiniteLossError as exc:
+        raise UserError(f"{exc}; the batch held "
+                        + ", ".join(str(paths[i]) for i in exc.batch)) from None
 
     out = _out_dir(args, cfg)
     ckpt = out / CHECKPOINT_NAME
@@ -259,7 +260,11 @@ def cmd_convert(args, cfg) -> int:
     for key, entry in selected:
         stem = Path(entry["feature_path"]).stem + f"_to_{args.target}"
         try:
-            frames = dsp.read_mcep(store.feature_path(key))
+            path = store.feature_path(key)
+            frames = dsp.read_mcep(path)
+            if frames.shape[1] != model.cfg.in_channels:
+                raise ValueError(f"{path} carries {frames.shape[1]} coefficients "
+                                 f"but {ckpt} expects {model.cfg.in_channels}")
             converted = model.convert(frames, args.target)
             dsp.write_mcep(out / f"{stem}.mcep", converted)
             if not args.no_wav:

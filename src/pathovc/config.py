@@ -35,28 +35,13 @@ class PairingConfig:
             raise ValueError(f"max_delta must be non-negative, got {self.max_delta}")
 
 
-# [model] keys exposed to users; the stage count and parameter dtype are
-# fixed by the architecture and the checkpoint format
-MODEL_KEYS = ("in_channels", "hidden", "latent_dim", "codebook_size",
-              "embed_dim", "beta", "kernel_size", "up_kernel_size", "stride")
-PATH_KEYS = ("manifest", "features", "checkpoint", "out")
-
-_TRUE = ("1", "yes", "true", "on")
-_FALSE = ("0", "no", "false", "off")
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
-
-
 def _parse_scalar(kind, text: str, where: str):
     if kind is bool:
-        return _parse_bool(text, where)
+        # 1/0, yes/no, true/false and on/off, in any case
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+        if value is None:
+            raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+        return value
     try:
         value = kind(text)
     except ValueError:
@@ -79,12 +64,22 @@ def _parse_cuts(text: str, where: str):
     return cuts
 
 
-def _field_kinds(dc_type, keys=None):
-    out = {}
-    for f in dataclasses.fields(dc_type):
-        if keys is None or f.name in keys:
-            out[f.name] = type(f.default)
-    return out
+def _defaults(dc_type, skip=()):
+    return {f.name: f.default for f in dataclasses.fields(dc_type)
+            if f.name not in skip}
+
+
+# every section in file order: what builds its RunConfig field, and its keys
+# with their defaults.  [model] leaves out in_channels, which train reads off
+# the feature files, and param_dtype, which the checkpoint format fixes
+SECTIONS = {
+    "dsp": (DspConfig, _defaults(DspConfig)),
+    "model": (VqVaeConfig, _defaults(VqVaeConfig, ("in_channels", "param_dtype"))),
+    "training": (TrainingConfig, _defaults(TrainingConfig)),
+    "corpus": (dict, {"band_cuts": tuple(DEFAULT_BAND_CUTS)}),
+    "pairing": (PairingConfig, _defaults(PairingConfig)),
+    "paths": (dict, dict.fromkeys(("manifest", "features", "checkpoint", "out"), "")),
+}
 
 
 @dataclasses.dataclass
@@ -92,8 +87,8 @@ class RunConfig:
     dsp: DspConfig
     model: VqVaeConfig
     training: TrainingConfig
+    corpus: dict
     pairing: PairingConfig
-    band_cuts: tuple
     paths: dict
     explicit: frozenset
 
@@ -102,63 +97,41 @@ class RunConfig:
         return f"{section}.{key}" in self.explicit
 
 
-def default_run_config() -> RunConfig:
-    return RunConfig(DspConfig(), VqVaeConfig(), TrainingConfig(),
-                     PairingConfig(), tuple(DEFAULT_BAND_CUTS),
-                     {k: "" for k in PATH_KEYS}, frozenset())
-
-
 def load_run_config(path=None) -> RunConfig:
-    """Read a config file, or return all defaults when ``path`` is None."""
-    if path is None:
-        return default_run_config()
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    """Read a config file; with ``path`` None, every key keeps its default."""
     parser = configparser.ConfigParser(interpolation=None)
-    text = read_utf8(path, ConfigError)
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        text = read_utf8(path, ConfigError)
+        try:
+            parser.read_string(text, source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
-    sections = {
-        "dsp": _field_kinds(DspConfig),
-        "model": _field_kinds(VqVaeConfig, MODEL_KEYS),
-        "training": _field_kinds(TrainingConfig),
-        "pairing": _field_kinds(PairingConfig),
-        "corpus": {"band_cuts": None},
-        "paths": {k: str for k in PATH_KEYS},
-    }
-    values = {name: {} for name in sections}
-    explicit = set()
+    values = {name: {} for name in SECTIONS}
     for section in parser.sections():
-        if section not in sections:
+        if section not in SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]; expected "
-                              f"one of {', '.join(sections)}")
+                              f"one of {', '.join(SECTIONS)}")
+        defaults = SECTIONS[section][1]
         for key, raw in parser.items(section):
-            if key not in sections[section]:
+            if key not in defaults:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]; expected "
-                    f"one of {', '.join(sections[section])}")
+                    f"one of {', '.join(defaults)}")
             where = f"{path} [{section}] {key}"
-            if section == "corpus":
-                values[section][key] = _parse_cuts(raw, where)
-            else:
-                values[section][key] = _parse_scalar(
-                    sections[section][key], raw, where)
-            explicit.add(f"{section}.{key}")
+            kind = type(defaults[key])
+            values[section][key] = (_parse_cuts(raw, where) if kind is tuple
+                                    else _parse_scalar(kind, raw, where))
 
     try:
         return RunConfig(
-            dsp=DspConfig(**values["dsp"]),
-            model=VqVaeConfig(**values["model"]),
-            training=TrainingConfig(**values["training"]),
-            pairing=PairingConfig(**values["pairing"]),
-            band_cuts=values["corpus"].get("band_cuts", tuple(DEFAULT_BAND_CUTS)),
-            paths={**{k: "" for k in PATH_KEYS}, **values["paths"]},
-            explicit=frozenset(explicit),
-        )
+            **{name: build(**{**defaults, **values[name]})
+               for name, (build, defaults) in SECTIONS.items()},
+            explicit=frozenset(f"{section}.{key}"
+                               for section, keys in values.items() for key in keys))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -175,19 +148,10 @@ def dump_run_config(cfg: RunConfig) -> str:
     """Render the full configuration as INI text, every key spelled out."""
     out = io.StringIO()
     out.write("# every knob the pipeline reads; edit and pass via --config\n")
-
-    def section(name, pairs):
+    for name, (_, defaults) in SECTIONS.items():
+        section = getattr(cfg, name)
         out.write(f"\n[{name}]\n")
-        for key, value in pairs:
+        for key in defaults:
+            value = section[key] if isinstance(section, dict) else getattr(section, key)
             out.write(f"{key} = {_format_value(value)}\n")
-
-    section("dsp", [(f.name, getattr(cfg.dsp, f.name))
-                    for f in dataclasses.fields(DspConfig)])
-    section("model", [(k, getattr(cfg.model, k)) for k in MODEL_KEYS])
-    section("training", [(f.name, getattr(cfg.training, f.name))
-                         for f in dataclasses.fields(TrainingConfig)])
-    section("corpus", [("band_cuts", cfg.band_cuts)])
-    section("pairing", [(f.name, getattr(cfg.pairing, f.name))
-                        for f in dataclasses.fields(PairingConfig)])
-    section("paths", [(k, cfg.paths.get(k, "")) for k in PATH_KEYS])
     return out.getvalue()

@@ -67,8 +67,8 @@ def read_csv_table(path, columns, error, what):
     file ``path``, its cells stripped.
 
     A missing file (named as ``what``), an empty one, a header other than
-    ``columns`` or a row of another width raises ``error`` naming the file
-    and the line.
+    ``columns``, a row of another width or a cell holding a line break
+    raises ``error`` naming the file and the physical line.
     """
     path = Path(path)
     if not path.is_file():
@@ -79,7 +79,10 @@ def read_csv_table(path, columns, error, what):
         raise error(f"{path} line 1: empty file, header required")
     if [h.strip() for h in header] != list(columns):
         raise error(f"{path} line 1: header must be {','.join(columns)}")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # where the row ends
+        if any("\n" in c or "\r" in c for c in row):
+            raise error(f"{path} line {lineno}: a quoted cell holds a line break")
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(columns):
@@ -336,6 +339,9 @@ def load_feature_store(root) -> FeatureStore:
             if not isinstance(entry[name], kind):
                 raise FeatureIndexError(f"{path}: entry {key!r} has a "
                                         f"non-{kind.__name__} {name!r}")
+        if not (root / entry["feature_path"]).is_file():
+            raise FeatureIndexError(f"{path}: entry {key!r} names "
+                                    f"{entry['feature_path']}, which is not a file")
     return FeatureStore(root=root, entries=entries)
 
 
@@ -356,7 +362,11 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
 
     for utt in m.utterances:
         try:
-            w = dsp.read_wav(utt.audio_path)
+            w = dsp.read_wav(utt.audio_path)  # its errors name the file
+        except (OSError, ValueError) as exc:
+            store.errors.append((utt.key, str(exc)))
+            continue
+        try:
             w = dsp.reduce_noise(w, dsp_cfg)
             w = dsp.trim_silence(w, threshold_db=dsp_cfg.trim_threshold_db,
                                  frame_ms=dsp_cfg.trim_frame_ms)
@@ -367,8 +377,8 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
         except dsp.AllSilentError:
             store.skipped.append(utt.key)
             continue
-        except (OSError, ValueError) as exc:
-            store.errors.append((utt.key, str(exc)))
+        except ValueError as exc:
+            store.errors.append((utt.key, f"{utt.audio_path}: {exc}"))
             continue
         name = f"{utt.speaker_id}_{utt.word_id}_{utt.block}.mcep"
         dsp.write_mcep(feat_dir / name, mc.frames)

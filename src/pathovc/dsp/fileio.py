@@ -27,7 +27,12 @@ def read_wav(path) -> Waveform:
         if f.getsampwidth() != 2:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
         rate = f.getframerate()
+        # the resampling filter grows with the rate: gigabytes at 2**31 Hz
+        if not 0 < rate <= 384000:
+            raise ValueError(f"{path}: sample rate {rate} Hz outside 1-384000")
         raw = f.readframes(f.getnframes())
+    if len(raw) % 2:
+        raise ValueError(f"{path}: data chunk ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 
@@ -45,6 +50,8 @@ def write_mcep(path, frames: np.ndarray) -> None:
     frames = np.ascontiguousarray(frames, dtype="<f4")
     if frames.ndim != 2:
         raise ValueError("MCEP1 frames must be a T x C matrix")
+    if not np.all(np.isfinite(frames)):
+        raise FeatureFormatError(f"{path}: frames hold NaN or Inf values")
     t, c = frames.shape
     with atomic_open(path, "wb") as f:
         f.write(MCEP_MAGIC)
@@ -60,8 +67,8 @@ def read_mcep(path) -> np.ndarray:
     if blob[:len(MCEP_MAGIC)] != MCEP_MAGIC:
         raise FeatureFormatError(f"{path}: bad magic, not an MCEP1 file")
     t, c = struct.unpack_from("<II", blob, len(MCEP_MAGIC))
-    if t == 0:
-        raise FeatureFormatError(f"{path}: header declares zero frames")
+    if t == 0 or c == 0:
+        raise FeatureFormatError(f"{path}: header declares zero {'coefficients' if t else 'frames'}")
     body = blob[len(MCEP_MAGIC) + 8:]
     expected = 4 * t * c
     if len(body) != expected:

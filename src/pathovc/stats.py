@@ -240,12 +240,10 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        # tie groups shrink the variance of W+; each group has its own
+        # tie groups shrink the variance of W+, never below its value
+        # n(n+1)^2/16 > 0 when every |d| ties; each group has its own
         # midrank, so counting equal midranks gives the group sizes
         var -= sum(t ** 3 - t for t in Counter(doubled).values()) / 48.0
-        if var <= 0:
-            raise AllZeroDifferencesError(
-                "tie correction leaves zero variance; the test is undefined")
         # half-unit continuity shift toward the mean; without it the
         # normal tail underestimates the discrete p by several percent
         z = (dw / 2.0 + 0.5 - mu) / math.sqrt(var)

@@ -10,7 +10,7 @@ from ..atomic import atomic_open
 from .model import HVqVaeModel, VqVaeConfig, _param_layout
 
 MAGIC = b"HVQV1"
-VERSION = 1
+VERSION = 2  # 2: the config block lost stride, up_kernel_size and n_stages
 
 
 class CheckpointFormatError(ValueError):

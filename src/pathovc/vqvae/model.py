@@ -19,6 +19,9 @@ import numpy as np
 from .. import diffcore as dc
 
 MIN_FRAMES = 8  # three halvings need 2**3 input frames
+# each encoder stage halves the frame count; each decoder's transposed
+# conv, kernel 2*STRIDE and padding STRIDE//2, doubles it back exactly
+STRIDE = 2
 
 
 class UnknownSpeakerError(LookupError):
@@ -38,9 +41,6 @@ class VqVaeConfig:
     embed_dim: int = 32
     beta: float = 0.25
     kernel_size: int = 5
-    up_kernel_size: int = 4
-    stride: int = 2
-    n_stages: int = 3
     param_dtype: str = "float32"
 
     def __post_init__(self):
@@ -50,12 +50,6 @@ class VqVaeConfig:
             raise ValueError("channel widths must be positive")
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd")
-        if self.up_kernel_size != 2 * self.stride:
-            # transposed conv doubles the frame count exactly only when
-            # W = 2*stride with padding stride//2
-            raise ValueError("up_kernel_size must equal 2*stride")
-        if self.n_stages != 3:
-            raise ValueError("the stage wiring is fixed at 3")
 
     @property
     def dtype(self):
@@ -154,7 +148,7 @@ def _param_layout(cfg: VqVaeConfig, n_speakers: int):
     def conv_std(cin, w):
         return np.sqrt(2.0 / (cin * w))
 
-    k, uk, h, d, e, c = (cfg.kernel_size, cfg.up_kernel_size, cfg.hidden,
+    k, uk, h, d, e, c = (cfg.kernel_size, 2 * STRIDE, cfg.hidden,
                          cfg.latent_dim, cfg.embed_dim, cfg.in_channels)
     layout = []
     for n in (1, 2, 3):
@@ -240,7 +234,7 @@ class HVqVaeModel:
         zs = []
         h = x
         for n in (1, 2, 3):
-            h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv1.w"], self.cfg.stride, pad),
+            h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv1.w"], STRIDE, pad),
                                p[f"enc{n}.conv1.b"]))
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv2.w"], 1, pad),
                                p[f"enc{n}.conv2.b"]))
@@ -267,8 +261,7 @@ class HVqVaeModel:
             parts.append(self._embedding_frames(speakers, qs[n - 1]))
             inp = dc.concat(parts, axis=-2)
             h = dc.relu(dc.add(
-                dc.conv_transpose1d(inp, p[f"dec{n}.up.w"], self.cfg.stride,
-                                    self.cfg.stride // 2),
+                dc.conv_transpose1d(inp, p[f"dec{n}.up.w"], STRIDE, STRIDE // 2),
                 p[f"dec{n}.up.b"]))
             h = dc.crop(h, qs[n - 2].shape[-1] if n > 1 else n_frames, axis=-1)
             out = dc.add(dc.conv1d(h, p[f"dec{n}.out.w"], 1, pad), p[f"dec{n}.out.b"])
@@ -372,7 +365,9 @@ class HVqVaeModel:
             picks = rng.integers(0, pool.shape[0], size=k)
             rows = pool[picks] + 0.01 * rng.standard_normal(
                 (k, pool.shape[1])).astype(self.cfg.dtype)
+            # four ulps of the largest latent, where 0.01 would not move it
+            scale = max(0.01, 4 * float(np.spacing(np.abs(rows).max())))
             while len({r.tobytes() for r in rows}) < k:
-                rows += 0.01 * rng.standard_normal(rows.shape).astype(self.cfg.dtype)
+                rows += scale * rng.standard_normal(rows.shape).astype(self.cfg.dtype)
             self.params[f"codebook{n}"].data = rows.astype(self.cfg.dtype)
         self.codebooks_initialized = True

@@ -11,7 +11,12 @@ from .model import MIN_FRAMES, HVqVaeModel, UnknownSpeakerError, codebook_perple
 
 
 class NonFiniteLossError(ValueError):
-    """A loss term came out NaN or Inf: training diverged."""
+    """Training diverged: a loss term or a seeding latent came out NaN or
+    Inf.  ``batch`` lists the dataset indices of the batch's utterances."""
+
+    def __init__(self, message, batch):
+        super().__init__(message)
+        self.batch = sorted({int(i) for i in batch})
 
 
 @dataclass
@@ -107,7 +112,8 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
     are seeded from the first batch's encoder latents unless the model
     already carries initialized codebooks.  Raises NonFiniteLossError,
     naming the step and the loss term, as soon as a step's forward pass
-    gives a NaN or Inf loss.
+    gives a NaN or Inf loss, or before the first step when the seeding
+    latents overflow.
     """
     items = _validate_dataset(model, dataset)
     rng = np.random.default_rng(cfg.seed)
@@ -116,6 +122,9 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
     picks = rng.integers(0, len(items), size=cfg.batch_size)
     if not model.codebooks_initialized:
         zs = model.encode(_batch(items, picks, cfg.crop_frames, rng)[0])
+        if not all(np.all(np.isfinite(z)) for z in zs):
+            raise NonFiniteLossError("training diverged before step 1: the "
+                                     "seeding latents hold NaN or Inf", picks)
         model.init_codebooks([z.reshape(-1, z.shape[-1]) for z in zs], rng)
 
     opt = dc.Adam(model.parameters(), lr=cfg.learning_rate)
@@ -128,7 +137,7 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
                 # writes NaN into the parameters
                 raise NonFiniteLossError(
                     f"training diverged at step {step}: {name} loss is "
-                    f"{getattr(parts, name)}; try a lower learning_rate")
+                    f"{getattr(parts, name)}; try a lower learning_rate", picks)
         loss.backward()
         opt.step()
         report.append(parts.reconstruction, parts.codebook, parts.commitment,

@@ -205,7 +205,8 @@ def init_params_ref(cfg, n_speakers, seed):
     def conv_std(cin, w):
         return np.sqrt(2.0 / (cin * w))
 
-    k, uk, h, d, e, c = (cfg.kernel_size, cfg.up_kernel_size, cfg.hidden,
+    # the up-convs' kernel is twice the model's stride of 2
+    k, uk, h, d, e, c = (cfg.kernel_size, 4, cfg.hidden,
                          cfg.latent_dim, cfg.embed_dim, cfg.in_channels)
     for n in (1, 2, 3):
         cin = c if n == 1 else h

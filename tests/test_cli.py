@@ -277,12 +277,28 @@ class TestTrain:
         assert "internal error" not in err
 
     def test_feature_width_mismatch_refused(self, env, tmp_path, capsys):
-        ini = tmp_path / "narrow.ini"
-        ini.write_text(RUN_INI.replace("[model]\n", "[model]\nin_channels = 10\n"))
-        assert main(["--config", str(ini), "--out", str(tmp_path / "m"),
+        # the first training file sets the input width; the second differs
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        first, second = sorted((feats / "features").glob("M04_W0_B[13].mcep"))
+        dsp.write_mcep(first, dsp.read_mcep(first)[:, :20])
+        out = tmp_path / "m"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
                      "train", str(env["manifest"]),
-                     "--features", str(env["feats"])]) == 1
-        assert "in_channels" in capsys.readouterr().err
+                     "--features", str(feats)]) == 1
+        err = capsys.readouterr().err
+        assert f"{second} carries 40 coefficients but {first} carries 20" in err
+        assert not out.exists()
+
+    def test_input_width_read_from_features(self, env, tmp_path):
+        ini = tmp_path / "narrow.ini"
+        ini.write_text(RUN_INI + "[dsp]\ncepstral_order = 19\n")
+        feats, out = tmp_path / "feats", tmp_path / "m"
+        assert main(["--config", str(ini), "--out", str(feats),
+                     "preprocess", str(env["manifest"])]) == 0
+        assert main(["--config", str(ini), "--out", str(out), "train",
+                     str(env["manifest"]), "--features", str(feats)]) == 0
+        assert vqvae.load_checkpoint(out / "model.hvqv").cfg.in_channels == 20
 
     @staticmethod
     def _narrow_last_b1(env, tmp_path):
@@ -298,7 +314,7 @@ class TestTrain:
                      "train", str(env["manifest"]),
                      "--features", str(feats)]) == 1
         err = capsys.readouterr().err
-        assert bad.name in err and "in_channels" in err
+        assert bad.name in err and "M04_W0_B1.mcep carries 40" in err
 
     def test_narrow_feature_file_raises_user_error(self, env, tmp_path):
         feats, bad = self._narrow_last_b1(env, tmp_path)
@@ -313,9 +329,9 @@ class TestTrain:
         feats = tmp_path / "feats"
         shutil.copytree(env["feats"], feats)
         bad = sorted((feats / "features").glob("*_B1.mcep"))[0]
-        frames = dsp.read_mcep(bad)
-        frames[0, 0] = np.nan
-        dsp.write_mcep(bad, frames)
+        raw = bytearray(bad.read_bytes())
+        raw[13:17] = np.float32(np.nan).tobytes()  # the first coefficient
+        bad.write_bytes(bytes(raw))
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
                      "train", str(env["manifest"]),
                      "--features", str(feats)]) == 1
@@ -340,6 +356,22 @@ class TestTrain:
                      str(env["manifest"]), "--features", str(env["feats"])]) == 1
         assert "diverged at step" in capsys.readouterr().err
         assert not (out / "model.hvqv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_features_named(self, env, tmp_path, capsys):
+        # finite, but large enough that step 3's batch overflows float32
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        bad = feats / "features" / "M04_W2_B3.mcep"
+        frames = dsp.read_mcep(bad)
+        frames[:, 3] = 1e30
+        dsp.write_mcep(bad, frames)
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]),
+                     "--features", str(feats)]) == 1
+        err = capsys.readouterr().err
+        assert "diverged at step 3" in err and "the batch held" in err
+        assert str(bad) in err
 
     def test_corrupt_index_is_user_error(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
@@ -413,6 +445,47 @@ class TestConvert:
                      "--source", "M04", "--target", "M12", "--no-wav"]) == 1
         err = capsys.readouterr().err
         assert "nan.hvqv" in err and name in err
+        assert list(out.glob("*.mcep")) == []
+
+    def test_version_1_checkpoint_is_user_error(self, env, tmp_path, capsys):
+        raw = bytearray(env["ckpt"].read_bytes())
+        raw[5:7] = (1).to_bytes(2, "little")
+        ckpt = tmp_path / "old.hvqv"
+        ckpt.write_bytes(bytes(raw))
+        assert main(["--out", str(tmp_path / "c"), "convert", str(ckpt),
+                     "--features", str(env["feats"]), "--source", "M04",
+                     "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint version 1, this build reads 2" in err
+
+    def test_narrow_source_features_named(self, env, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        bad = feats / "features" / "M04_W1_B2.mcep"
+        dsp.write_mcep(bad, dsp.read_mcep(bad)[:, :20])
+        out = tmp_path / "c"
+        assert main(["--out", str(out), "convert", str(env["ckpt"]),
+                     "--features", str(feats), "--source", "M04",
+                     "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert (f"M04/W1/B2: {bad} carries 20 coefficients but {env['ckpt']} "
+                "expects 40") in err
+        assert len(list(out.glob("*.mcep"))) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_conversion_writes_no_features(self, env, tmp_path, capsys):
+        model = vqvae.load_checkpoint(env["ckpt"])
+        # finite weights whose output overflows float32
+        model.params["dec1.out.w"].data[:] = 3e38
+        model.params["dec1.out.b"].data[:] = 3e38
+        ckpt = tmp_path / "hot.hvqv"
+        vqvae.save_checkpoint(model, ckpt)
+        out = tmp_path / "c"
+        assert main(["--out", str(out), "convert", str(ckpt), "--features",
+                     str(env["feats"]), "--source", "M04", "--target", "M12",
+                     "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert "3 utterance(s) failed" in err and "NaN or Inf" in err
         assert list(out.glob("*.mcep")) == []
 
     def test_malformed_checkpoint_manifest_is_user_error(self, env, tmp_path, capsys):

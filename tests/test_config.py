@@ -10,7 +10,7 @@ class TestDefaults:
         assert cfg.model.codebook_size == 64
         assert cfg.training.steps == 200
         assert cfg.pairing.include_female is False
-        assert cfg.band_cuts == (25.0, 50.0, 75.0)
+        assert cfg.corpus["band_cuts"] == (25.0, 50.0, 75.0)
         assert cfg.explicit == frozenset()
 
     def test_missing_file_rejected(self, tmp_path):
@@ -37,7 +37,7 @@ class TestLoad:
         path = tmp_path / "run.ini"
         path.write_text("[corpus]\nband_cuts = 20, 40, 60\n")
         cfg = config.load_run_config(path)
-        assert cfg.band_cuts == (20.0, 40.0, 60.0)
+        assert cfg.corpus["band_cuts"] == (20.0, 40.0, 60.0)
 
     def test_paths_section(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -112,10 +112,27 @@ class TestLoad:
         with pytest.raises(config.ConfigError, match="param_dtype"):
             config.load_run_config(path)
 
+    # the input width comes from the feature files, the stride and
+    # up-conv kernel from the architecture
+    @pytest.mark.parametrize("key", ["in_channels", "stride", "up_kernel_size"])
+    def test_removed_model_key_rejected(self, tmp_path, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[model]\n{key} = 2\n")
+        with pytest.raises(config.ConfigError) as exc:
+            config.load_run_config(path)
+        assert f"{path}: unknown key {key!r} in [model]" in str(exc.value)
+
+    def test_model_keys(self):
+        text = config.dump_run_config(config.load_run_config(None))
+        model = text.split("[model]\n")[1].split("\n\n")[0]
+        assert [line.split(" = ")[0] for line in model.splitlines()] == [
+            "hidden", "latent_dim", "codebook_size", "embed_dim", "beta",
+            "kernel_size"]
+
 
 class TestDump:
     def test_dump_mentions_every_section(self):
-        text = config.dump_run_config(config.default_run_config())
+        text = config.dump_run_config(config.load_run_config(None))
         for section in ("[dsp]", "[model]", "[training]", "[corpus]",
                         "[pairing]", "[paths]"):
             assert section in text
@@ -124,7 +141,7 @@ class TestDump:
         assert "include_female = false" in text
 
     def test_dump_load_round_trip(self, tmp_path):
-        first = config.dump_run_config(config.default_run_config())
+        first = config.dump_run_config(config.load_run_config(None))
         path = tmp_path / "dumped.ini"
         path.write_text(first)
         again = config.dump_run_config(config.load_run_config(path))

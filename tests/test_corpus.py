@@ -120,6 +120,13 @@ class TestParseManifest:
         with pytest.raises(corpus.ManifestError, match="header"):
             corpus.parse_manifest(path)
 
+    def test_line_break_in_cell_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(HEADER + '\n"M0\r\n4",M,2,very_low,,,\nM05,M,999,mid,,,\n')
+        with pytest.raises(corpus.ManifestError) as exc:
+            corpus.parse_manifest(path)
+        assert str(exc.value) == f"{path} line 3: a quoted cell holds a line break"
+
     def test_band_inconsistent_with_score(self, tmp_path):
         path = write_manifest(tmp_path / "m.csv", [("M04", "M", "2", "high")], [])
         with pytest.raises(corpus.ManifestError, match="band"):

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import wave
 
 import numpy as np
@@ -683,11 +684,28 @@ class TestMcepIO:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_payload_rejected(self, tmp_path, bad):
-        frames = np.ones((4, 3), dtype=np.float32)
+        frames = np.ones((4, 3), dtype="<f4")
         frames[2, 1] = bad
         path = tmp_path / "nf.mcep"
-        dsp.write_mcep(path, frames)
+        path.write_bytes(b"MCEP1" + struct.pack("<II", 4, 3) + frames.tobytes())
         with pytest.raises(dsp.FeatureFormatError, match="nf.mcep.*NaN or Inf"):
+            dsp.read_mcep(path)
+
+    # 1e39 overflows the float32 payload to Inf
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39])
+    def test_non_finite_frames_not_written(self, tmp_path, bad):
+        frames = np.ones((4, 3))
+        frames[2, 1] = bad
+        path = tmp_path / "nf.mcep"
+        with pytest.raises(dsp.FeatureFormatError, match="nf.mcep.*NaN or Inf"), \
+                np.errstate(over="ignore"):
+            dsp.write_mcep(path, frames)
+        assert not path.exists()
+
+    def test_zero_coefficients_rejected(self, tmp_path):
+        path = tmp_path / "z.mcep"
+        dsp.write_mcep(path, np.zeros((4, 0)))
+        with pytest.raises(dsp.FeatureFormatError, match="z.mcep.*zero coefficients"):
             dsp.read_mcep(path)
 
     def test_short_header(self, tmp_path):

@@ -71,6 +71,14 @@ class TestRatingSet:
         with pytest.raises(stats.RatingsFormatError, match="header"):
             stats.RatingSet.from_csv(path)
 
+    def test_line_break_in_cell_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text('listener_id,kind,group_key,value\n"L\n1",mos,gt_high,4\n'
+                        "L2,mos,gt_high,9\n")
+        with pytest.raises(stats.RatingsFormatError) as exc:
+            stats.RatingSet.from_csv(path)
+        assert str(exc.value) == f"{path} line 3: a quoted cell holds a line break"
+
     def test_mos_pairs_by_listener(self, tmp_path):
         path = ratings_csv(tmp_path, [
             ("L02", "mos", "gt_high", "4"),

@@ -551,6 +551,29 @@ class TestNonFiniteInput:
         with time_limit(10), pytest.raises(ValueError, match="stage 2"):
             m.init_codebooks(pools, np.random.default_rng(0))
 
+    def test_init_codebooks_separates_huge_latents(self):
+        # a 0.01 jitter does not change 1e30, so repeated picks of one
+        # row would stay equal
+        m = tiny_model()
+        m.codebooks_initialized = False
+        pools = [np.full((1, 2), 1e30)] * 3
+        with time_limit(10):
+            m.init_codebooks(pools, np.random.default_rng(0))
+        for n in (1, 2, 3):
+            rows = m.params[f"codebook{n}"].data
+            assert len({r.tobytes() for r in rows}) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_latents_stop_before_step_1(self):
+        m = tiny_model(dtype="float32")
+        m.codebooks_initialized = False
+        data = [("A", np.full((16, 3), 3e38, dtype=np.float32)),
+                ("B", np.full((16, 3), -3e38, dtype=np.float32))]
+        with time_limit(10), pytest.raises(
+                vqvae.NonFiniteLossError, match="before step 1") as exc:
+            vqvae.train(m, data, vqvae.TrainingConfig(steps=1, batch_size=4))
+        assert exc.value.batch == [0, 1]
+
     def test_train_rejects_zero_frame_utterance(self):
         m = tiny_model(dtype="float32")
         m.codebooks_initialized = False
@@ -578,8 +601,9 @@ class TestNonFiniteInput:
         rng = np.random.default_rng(3)
         data = [(s, rng.normal(size=(16, 3)).astype(np.float32)) for s in ("A", "B")]
         with time_limit(10), pytest.raises(
-                vqvae.NonFiniteLossError, match="step 2: reconstruction loss is nan"):
+                vqvae.NonFiniteLossError, match="step 2: reconstruction loss is nan") as exc:
             vqvae.train(m, data, vqvae.TrainingConfig(steps=5, learning_rate=1e30))
+        assert set(exc.value.batch) <= {0, 1}
 
 
 class TestCheckpoint:
