@@ -1,6 +1,7 @@
 """Mel-spectrogram and mel-cepstrum extraction, inversion, and synthesis."""
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,19 @@ def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:
     return MelSpectrogram(mel, cfg.hop_size / w.sample_rate, w.sample_rate)
 
 
+def cepstral_bound(n_mels: int) -> float:
+    """Largest |coefficient| that ``mel_cepstrum`` of ``n_mels`` bands yields.
+
+    The orthonormal DCT-II has basis entries of at most sqrt(2 / n_mels),
+    so a coefficient is at most sqrt(2 * n_mels) times the largest |log
+    mel energy|. Below, energies are floored at LOG_FLOOR. Above, PCM
+    samples lie in [-1, 1], so an energy stays under window_size times
+    the bin count, whose log is below |ln LOG_FLOOR| for any fft_size up
+    to 2**16. About 291 at 80 bands.
+    """
+    return math.sqrt(2 * n_mels) * abs(math.log(LOG_FLOOR))
+
+
 def mel_cepstrum(ms: MelSpectrogram, order: int) -> MelCepstrogram:
     """Orthonormal DCT-II of floored log mel energies, kept to order+1."""
     if order + 1 > ms.n_mels:
@@ -104,10 +118,43 @@ def invert_mel_cepstrum(mc: MelCepstrogram, n_mels: int) -> MelSpectrogram:
 
 
 def mel_to_linear(ms: MelSpectrogram, cfg: DspConfig) -> np.ndarray:
-    """Approximate linear magnitudes via the weight-normalized transpose."""
-    fb = mel_filterbank(cfg)
-    weights = fb / np.maximum(fb.sum(axis=0, keepdims=True), 1e-12)
-    return np.clip(ms.frames @ weights, 0.0, None)
+    """Approximate linear magnitudes via the weight-normalized transpose.
+
+    That is ``frames @ (fb / fb.sum(axis=0))``, non-negative as both
+    factors are. Each FFT bin lies under at most two adjacent filters, so
+    every column of the product is two gathered mel bands times their
+    weights (``_mel_to_linear_taps``): within 1 ulp of the dense product,
+    and no BLAS call, so that concurrent syntheses do not contend for the
+    BLAS threads. Two temporaries, scaled in place, keep it faster than
+    the GEMM even on one thread.
+    """
+    lo, hi, w_lo, w_hi = _mel_to_linear_taps(
+        cfg.sample_rate, cfg.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
+    out = ms.frames[:, lo]
+    out *= w_lo
+    high = ms.frames[:, hi]
+    high *= w_hi
+    out += high
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _mel_to_linear_taps(sample_rate, fft_size, n_mels, fmin, fmax):
+    """Per FFT bin, its two filters (lo, hi = lo + 1) and their weights.
+
+    A bin under one filter gets a zero ``hi`` weight, a bin under none two
+    zero weights. The arrays are cached per analysis setting and read-only.
+    """
+    fb = _mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax)
+    weights = fb / np.maximum(fb.sum(axis=0), 1e-12)
+    lo = np.argmax(fb > 0.0, axis=0)  # the lower filter; 0 under none
+    hi = np.minimum(lo + 1, n_mels - 1)
+    bins = np.arange(fb.shape[1])
+    w_lo = weights[lo, bins]
+    w_hi = np.where(hi > lo, weights[hi, bins], 0.0)
+    for a in (lo, hi, w_lo, w_hi):
+        a.flags.writeable = False
+    return lo, hi, w_lo, w_hi
 
 
 def spectral_convergence(mag: np.ndarray, target: np.ndarray) -> float:

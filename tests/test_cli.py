@@ -1,6 +1,7 @@
 import json
 import logging
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -354,24 +355,40 @@ class TestTrain:
         out = tmp_path / "m"
         assert main(["--config", str(ini), "--out", str(out), "train",
                      str(env["manifest"]), "--features", str(env["feats"])]) == 1
-        assert "diverged at step" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged at step" in err and "the batch held" in err
         assert not (out / "model.hvqv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_features_named(self, env, tmp_path, capsys):
-        # finite, but large enough that step 3's batch overflows float32
+        # finite, but far beyond what preprocess produces: refused before
+        # training, where it would overflow step 3's batch
         feats = tmp_path / "feats"
         shutil.copytree(env["feats"], feats)
         bad = feats / "features" / "M04_W2_B3.mcep"
         frames = dsp.read_mcep(bad)
         frames[:, 3] = 1e30
         dsp.write_mcep(bad, frames)
-        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+        out = tmp_path / "m"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
                      "train", str(env["manifest"]),
                      "--features", str(feats)]) == 1
         err = capsys.readouterr().err
-        assert "diverged at step 3" in err and "the batch held" in err
-        assert str(bad) in err
+        assert (f"{bad}: a coefficient of magnitude 1e+30 exceeds the 291.3 "
+                "that preprocess can produce with 80 mel bands") in err
+        assert "diverged" not in err and not out.exists()
+
+    def test_magnitude_bound_admits_preprocess_range(self, env, tmp_path):
+        cfg = load_run_config(env["ini"])
+        bound = dsp.cepstral_bound(cfg.dsp.n_mels)
+        path = tmp_path / "x.mcep"
+        frames = np.zeros((8, 40), dtype=np.float32)
+        frames[0, 0] = np.nextafter(np.float32(bound), np.float32(0))
+        dsp.write_mcep(path, frames)
+        assert cli._read_features(path, cfg)[0, 0] == frames[0, 0]
+        frames[0, 0] = -1.01 * bound
+        dsp.write_mcep(path, frames)
+        with pytest.raises(dsp.FeatureFormatError, match="re-run preprocess"):
+            cli._read_features(path, cfg)
 
     def test_corrupt_index_is_user_error(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
@@ -512,6 +529,102 @@ class TestConvert:
                          "--target", "M12"]) == 0
             blobs.append([p.read_bytes() for p in sorted(out.glob("*.wav"))])
         assert len(blobs[0]) == 3 and blobs[0] == blobs[1]
+
+    def _convert_all(self, env, feats, out):
+        return main(["--config", str(env["ini"]), "--out", str(out),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--all-blocks",
+                     "--gl-iterations", "3"])
+
+    def test_outputs_independent_of_worker_count(self, env, tmp_path, monkeypatch):
+        pools = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        blobs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}, None):
+            if cpus is None:  # no affinity call: the CPU count decides
+                monkeypatch.delattr(cli.os, "sched_getaffinity")
+                monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+            else:
+                monkeypatch.setattr(cli.os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"run{len(blobs)}"
+            assert self._convert_all(env, env["feats"], out) == 0
+            blobs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert pools == [1, 2, 3, 4]
+        assert len(blobs[0]) == 18
+        assert all(b == blobs[0] for b in blobs[1:])
+
+    def test_failure_lines_keep_selection_order(self, env, tmp_path, capsys,
+                                                monkeypatch):
+        # W0/B3 fails in the waveform pool, the later W1/B1 on the calling
+        # thread before it; the report follows the selection, not the phase
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        narrow = feats / "features" / "M04_W1_B1.mcep"
+        dsp.write_mcep(narrow, dsp.read_mcep(narrow)[:, :20])
+        write_wav = dsp.write_wav
+
+        def failing_write(path, w):
+            if path.name == "M04_W0_B3_to_M12.wav":
+                raise OSError(f"{path}: disk full")
+            write_wav(path, w)
+
+        monkeypatch.setattr(dsp, "write_wav", failing_write)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "c"
+        assert self._convert_all(env, feats, out) == 1
+        captured = capsys.readouterr()
+        assert "converted 7 utterance(s) of M04" in captured.out
+        lines = captured.err.splitlines()
+        assert lines[0] == "2 utterance(s) failed:"
+        assert lines[1].startswith("  M04/W0/B3: ") and "disk full" in lines[1]
+        assert lines[2].startswith("  M04/W1/B1: ") and "20 coefficients" in lines[2]
+        assert len(lines) == 3
+        assert len(list(out.glob("*.wav"))) == 7
+        assert (out / "M04_W0_B3_to_M12.mcep").exists()
+        assert not (out / "M04_W1_B1_to_M12.mcep").exists()
+
+    def test_internal_error_in_synthesis_cancels_queued_words(
+            self, env, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def synthesize(frames, cfg, iterations, path):
+            calls.append(path.name)
+            if len(calls) == 1:
+                raise RuntimeError("synthesis bug")
+            time.sleep(0.2)  # leaves the queue to the calling thread
+
+        monkeypatch.setattr(cli, "_synthesize", synthesize)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        assert self._convert_all(env, env["feats"], tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert "internal error" in err and "synthesis bug" in err
+        assert calls[0] == "M04_W0_B1_to_M12.wav"
+        assert len(calls) <= 2  # of 9 words queued
+
+    def test_oversized_source_features_named(self, env, tmp_path, capsys):
+        # the quantizer would snap this to finite output with exit 0
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        bad = feats / "features" / "M04_W1_B2.mcep"
+        frames = dsp.read_mcep(bad)
+        frames[2, 5] = 3e38
+        dsp.write_mcep(bad, frames)
+        out = tmp_path / "c"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert (f"M04/W1/B2: {bad}: a coefficient of magnitude 3e+38 exceeds "
+                "the 291.3") in err
+        assert sorted(p.name for p in out.glob("*.mcep")) == [
+            "M04_W0_B2_to_M12.mcep", "M04_W2_B2_to_M12.mcep"]
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_bad_gl_iterations_is_user_error(self, env, tmp_path, capsys, n):

@@ -320,6 +320,62 @@ class TestMelFilterbank:
         assert fb.tobytes() == rebuilt.tobytes()
 
 
+# n_mels 2, 40 and 80; fmin 0; fmax at Nyquist; fft_size 512 and 2048
+MEL_TO_LINEAR_CONFIGS = [
+    dict(),
+    dict(n_mels=2, cepstral_order=1),
+    dict(n_mels=40, cepstral_order=20),
+    dict(fmin=0.0),
+    dict(fmax=12000.0),
+    dict(fft_size=512, window_size=512, hop_size=128),
+    dict(fft_size=2048),
+]
+
+
+class TestMelToLinear:
+    @staticmethod
+    def _dense_weights(cfg):
+        fb = dsp.mel_filterbank(cfg)
+        return fb / np.maximum(fb.sum(axis=0, keepdims=True), 1e-12)
+
+    @staticmethod
+    def _taps(cfg):
+        return features._mel_to_linear_taps(
+            cfg.sample_rate, cfg.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
+
+    @pytest.mark.parametrize("kwargs", MEL_TO_LINEAR_CONFIGS)
+    def test_within_one_ulp_of_dense_product(self, kwargs):
+        cfg = dsp.DspConfig(**kwargs)
+        rng = np.random.default_rng(12)
+        frames = np.exp(3.0 * rng.standard_normal((37, cfg.n_mels)))
+        frames[5] = 0.0
+        frames[:, 0] = 0.0
+        dense = np.clip(frames @ self._dense_weights(cfg), 0.0, None)
+        got = dsp.mel_to_linear(dsp.MelSpectrogram(frames, 0.01, cfg.sample_rate), cfg)
+        assert got.shape == dense.shape
+        assert np.all(np.abs(got - dense) <= np.spacing(dense))
+
+    @pytest.mark.parametrize("kwargs", MEL_TO_LINEAR_CONFIGS)
+    def test_no_bin_under_more_than_two_filters(self, kwargs):
+        cfg = dsp.DspConfig(**kwargs)
+        assert (dsp.mel_filterbank(cfg) > 0).sum(axis=0).max() <= 2
+        # the two taps per bin rebuild the dense weights exactly
+        lo, hi, w_lo, w_hi = self._taps(cfg)
+        bins = np.arange(lo.size)
+        rebuilt = np.zeros((cfg.n_mels, lo.size))
+        rebuilt[lo, bins] = w_lo
+        rebuilt[hi, bins] += w_hi
+        assert rebuilt.tobytes() == self._dense_weights(cfg).tobytes()
+
+    def test_cached_taps_are_shared_and_read_only(self):
+        cfg = dsp.DspConfig()
+        taps = self._taps(cfg)
+        assert all(a is b for a, b in zip(self._taps(dsp.DspConfig()), taps))
+        for a in taps:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+
 class TestMelSpectrogram:
     def test_frame_count_formula(self):
         cfg = dsp.DspConfig()
@@ -379,6 +435,20 @@ class TestMelCepstrum:
         residual = np.sum((logmel - smooth) ** 2, axis=1)
         dropped = np.sum(full.frames[:, 40:] ** 2, axis=1)
         np.testing.assert_allclose(residual, dropped, rtol=1e-9)
+
+    def test_preprocess_range_within_cepstral_bound(self):
+        # digital silence sits at the floor in every band; a full-scale
+        # square wave has the most energy a PCM16 clip can carry
+        cfg = dsp.DspConfig()
+        bound = dsp.cepstral_bound(cfg.n_mels)
+        assert bound == pytest.approx(math.sqrt(160) * math.log(1e10))
+        n = 8192
+        loud = np.sign(np.sin(2 * np.pi * 3000 * np.arange(n) / 24000))
+        for x in (np.zeros(n), loud,
+                  np.random.default_rng(13).uniform(-1.0, 1.0, n)):
+            ms = dsp.mel_spectrogram(dsp.Waveform(x, 24000), cfg)
+            mc = dsp.mel_cepstrum(ms, cfg.cepstral_order)
+            assert np.abs(mc.frames).max() <= bound
 
     def test_order_too_high_rejected(self):
         with pytest.raises(ValueError, match="order"):
