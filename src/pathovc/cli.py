@@ -294,7 +294,10 @@ def cmd_convert(args, cfg) -> int:
             if frames.shape[1] != model.cfg.in_channels:
                 raise ValueError(f"{path} carries {frames.shape[1]} coefficients "
                                  f"but {ckpt} expects {model.cfg.in_channels}")
-            converted = model.convert(frames, args.target)
+            try:
+                converted = model.convert(frames, args.target)
+            except ValueError as exc:
+                raise ValueError(f"{ckpt} cannot convert {path}: {exc}") from None
             dsp.write_mcep(out / f"{stem}.mcep", converted)
             jobs.append((i, converted, out / f"{stem}.wav"))
         except (ValueError, OSError) as exc:

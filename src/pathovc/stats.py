@@ -60,10 +60,17 @@ class RatingSet:
 
     @classmethod
     def from_csv(cls, path) -> "RatingSet":
+        """Each listener rates each condition and AB group at most once."""
         rs = cls(Path(path))
+        first_line = {}  # (listener, kind, group_key) -> line number
         for lineno, (listener, kind, group, value) in read_csv_table(
                 rs.path, RATINGS_COLUMNS, RatingsFormatError, "ratings file"):
             where = f"{rs.path} line {lineno}"
+            seen = first_line.setdefault((listener, kind, group), lineno)
+            if seen != lineno:
+                raise RatingsFormatError(
+                    f"{where}: listener {listener!r} rated {kind} {group!r} "
+                    f"more than once (first on line {seen})")
             if kind == "mos":
                 rs.mos.append((listener, group, _mos_score(group, value, where)))
             elif kind == "ab":
@@ -83,22 +90,14 @@ class RatingSet:
     def mos_pairs(self, condition_a: str, condition_b: str):
         """Scores for two conditions paired by listener id.
 
-        Listeners must appear exactly once under each condition; ids
-        present under only one of the two are an error, since paired
-        tests require consistent listeners, and so are two conditions
-        that no listener rated.
+        Listener ids present under only one of the two conditions are an
+        error, since paired tests require consistent listeners, and so are
+        two conditions that no listener rated.
         """
-        by_cond: dict = {condition_a: {}, condition_b: {}}
-        for listener, condition, score in self.mos:
-            bucket = by_cond.get(condition)
-            if bucket is None:
-                continue
-            if listener in bucket:
-                raise RatingsFormatError(
-                    f"{self.path}: listener {listener!r} rated condition "
-                    f"{condition!r} more than once")
-            bucket[listener] = score
-        ids_a, ids_b = set(by_cond[condition_a]), set(by_cond[condition_b])
+        scores = {(listener, condition): score
+                  for listener, condition, score in self.mos}
+        ids_a = {l for l, c in scores if c == condition_a}
+        ids_b = {l for l, c in scores if c == condition_b}
         if ids_a != ids_b:
             odd = sorted(ids_a ^ ids_b)
             raise RatingsFormatError(
@@ -109,8 +108,8 @@ class RatingSet:
                 f"{self.path}: no mos ratings for condition {condition_a!r} "
                 f"or {condition_b!r}")
         listeners = sorted(ids_a)
-        return ([by_cond[condition_a][l] for l in listeners],
-                [by_cond[condition_b][l] for l in listeners])
+        return ([scores[l, condition_a] for l in listeners],
+                [scores[l, condition_b] for l in listeners])
 
     def ab_groups(self) -> dict:
         """Judgments per (pair, direction, comparison), in input order."""

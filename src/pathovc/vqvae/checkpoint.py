@@ -1,7 +1,13 @@
-"""Versioned binary checkpoint: magic HVQV1, u16 version, JSON config, blobs."""
+"""Versioned binary checkpoint: magic HVQV1, u16 version, JSON config, blobs.
+
+The config and speaker count fix the parameter layout (`_param_layout`);
+the blobs follow the header as little-endian float32, in sorted-name order.
+"""
 
 import dataclasses
 import json
+import math
+import operator
 import struct
 
 import numpy as np
@@ -10,7 +16,9 @@ from ..atomic import atomic_open
 from .model import HVqVaeModel, VqVaeConfig, _param_layout
 
 MAGIC = b"HVQV1"
-VERSION = 2  # 2: the config block lost stride, up_kernel_size and n_stages
+# 2: the config block lost stride, up_kernel_size and n_stages
+# 3: the header lost its params list; the config fixes the layout
+VERSION = 3
 
 
 class CheckpointFormatError(ValueError):
@@ -26,12 +34,10 @@ def save_checkpoint(model: HVqVaeModel, path) -> None:
         raise ValueError(
             "checkpoints store 32-bit floats; model parameters are "
             f"{model.cfg.dtype}")
-    names = sorted(model.params)
     header = {
         "config": dataclasses.asdict(model.cfg),
         "speakers": model.speakers,
         "codebooks_initialized": model.codebooks_initialized,
-        "params": [[n, list(model.params[n].data.shape)] for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as f:
@@ -39,7 +45,7 @@ def save_checkpoint(model: HVqVaeModel, path) -> None:
         f.write(struct.pack("<H", VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for n in names:
+        for n in sorted(model.params):
             f.write(np.ascontiguousarray(model.params[n].data, dtype="<f4").tobytes())
 
 
@@ -62,43 +68,23 @@ def load_checkpoint(path) -> HVqVaeModel:
         header = json.loads(raw[base:base + header_len].decode("utf-8"))
         cfg = VqVaeConfig(**header["config"])
         speakers = header["speakers"]
-        manifest = header["params"]
-        layout = {name: shape for name, shape, _ in _param_layout(cfg, len(speakers))}
+        # widths parsed from JSON may be floats, which no shape takes
+        layout = sorted((name, tuple(map(operator.index, shape)))
+                        for name, shape, _ in _param_layout(cfg, len(speakers)))
         if cfg.dtype != np.float32:
             raise ValueError(f"param_dtype {cfg.param_dtype}, blobs are float32")
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointFormatError(f"{path}: unreadable config block: {e}") from None
 
-    if not isinstance(manifest, list) or not all(
-            isinstance(entry, list) and len(entry) == 2
-            and isinstance(entry[0], str) and isinstance(entry[1], list)
-            for entry in manifest):
-        raise CheckpointFormatError(
-            f"{path}: malformed parameter manifest; entries must be "
-            "[name, shape] pairs")
-    names = sorted(name for name, _ in manifest)
-    if names != sorted(layout):
-        missing = sorted(set(layout) - set(names))
-        extra = sorted(set(names) - set(layout))
-        raise CheckpointFormatError(
-            f"{path}: parameter manifest does not match model (missing: "
-            f"{', '.join(missing) or 'none'}; unexpected: "
-            f"{', '.join(extra) or 'none'})")
-
     view = memoryview(raw)
     arrays = {}
     offset = base + header_len
-    for name, shape in manifest:
-        want = layout[name]
-        if tuple(shape) != want:
-            raise CheckpointFormatError(
-                f"{path}: parameter {name} has shape {tuple(shape)}, model "
-                f"expects {want}")
-        nbytes = 4 * int(np.prod(want))
+    for name, shape in layout:
+        nbytes = 4 * math.prod(shape)
         chunk = view[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointFormatError(f"{path}: truncated blob for {name}")
-        data = np.frombuffer(chunk, dtype="<f4").reshape(want)
+        data = np.frombuffer(chunk, dtype="<f4").reshape(shape)
         if not np.all(np.isfinite(data)):
             raise CheckpointFormatError(
                 f"{path}: parameter {name} holds NaN or Inf values")

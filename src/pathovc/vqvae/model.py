@@ -119,14 +119,17 @@ def quantize(z: np.ndarray, codebook: np.ndarray):
             f"latents of width {z.shape[-1]} do not match codewords of width "
             f"{codebook.shape[1]}")
     rows = z.reshape(-1, z.shape[-1])
-    near = _candidates(rows, codebook)
-    count = near.sum(axis=1)
-    indices = near.argmax(axis=1)
-    rerank = np.flatnonzero(count != 1)
-    if rerank.size:
-        direct = ((rows[rerank, None, :] - codebook) ** 2).sum(axis=-1)
-        keep = near[rerank] | (count[rerank] == 0)[:, None]
-        indices[rerank] = np.where(keep, direct, np.inf).argmin(axis=1)
+    # overflowing rows get no candidate and are re-ranked below, so their
+    # overflow is not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = _candidates(rows, codebook)
+        count = near.sum(axis=1)
+        indices = near.argmax(axis=1)
+        rerank = np.flatnonzero(count != 1)
+        if rerank.size:
+            direct = ((rows[rerank, None, :] - codebook) ** 2).sum(axis=-1)
+            keep = near[rerank] | (count[rerank] == 0)[:, None]
+            indices[rerank] = np.where(keep, direct, np.inf).argmin(axis=1)
     indices = indices.reshape(z.shape[:-1])
     return codebook[indices], indices
 
@@ -195,8 +198,8 @@ class HVqVaeModel:
     @classmethod
     def _from_arrays(cls, cfg: VqVaeConfig, speakers, arrays):
         """A model holding `arrays`, {name: array}, as its parameters, with no
-        random draw.  The caller has checked their names and shapes against
-        the parameter layout; the arrays are held, not copied."""
+        random draw.  The caller gives one array of the layout's shape per
+        name of `_param_layout`; the arrays are held, not copied."""
         model = cls.__new__(cls)
         model._bind(cfg, speakers)
         model.params = {name: dc.Tensor(arrays[name], requires_grad=True)
@@ -339,8 +342,12 @@ class HVqVaeModel:
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
-        # keep the latents' data only, so the encoder graph is freed before decoding
-        zs = [np.swapaxes(z.data, -1, -2) for z in self._encode_graph(x)]
+        # keep the latents' data only, so the encoder graph is freed before
+        # decoding; an encoder that overflows is refused here, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs = [np.swapaxes(z.data, -1, -2) for z in self._encode_graph(x)]
+        if not all(np.isfinite(z).all() for z in zs):
+            raise ValueError("the encoder's latents hold NaN or Inf")
         qs = [dc.Tensor(np.swapaxes(quantize(z, self.params[f"codebook{n}"].data)[0], -1, -2))
               for n, z in enumerate(zs, start=1)]
         out = self._decode_graph(qs, speaker, x.shape[-1])

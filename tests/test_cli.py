@@ -2,6 +2,7 @@ import json
 import logging
 import shutil
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -465,15 +466,17 @@ class TestConvert:
         assert list(out.glob("*.mcep")) == []
 
     def test_version_1_checkpoint_is_user_error(self, env, tmp_path, capsys):
-        raw = bytearray(env["ckpt"].read_bytes())
-        raw[5:7] = (1).to_bytes(2, "little")
-        ckpt = tmp_path / "old.hvqv"
-        ckpt.write_bytes(bytes(raw))
-        assert main(["--out", str(tmp_path / "c"), "convert", str(ckpt),
-                     "--features", str(env["feats"]), "--source", "M04",
-                     "--target", "M12", "--no-wav"]) == 1
-        err = capsys.readouterr().err
-        assert f"{ckpt}: checkpoint version 1, this build reads 2" in err
+        # versions 1 and 2 are refused alike, with no second reader
+        for version in (1, 2):
+            raw = bytearray(env["ckpt"].read_bytes())
+            raw[5:7] = version.to_bytes(2, "little")
+            ckpt = tmp_path / f"old{version}.hvqv"
+            ckpt.write_bytes(bytes(raw))
+            assert main(["--out", str(tmp_path / "c"), "convert", str(ckpt),
+                         "--features", str(env["feats"]), "--source", "M04",
+                         "--target", "M12", "--no-wav"]) == 1
+            err = capsys.readouterr().err
+            assert f"{ckpt}: checkpoint version {version}, this build reads 3" in err
 
     def test_narrow_source_features_named(self, env, tmp_path, capsys):
         feats = tmp_path / "feats"
@@ -505,11 +508,11 @@ class TestConvert:
         assert "3 utterance(s) failed" in err and "NaN or Inf" in err
         assert list(out.glob("*.mcep")) == []
 
-    def test_malformed_checkpoint_manifest_is_user_error(self, env, tmp_path, capsys):
+    def test_checkpoint_layout_mismatch_is_user_error(self, env, tmp_path, capsys):
         raw = env["ckpt"].read_bytes()
         n = int.from_bytes(raw[7:11], "little")
         header = json.loads(raw[11:11 + n])
-        header["params"][0][1] = 3  # a shape that is not a list
+        header["config"]["hidden"] += 1  # a layout the blobs do not fill
         blob = json.dumps(header).encode()
         ckpt = tmp_path / "bad.hvqv"
         ckpt.write_bytes(raw[:7] + len(blob).to_bytes(4, "little") + blob + raw[11 + n:])
@@ -517,7 +520,27 @@ class TestConvert:
                      "convert", str(ckpt), "--features", str(env["feats"]),
                      "--source", "M04", "--target", "M12", "--no-wav"]) == 1
         err = capsys.readouterr().err
-        assert "bad.hvqv" in err and "malformed parameter manifest" in err
+        assert f"{ckpt}: truncated blob for " in err
+
+    def test_overflowing_encoder_is_user_error(self, env, tmp_path, capsys):
+        model = vqvae.load_checkpoint(env["ckpt"])
+        # one finite weight whose products overflow float32
+        model.params["enc1.conv1.w"].data.flat[0] = -3e38
+        ckpt = tmp_path / "hot.hvqv"
+        vqvae.save_checkpoint(model, ckpt)
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(env["ini"]), "--out", str(out),
+                         "convert", str(ckpt), "--features", str(env["feats"]),
+                         "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "3 utterance(s) failed:"
+        assert all(f"{ckpt} cannot convert " in line
+                   and line.endswith("the encoder's latents hold NaN or Inf")
+                   for line in lines[1:])
+        assert len(lines) == 4
+        assert list(out.glob("*.mcep")) == []
 
     def test_wavs_byte_identical_run_to_run(self, env, tmp_path):
         blobs = []

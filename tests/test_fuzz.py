@@ -111,6 +111,20 @@ def test_mutated_ratings_end_in_exit_0_or_1(tmp_path, capsys, seed):
     assert codes[0] and codes[1]
 
 
+@pytest.mark.parametrize("kind", ["mos", "ab"])
+def test_repeated_rating_ends_in_exit_1_in_every_mode(tmp_path, capsys, kind):
+    lines = ratings_file(np.random.default_rng(1)).decode().splitlines()
+    row = next(i for i, line in enumerate(lines) if f",{kind}," in line)
+    path = tmp_path / "ratings.csv"
+    path.write_text("\n".join(lines + [lines[row]]) + "\n")
+    for mode in ("mos", "wilcoxon", "ab"):
+        assert main(["stats", "--mode", mode, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} line {len(lines) + 1}: ")
+        assert captured.err.rstrip().endswith(f"(first on line {row + 1})")
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_mutated_manifests_end_in_exit_0_or_1(tmp_path, capsys, seed):
     data = manifest_file(np.random.default_rng(seed))

@@ -105,9 +105,21 @@ class TestRatingSet:
             ("L01", "mos", "gt_high", "5"),
             ("L01", "mos", "vc_high", "3"),
         ])
-        rs = stats.RatingSet.from_csv(path)
-        with pytest.raises(stats.RatingsFormatError, match="more than once"):
-            rs.mos_pairs("gt_high", "vc_high")
+        with pytest.raises(stats.RatingsFormatError) as exc:
+            stats.RatingSet.from_csv(path)
+        assert str(exc.value) == (f"{path} line 3: listener 'L01' rated mos "
+                                  "'gt_high' more than once (first on line 2)")
+
+    def test_duplicate_ab_judgment_rejected(self, tmp_path):
+        path = ratings_csv(tmp_path, [
+            ("L01", "ab", "M04-M12:a_to_b:VC_vs_T", "same_sure"),
+            ("L02", "ab", "M04-M12:a_to_b:VC_vs_T", "same_sure"),
+            ("L01", "ab", "M04-M12:b_to_a:VC_vs_T", "same_sure"),
+            ("L01", "ab", "M04-M12:a_to_b:VC_vs_T", "different_sure"),
+        ])
+        with pytest.raises(stats.RatingsFormatError,
+                           match=r"line 5: listener 'L01' rated ab .*first on line 2"):
+            stats.RatingSet.from_csv(path)
 
 
 class TestMosSummary:

@@ -687,29 +687,49 @@ class TestCheckpoint:
         path.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + n:])
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda ps: ps.pop(3), r"missing: dec1\.out\.b; unexpected: none"),
-        (lambda ps: ps.append(["enc9.proj.w", [2, 2]]),
-         r"missing: none; unexpected: enc9\.proj\.w"),
-        (lambda ps: ps.append(list(ps[0])), "does not match model"),
-        (lambda ps: ps[4].__setitem__(1, [4, 6]),
-         r"parameter dec1\.out\.w has shape \(4, 6\), model expects \(4, 6, 5\)"),
-        (lambda ps: ps[0].__setitem__(1, 24), "malformed parameter manifest"),
-        (lambda ps: ps[0].pop(), "malformed parameter manifest"),
-        (lambda ps: ps.__setitem__(0, "codebook1"), "malformed parameter manifest"),
-        (lambda ps: ps[0].__setitem__(0, 7), "malformed parameter manifest"),
-    ], ids=["missing", "extra", "duplicate", "wrong-shape", "shape-not-list",
-            "not-a-pair", "not-a-list", "name-not-str"])
-    def test_manifest_mismatch_is_format_error(self, tmp_path, edit, message):
-        path = tmp_path / "p.hvqv"
+        (lambda h: h["config"].__setitem__("hidden", 7),
+         r"truncated blob for enc2\.conv2\.w"),
+        (lambda h: h["config"].__setitem__("hidden", 5), "2372 trailing bytes"),
+        (lambda h: h["config"].__setitem__("codebook_size", 5),
+         r"truncated blob for enc3\.proj\.w"),
+        (lambda h: h["speakers"].append("F02"), "truncated blob for speaker_table"),
+        (lambda h: h["speakers"].pop(), "8 trailing bytes"),
+    ], ids=["hidden-wider", "hidden-narrower", "codebook-larger", "speaker-more",
+            "speaker-fewer"])
+    def test_layout_change_is_format_error(self, tmp_path, edit, message):
+        # the config and speaker count fix the layout, so a header edit
+        # that changes it no longer fits the blobs
+        path = tmp_path / "l.hvqv"
         vqvae.save_checkpoint(self._small_model(), path)
-        self._edit_header(path, lambda header: edit(header["params"]))
-        with pytest.raises(vqvae.CheckpointFormatError, match=f"p.hvqv: .*{message}"):
+        self._edit_header(path, edit)
+        with pytest.raises(vqvae.CheckpointFormatError, match=f"l.hvqv: {message}"):
             vqvae.load_checkpoint(path)
+
+    def test_blobs_follow_header_in_name_order(self, tmp_path):
+        m = self._small_model()
+        for i, name in enumerate(sorted(m.params, reverse=True)):
+            m.params[name].data[...] = i + 1
+        path = tmp_path / "c.hvqv"
+        vqvae.save_checkpoint(m, path)
+        raw = path.read_bytes()
+        offset = 11 + struct.unpack_from("<I", raw, 7)[0]
+        for name in sorted(m.params):
+            n = m.params[name].data.size
+            blob = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+            assert np.array_equal(blob, m.params[name].data.ravel()), name
+            offset += 4 * n
+        assert offset == len(raw)
+        back = vqvae.load_checkpoint(path)
+        assert sorted(back.params) == sorted(m.params)
+        for name, p in m.params.items():  # codebooks included
+            assert np.array_equal(back.params[name].data, p.data), name
 
     @pytest.mark.parametrize("field, value", [
         ("speakers", ["M04", "M04"]), ("speakers", []), ("speakers", 3),
         ("speakers", [["M04"], ["M12"]]),
-        ("params", {"codebook1": [4, 3]})])
+        ("config", {"in_channels": 4, "hidden": 6.0, "latent_dim": 3,
+                    "codebook_size": 4, "embed_dim": 2, "beta": 0.25,
+                    "kernel_size": 5, "param_dtype": "float32"})])
     def test_malformed_header_is_format_error(self, tmp_path, field, value):
         path = tmp_path / "h.hvqv"
         vqvae.save_checkpoint(self._small_model(), path)
