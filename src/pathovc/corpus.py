@@ -131,6 +131,11 @@ class UtteranceRecord:
     def key(self) -> str:
         return f"{self.speaker_id}/{self.word_id}/{self.block}"
 
+    @property
+    def stem(self) -> str:
+        """The name of the utterance's feature file, less its suffix."""
+        return f"{self.speaker_id}_{self.word_id}_{self.block}"
+
 
 @dataclass
 class CorpusManifest:
@@ -161,13 +166,14 @@ def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS) -> CorpusManifest:
 
     Raises ManifestError naming the offending line for malformed rows,
     ids holding a path separator, duplicate speakers or utterance keys,
-    unknown speaker references, and band labels inconsistent with
-    ``band_cuts``.  Audio paths are checked where the audio is read.
+    two utterances whose ids join to one feature-file name (naming both
+    lines), unknown speaker references, and band labels inconsistent
+    with ``band_cuts``.  Audio paths are checked where the audio is read.
     """
     path = Path(path)
     speakers: dict = {}
     utterances: list = []
-    seen_keys: set = set()
+    seen_stems: dict = {}  # stem -> (line, key) of its first utterance
     for lineno, row in read_csv_table(path, MANIFEST_COLUMNS, ManifestError,
                                       "manifest"):
         sid, sex, score_text, band, word, block, audio = row
@@ -200,10 +206,13 @@ def parse_manifest(path, band_cuts=DEFAULT_BAND_CUTS) -> CorpusManifest:
                 f"{path} line {lineno}: block must be one of "
                 f"{'/'.join(BLOCKS)}, got {block!r}")
         utt = UtteranceRecord(sid, word, block, audio)
-        if utt.key in seen_keys:
-            raise ManifestError(
-                f"{path} line {lineno}: duplicate utterance key {utt.key}")
-        seen_keys.add(utt.key)
+        # equal keys give equal stems; ids holding "_" can too
+        first = seen_stems.setdefault(utt.stem, (lineno, utt.key))
+        if first[0] != lineno:
+            clash = (f"duplicate utterance key {utt.key}" if first[1] == utt.key
+                     else f"utterance {utt.key} and {first[1]} would share the "
+                          f"feature file {utt.stem}.mcep")
+            raise ManifestError(f"{path} line {lineno}: {clash}, first on line {first[0]}")
         utterances.append(utt)
 
     return CorpusManifest(list(speakers.values()), utterances)
@@ -380,7 +389,7 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
         except ValueError as exc:
             store.errors.append((utt.key, f"{utt.audio_path}: {exc}"))
             continue
-        name = f"{utt.speaker_id}_{utt.word_id}_{utt.block}.mcep"
+        name = f"{utt.stem}.mcep"
         dsp.write_mcep(feat_dir / name, mc.frames)
         store.entries[utt.key] = {
             "speaker_id": utt.speaker_id,

@@ -335,23 +335,19 @@ def mean(x):
 
 
 def _weighted_mean(name, a, b, weight, pointwise):
-    """Mean of weight * value over a - b; weight defaults to all-ones.
+    """sum(weight * value) / sum(weight) over a - b, weight broadcast to a's shape.
 
     pointwise(d) returns (value, slope), slope being d value / d a.
     """
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{name} shape mismatch: {a.data.shape} vs {b.data.shape}")
     value, slope = pointwise(a.data - b.data)
-    if weight is None:
-        y = np.mean(value)
-        denom = value.size
-    else:
-        weight = np.asarray(weight, dtype=value.dtype)
-        denom = weight.sum()
-        if denom <= 0:
-            raise ValueError(f"{name} weights must have positive total mass")
-        y = np.sum(weight * value) / denom
-        slope = weight * slope
+    weight = np.broadcast_to(np.asarray(weight, dtype=value.dtype), value.shape)
+    denom = weight.sum()
+    if denom <= 0:
+        raise ValueError(f"{name} weights must have positive total mass")
+    y = np.sum(weight * value) / denom
+    slope = weight * slope
 
     def bw(g):
         common = g * slope / denom
@@ -360,11 +356,11 @@ def _weighted_mean(name, a, b, weight, pointwise):
     return _make(y, (a, b), bw)
 
 
-def squared_error(a, b, weight=None):
-    """Mean of weight * (a - b)^2; weight defaults to all-ones."""
+def squared_error(a, b, weight=1):
+    """Weighted mean of (a - b)^2; weight defaults to all-ones."""
     return _weighted_mean("squared_error", a, b, weight, lambda d: (d * d, 2 * d))
 
 
-def abs_error(a, b, weight=None):
-    """Mean of weight * |a - b|; weight defaults to all-ones."""
+def abs_error(a, b, weight=1):
+    """Weighted mean of |a - b|; weight defaults to all-ones."""
     return _weighted_mean("abs_error", a, b, weight, lambda d: (np.abs(d), np.sign(d)))

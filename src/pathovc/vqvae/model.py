@@ -272,9 +272,13 @@ class HVqVaeModel:
         return v
 
     def encode(self, x):
-        """Returns the three per-stage latent sequences, time-major."""
-        zs = self._encode_graph(self._input(x))
-        return tuple(np.swapaxes(z.data, -1, -2).copy() for z in zs)
+        """Returns the three per-stage latent sequences, time-major; an
+        overflow raises ValueError, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs = [np.swapaxes(z.data, -1, -2) for z in self._encode_graph(self._input(x))]
+        if not all(np.isfinite(z).all() for z in zs):
+            raise ValueError("the encoder's latents hold NaN or Inf")
+        return tuple(zs)
 
     def _forward_graph(self, frames, speakers, mask, quantize_bypass=False):
         """Builds the full training graph over time-major frames (..., T, C).
@@ -336,22 +340,21 @@ class HVqVaeModel:
 
     def convert(self, source, target_speaker):
         """Encode source, quantize, decode under the target embedding; the
-        output has source's shape, odd frame counts included."""
-        x = self._input(source)
+        output has source's shape, odd frame counts included.  An encoder
+        or decoder that overflows raises ValueError rather than warning."""
         speaker = self.speaker_index(target_speaker)
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
-        # keep the latents' data only, so the encoder graph is freed before
-        # decoding; an encoder that overflows is refused here, not warned of
-        with np.errstate(over="ignore", invalid="ignore"):
-            zs = [np.swapaxes(z.data, -1, -2) for z in self._encode_graph(x)]
-        if not all(np.isfinite(z).all() for z in zs):
-            raise ValueError("the encoder's latents hold NaN or Inf")
+        zs = self.encode(source)
         qs = [dc.Tensor(np.swapaxes(quantize(z, self.params[f"codebook{n}"].data)[0], -1, -2))
               for n, z in enumerate(zs, start=1)]
-        out = self._decode_graph(qs, speaker, x.shape[-1])
-        return np.swapaxes(out.data, -1, -2).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.swapaxes(self._decode_graph(qs, speaker, np.shape(source)[-2]).data,
+                              -1, -2)
+        if not np.isfinite(out).all():
+            raise ValueError("the decoder's output holds NaN or Inf")
+        return out.copy()
 
     def init_codebooks(self, z_samples, rng):
         """Seed each codebook from observed latents plus small jitter.

@@ -11,8 +11,9 @@ from .model import MIN_FRAMES, HVqVaeModel, UnknownSpeakerError, codebook_perple
 
 
 class NonFiniteLossError(ValueError):
-    """Training diverged: a loss term or a seeding latent came out NaN or
-    Inf.  ``batch`` lists the dataset indices of the batch's utterances."""
+    """Training diverged: a loss term, a seeding latent or a parameter after
+    the last update came out NaN or Inf.  ``batch`` lists the dataset
+    indices of the batch's utterances."""
 
     def __init__(self, message, batch):
         super().__init__(message)
@@ -112,8 +113,9 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
     are seeded from the first batch's encoder latents unless the model
     already carries initialized codebooks.  Raises NonFiniteLossError,
     naming the step and the loss term, as soon as a step's forward pass
-    gives a NaN or Inf loss, or before the first step when the seeding
-    latents overflow.
+    gives a NaN or Inf loss, before the first step when the seeding
+    latents overflow, or naming a parameter when the last update leaves
+    it NaN or Inf.
     """
     items = _validate_dataset(model, dataset)
     rng = np.random.default_rng(cfg.seed)
@@ -121,27 +123,36 @@ def train(model: HVqVaeModel, dataset, cfg: TrainingConfig):
 
     picks = rng.integers(0, len(items), size=cfg.batch_size)
     if not model.codebooks_initialized:
-        zs = model.encode(_batch(items, picks, cfg.crop_frames, rng)[0])
-        if not all(np.all(np.isfinite(z)) for z in zs):
-            raise NonFiniteLossError("training diverged before step 1: the "
-                                     "seeding latents hold NaN or Inf", picks)
+        try:
+            zs = model.encode(_batch(items, picks, cfg.crop_frames, rng)[0])
+        except ValueError as exc:
+            raise NonFiniteLossError(f"training diverged before step 1: {exc}", picks)
         model.init_codebooks([z.reshape(-1, z.shape[-1]) for z in zs], rng)
 
     opt = dc.Adam(model.parameters(), lr=cfg.learning_rate)
     for step in range(1, cfg.steps + 1):
+        if step > 1:
+            picks = rng.integers(0, len(items), size=cfg.batch_size)
         opt.zero_grad()
-        loss, parts = model._forward_graph(*_batch(items, picks, cfg.crop_frames, rng))
-        for name in ("reconstruction", "codebook", "commitment"):
-            if not np.isfinite(getattr(parts, name)):
-                # finite inputs can still diverge; stop before the step
-                # writes NaN into the parameters
-                raise NonFiniteLossError(
-                    f"training diverged at step {step}: {name} loss is "
-                    f"{getattr(parts, name)}; try a lower learning_rate", picks)
-        loss.backward()
-        opt.step()
+        # an overflow ends in NonFiniteLossError below, not in a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, parts = model._forward_graph(*_batch(items, picks, cfg.crop_frames, rng))
+            for name in ("reconstruction", "codebook", "commitment"):
+                if not np.isfinite(getattr(parts, name)):
+                    # finite inputs can still diverge; stop before the step
+                    # writes NaN into the parameters
+                    raise NonFiniteLossError(
+                        f"training diverged at step {step}: {name} loss is "
+                        f"{getattr(parts, name)}; try a lower learning_rate", picks)
+            loss.backward()
+            opt.step()
         report.append(parts.reconstruction, parts.codebook, parts.commitment,
                       tuple(codebook_perplexity(ix, model.cfg.codebook_size)
                             for ix in parts.indices))
-        picks = rng.integers(0, len(items), size=cfg.batch_size)
+    # each step's forward pass checks the update before it; this checks the last
+    for name in sorted(model.params):
+        if not np.isfinite(model.params[name].data).all():
+            raise NonFiniteLossError(
+                f"training diverged at step {cfg.steps}: parameter {name} holds "
+                "NaN or Inf; try a lower learning_rate", picks)
     return model, report

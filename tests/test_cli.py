@@ -199,6 +199,22 @@ class TestPreprocess:
         assert "line 3: word_id 'a/b'" in err
         assert not (out / "features").exists()
 
+    def test_colliding_feature_names_are_user_error(self, env, tmp_path, capsys):
+        wav = env["root"] / "wavs" / "M04_W0_B1.wav"
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M0,M,2,very_low,,,\n"
+            "M0_4,M,2,very_low,,,\n"
+            f"M0,,,,4_W1,B1,{wav}\n"
+            f"M0_4,,,,W1,B1,{wav}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(manifest)]) == 1
+        assert (f"{manifest} line 5: utterance M0_4/W1/B1 and M0/4_W1/B1 would "
+                "share the feature file M0_4_W1_B1.mcep, first on line 4"
+                in capsys.readouterr().err)
+        assert not (out / "features").exists()
+
     def test_out_dir_required(self, env, capsys):
         assert main(["preprocess", str(env["manifest"])]) == 1
         assert "--out" in capsys.readouterr().err
@@ -349,7 +365,6 @@ class TestTrain:
                      "--features", str(feats)]) == 1
         assert f"{bad.name}: header declares zero frames" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_writes_no_checkpoint(self, env, tmp_path, capsys):
         ini = tmp_path / "hot.ini"
         ini.write_text(RUN_INI.replace("learning_rate = 0.002", "learning_rate = 1e30"))
@@ -358,6 +373,19 @@ class TestTrain:
                      str(env["manifest"]), "--features", str(env["feats"])]) == 1
         err = capsys.readouterr().err
         assert "diverged at step" in err and "the batch held" in err
+        assert not (out / "model.hvqv").exists()
+
+    def test_diverging_last_step_writes_no_checkpoint(self, env, tmp_path, capsys):
+        # one step, so no later forward pass sees the update overflow
+        ini = tmp_path / "hot.ini"
+        ini.write_text(RUN_INI.replace("steps = 5", "steps = 1")
+                       .replace("learning_rate = 0.002", "learning_rate = 1e38"))
+        out = tmp_path / "m"
+        assert main(["--config", str(ini), "--out", str(out), "train",
+                     str(env["manifest"]), "--features", str(env["feats"])]) == 1
+        err = capsys.readouterr().err
+        assert "training diverged at step 1: parameter " in err
+        assert "holds NaN or Inf; try a lower learning_rate; the batch held" in err
         assert not (out / "model.hvqv").exists()
 
     def test_overflowing_features_named(self, env, tmp_path, capsys):
@@ -492,7 +520,6 @@ class TestConvert:
                 "expects 40") in err
         assert len(list(out.glob("*.mcep"))) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_conversion_writes_no_features(self, env, tmp_path, capsys):
         model = vqvae.load_checkpoint(env["ckpt"])
         # finite weights whose output overflows float32
@@ -504,8 +531,12 @@ class TestConvert:
         assert main(["--out", str(out), "convert", str(ckpt), "--features",
                      str(env["feats"]), "--source", "M04", "--target", "M12",
                      "--no-wav"]) == 1
-        err = capsys.readouterr().err
-        assert "3 utterance(s) failed" in err and "NaN or Inf" in err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "3 utterance(s) failed:"
+        assert all(f"{ckpt} cannot convert " in line
+                   and line.endswith("the decoder's output holds NaN or Inf")
+                   for line in lines[1:])
+        assert len(lines) == 4
         assert list(out.glob("*.mcep")) == []
 
     def test_checkpoint_layout_mismatch_is_user_error(self, env, tmp_path, capsys):

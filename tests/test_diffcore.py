@@ -258,6 +258,23 @@ class TestElementwiseAndShape:
             lambda a, b: dc.squared_error(a, b, weight=w),
             (4, 7), (4, 7), n_cases=8, seed=20)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("loss", [dc.squared_error, dc.abs_error])
+    def test_default_weight_is_unit_weight(self, loss, dtype):
+        rng = np.random.default_rng(23)
+        a0, b0 = (rng.normal(size=(3, 5, 7)).astype(dtype) for _ in range(2))
+        results = []
+        # a weight is broadcast to the operands' shape before it is summed
+        for kwargs in ({}, {"weight": np.ones(a0.shape, dtype=dtype)},
+                       {"weight": np.ones(a0.shape[-1:], dtype=dtype)}):
+            a = dc.Tensor(a0.copy(), requires_grad=True)
+            b = dc.Tensor(b0.copy(), requires_grad=True)
+            y = loss(a, b, **kwargs)
+            y.backward()
+            results.append([(t.dtype, t.tobytes()) for t in (y.data, a.grad, b.grad)])
+        assert results[0] == results[1] == results[2]
+        assert results[0][0][0] == dtype
+
     def test_abs_error_gradients_away_from_kink(self):
         def build(a, b):
             return dc.abs_error(a, b), [a.data - b.data]

@@ -194,8 +194,6 @@ def test_mutated_wavs_end_in_exit_0_or_1(tmp_path, capsys, pipeline, seed):
     assert codes[0] and codes[1]
 
 
-# huge finite values overflow in the model
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", [1, 2])
 def test_mutated_features_end_in_exit_0_or_1(tmp_path, capsys, pipeline, seed):
     # train reads the B1 file and convert the B2 one

@@ -4,6 +4,7 @@ import signal
 import struct
 import subprocess
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -170,6 +171,13 @@ class TestEncode:
         with pytest.raises(ValueError, match="too short"):
             tiny_model().encode(np.ones((7, 3)))
 
+    def test_overflowing_latents_raise_not_warn(self):
+        m = tiny_model(dtype="float32")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the encoder's latents hold NaN or Inf"):
+                m.encode(np.full((16, 3), 3e38, dtype=np.float32))
+
 
 class TestDecode:
     def test_zero_decoders_zero_output(self):
@@ -217,6 +225,15 @@ class TestConvertGuards:
         m = vqvae.HVqVaeModel(tiny_model().cfg, ["A", "B"])
         with pytest.raises(vqvae.EmptyCodebookError, match="train the model first"):
             m.convert(np.ones((16, 3)), "A")
+
+    def test_overflowing_decoder_raises_not_warns(self):
+        m = tiny_model(dtype="float32")
+        m.params["dec1.out.w"].data[:] = 3e38
+        m.params["dec1.out.b"].data[:] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the decoder's output holds NaN or Inf"):
+                m.convert(np.ones((16, 3), dtype=np.float32), "A")
 
 
 class TestForwardLoss:
@@ -563,7 +580,6 @@ class TestNonFiniteInput:
             rows = m.params[f"codebook{n}"].data
             assert len({r.tobytes() for r in rows}) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_latents_stop_before_step_1(self):
         m = tiny_model(dtype="float32")
         m.codebooks_initialized = False
@@ -572,6 +588,19 @@ class TestNonFiniteInput:
         with time_limit(10), pytest.raises(
                 vqvae.NonFiniteLossError, match="before step 1") as exc:
             vqvae.train(m, data, vqvae.TrainingConfig(steps=1, batch_size=4))
+        assert exc.value.batch == [0, 1]
+
+    def test_overflowing_last_update_names_the_parameter(self):
+        # one step, so no later forward pass sees the update overflow
+        m = tiny_model(dtype="float32")
+        m.codebooks_initialized = False
+        rng = np.random.default_rng(3)
+        data = [(s, 10 * rng.normal(size=(16, 3)).astype(np.float32)) for s in ("A", "B")]
+        with time_limit(10), pytest.raises(
+                vqvae.NonFiniteLossError,
+                match=r"step 1: parameter \S+ holds NaN or Inf; try a lower") as exc:
+            vqvae.train(m, data, vqvae.TrainingConfig(steps=1, batch_size=4,
+                                                      learning_rate=1e38))
         assert exc.value.batch == [0, 1]
 
     def test_train_rejects_zero_frame_utterance(self):
@@ -593,7 +622,6 @@ class TestNonFiniteInput:
         with time_limit(10), pytest.raises(ValueError, match="utterance 1 of speaker 'B'"):
             vqvae.train(m, data, vqvae.TrainingConfig(steps=1))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_loss_names_the_step(self):
         # finite frames, but a learning rate that blows the first update up
         m = tiny_model(dtype="float32")
