@@ -209,6 +209,14 @@ def cmd_train(args, cfg) -> int:
     keys = _train_keys(args, manifest)
 
     present = [k for k in keys if k in store.entries]
+    utterances = {u.key: u for u in manifest.utterances}
+    for k in present:
+        for name in ("speaker_id", "block"):
+            indexed, listed = store.entries[k][name], getattr(utterances[k], name)
+            if indexed != listed:
+                raise corpus.FeatureIndexError(
+                    f"{store.index_path}: entry {k!r} has {name} {indexed!r}, "
+                    f"but the manifest lists {listed!r}")
     if len(present) < len(keys):
         logger.warning("%d training utterance(s) have no features and are "
                        "skipped", len(keys) - len(present))
@@ -305,13 +313,13 @@ def cmd_convert(args, cfg) -> int:
 
     # Phase 2: the waveforms, one word per CPU. No BLAS call may run on
     # any thread while the pool works: synthesis makes none (mel_to_linear
-    # gathers instead of a GEMM), and phase 1 is over. On a 2-core VM with
-    # OpenBLAS 0.3.31 at 2 threads, this took convert-heldout from 82.3 to
-    # 52.8 ms per word (medians of 10 benchmark pairs). With a GEMM in each
-    # worker the pool gained only 4%, and with phase 1 overlapping the pool
-    # 3%: BLAS threads spinning on busy cores cancel the gain. Each word's
-    # output depends only on its own frames, so no byte depends on the
-    # worker count.
+    # is a sparse product, not a GEMM), and phase 1 is over. On a 2-core VM
+    # with OpenBLAS 0.3.31 at 2 threads, this took convert-heldout from
+    # 82.3 to 52.8 ms per word (medians of 10 benchmark pairs). With a GEMM
+    # in each worker the pool gained only 4%, and with phase 1 overlapping
+    # the pool 3%: BLAS threads spinning on busy cores cancel the gain.
+    # Each word's output depends only on its own frames, so no byte
+    # depends on the worker count.
     if not args.no_wav and jobs:
         pool = ThreadPoolExecutor(max_workers=_cpu_count())
         try:

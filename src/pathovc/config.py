@@ -49,9 +49,10 @@ def _parse_scalar(kind, text: str, where: str):
             f"{where}: expected {kind.__name__}, got {text!r}") from None
     # NaN fails every comparison, so a range check such as
     # trim_threshold_db >= 0 lets it through, and it then silently
-    # disables what the key controls
-    if kind is float and math.isnan(value):
-        raise ConfigError(f"{where}: expected a number, got {text!r}")
+    # disables what the key controls; an infinity overflows the int and
+    # power conversions downstream, and no key needs one
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
     return value
 
 

@@ -345,10 +345,21 @@ def load_feature_store(root) -> FeatureStore:
         for name, kind in INDEX_FIELDS.items():
             if name not in entry:
                 raise FeatureIndexError(f"{path}: entry {key!r} lacks {name!r}")
-            if not isinstance(entry[name], kind):
+            # a bool is an int to isinstance
+            if not isinstance(entry[name], kind) or isinstance(entry[name], bool):
                 raise FeatureIndexError(f"{path}: entry {key!r} has a "
                                         f"non-{kind.__name__} {name!r}")
-        if not (root / entry["feature_path"]).is_file():
+        if entry["block"] not in BLOCKS:
+            raise FeatureIndexError(f"{path}: entry {key!r} has block "
+                                    f"{entry['block']!r}, not one of {', '.join(BLOCKS)}")
+        if entry["frames"] < 1:
+            raise FeatureIndexError(f"{path}: entry {key!r} has {entry['frames']} "
+                                    f"frames; expected a positive count")
+        feature_path = Path(entry["feature_path"])
+        if feature_path.is_absolute() or ".." in feature_path.parts:
+            raise FeatureIndexError(f"{path}: entry {key!r} names {feature_path}, "
+                                    f"which is not a path under {root}")
+        if not (root / feature_path).is_file():
             raise FeatureIndexError(f"{path}: entry {key!r} names "
                                     f"{entry['feature_path']}, which is not a file")
     return FeatureStore(root=root, entries=entries)

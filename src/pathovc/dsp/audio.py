@@ -86,7 +86,9 @@ def trim_silence(w: Waveform, threshold_db: float = -40.0,
     peak = np.max(np.abs(x)) if x.size else 0.0
     if peak == 0.0:
         raise AllSilentError("clip has no signal above the trim threshold")
-    frame = max(1, int(round(w.sample_rate * frame_ms / 1000.0)))
+    # at most the clip: one frame then spans it, and a huge frame_ms
+    # cannot overflow the conversion to int
+    frame = max(1, int(round(min(w.sample_rate * frame_ms / 1000.0, x.size))))
     gate = peak * 10.0 ** (threshold_db / 20.0)
     # per-frame peaks; the last frame may be short
     loud = np.maximum.reduceat(np.abs(x), np.arange(0, x.size, frame)) >= gate

@@ -30,5 +30,14 @@ class DspConfig:
             raise ValueError("cepstral_order must be in [0, n_mels)")
         if self.trim_threshold_db >= 0:
             raise ValueError("trim_threshold_db must be negative")
+        if not self.trim_frame_ms > 0:
+            raise ValueError("trim_frame_ms must be positive")
         if not (0 < self.noise_floor_quantile <= 1):
             raise ValueError("noise_floor_quantile must be in (0, 1]")
+        # reduce_noise floors the noise floor at 1e-10 of the peak
+        # magnitude, so a gate of 200 dB or more opens no bin
+        if not self.noise_gate_db <= 200:
+            raise ValueError("noise_gate_db must be at most 200")
+        # a positive attenuation is clipped back to a gain of 1
+        if not self.noise_attenuation_db <= 0:
+            raise ValueError("noise_attenuation_db must be at most 0")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .audio import Waveform, _StftPlan, istft, stft
 from .config import DspConfig
@@ -49,20 +50,27 @@ def hertz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_filterbank(cfg: DspConfig) -> np.ndarray:
+def mel_filterbank(cfg: DspConfig) -> scipy.sparse.csr_array:
     """Triangular filters on the mel scale, (n_mels, fft_size//2 + 1).
 
     Filter m rises from mel point m-1 to a peak of 1 at point m and falls
-    to zero at point m+1. The bank is cached per analysis setting and
-    read-only.
+    to zero at point m+1. The bank is sparse, cached per analysis setting
+    and read-only.
     """
-    return _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
-                           cfg.fmin, cfg.fmax)
+    return _mel_banks(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
+                      cfg.fmin, cfg.fmax)[0]
 
 
 @functools.lru_cache(maxsize=16)
-def _mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax) -> np.ndarray:
-    # keyed on the values: DspConfig is mutable and cannot be a key
+def _mel_banks(sample_rate, fft_size, n_mels, fmin, fmax):
+    """The filters and their bin-normalized weights, as read-only CSR arrays.
+
+    Keyed on the values: DspConfig is mutable and cannot be a key. Each
+    bin lies under at most two adjacent filters, so both banks hold about
+    two entries per bin, and products with them run in scipy's sparse
+    loop, with no BLAS call: their bytes do not depend on the BLAS thread
+    count, and concurrent syntheses do not contend for BLAS threads.
+    """
     n_bins = fft_size // 2 + 1
     bin_mels = hertz_to_mel(np.arange(n_bins) * sample_rate / fft_size)
     points = np.linspace(hertz_to_mel(fmin), hertz_to_mel(fmax), n_mels + 2)
@@ -70,8 +78,12 @@ def _mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax) -> np.ndarray:
     rising = (bin_mels - lo) / (mid - lo)
     falling = (hi - bin_mels) / (hi - mid)
     fb = np.clip(np.minimum(rising, falling), 0.0, None)
-    fb.flags.writeable = False
-    return fb
+    weights = fb / np.maximum(fb.sum(axis=0), 1e-12)
+    banks = scipy.sparse.csr_array(fb), scipy.sparse.csr_array(weights)
+    for bank in banks:
+        for a in (bank.data, bank.indices, bank.indptr):
+            a.flags.writeable = False
+    return banks
 
 
 def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:
@@ -120,41 +132,13 @@ def invert_mel_cepstrum(mc: MelCepstrogram, n_mels: int) -> MelSpectrogram:
 def mel_to_linear(ms: MelSpectrogram, cfg: DspConfig) -> np.ndarray:
     """Approximate linear magnitudes via the weight-normalized transpose.
 
-    That is ``frames @ (fb / fb.sum(axis=0))``, non-negative as both
-    factors are. Each FFT bin lies under at most two adjacent filters, so
-    every column of the product is two gathered mel bands times their
-    weights (``_mel_to_linear_taps``): within 1 ulp of the dense product,
-    and no BLAS call, so that concurrent syntheses do not contend for the
-    BLAS threads. Two temporaries, scaled in place, keep it faster than
-    the GEMM even on one thread.
+    That is the frames times ``fb / fb.sum(axis=0)``, non-negative as
+    both factors are, as a sparse product. It is returned in C order,
+    which keeps the Griffin-Lim loop that reads it fast.
     """
-    lo, hi, w_lo, w_hi = _mel_to_linear_taps(
-        cfg.sample_rate, cfg.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
-    out = ms.frames[:, lo]
-    out *= w_lo
-    high = ms.frames[:, hi]
-    high *= w_hi
-    out += high
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _mel_to_linear_taps(sample_rate, fft_size, n_mels, fmin, fmax):
-    """Per FFT bin, its two filters (lo, hi = lo + 1) and their weights.
-
-    A bin under one filter gets a zero ``hi`` weight, a bin under none two
-    zero weights. The arrays are cached per analysis setting and read-only.
-    """
-    fb = _mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax)
-    weights = fb / np.maximum(fb.sum(axis=0), 1e-12)
-    lo = np.argmax(fb > 0.0, axis=0)  # the lower filter; 0 under none
-    hi = np.minimum(lo + 1, n_mels - 1)
-    bins = np.arange(fb.shape[1])
-    w_lo = weights[lo, bins]
-    w_hi = np.where(hi > lo, weights[hi, bins], 0.0)
-    for a in (lo, hi, w_lo, w_hi):
-        a.flags.writeable = False
-    return lo, hi, w_lo, w_hi
+    weights = _mel_banks(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
+                         cfg.fmin, cfg.fmax)[1]
+    return np.ascontiguousarray(ms.frames @ weights)
 
 
 def spectral_convergence(mag: np.ndarray, target: np.ndarray) -> float:

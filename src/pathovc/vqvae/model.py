@@ -50,6 +50,8 @@ class VqVaeConfig:
             raise ValueError("channel widths must be positive")
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd")
+        if not self.beta >= 0:
+            raise ValueError("beta must be non-negative")
 
     @property
     def dtype(self):

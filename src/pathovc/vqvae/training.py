@@ -33,6 +33,8 @@ class TrainingConfig:
             raise ValueError("steps and batch_size must be positive")
         if self.crop_frames < MIN_FRAMES:
             raise ValueError(f"crop_frames must admit three halvings (>= {MIN_FRAMES})")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass

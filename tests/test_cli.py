@@ -1,6 +1,11 @@
+import configparser
+import hashlib
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -10,7 +15,7 @@ import pytest
 
 from pathovc import cli, dsp, vqvae
 from pathovc.cli import main
-from pathovc.config import load_run_config
+from pathovc.config import SECTIONS, load_run_config
 
 RUN_INI = """\
 [model]
@@ -50,6 +55,14 @@ def build_corpus(root: Path):
     ini = root / "run.ini"
     ini.write_text(RUN_INI, encoding="utf-8")
     return manifest, ini
+
+
+def store_copy(env, tmp_path, index_text):
+    """A copy of the test feature store under ``index_text``."""
+    feats = tmp_path / "feats"
+    shutil.copytree(env["feats"], feats)
+    (feats / "index.json").write_text(index_text)
+    return feats
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +443,55 @@ class TestTrain:
         assert f"{feats / 'index.json'} line 1 column 3" in err
         assert "internal error" not in err
 
+    def _train_on_edited_index(self, env, tmp_path, capsys, key, field, value):
+        index = json.loads((env["feats"] / "index.json").read_text())
+        index[key][field] = value
+        feats = store_copy(env, tmp_path, json.dumps(index))
+        model = tmp_path / "m"
+        assert main(["--config", str(env["ini"]), "--out", str(model),
+                     "train", str(env["manifest"]), "--features", str(feats)]) == 1
+        assert not (model / "model.hvqv").exists()
+        err = capsys.readouterr().err
+        assert f"error: {feats / 'index.json'}: entry {key!r} " in err
+        return err
+
+    def test_index_speaker_unlike_manifest_refused(self, env, tmp_path, capsys):
+        err = self._train_on_edited_index(env, tmp_path, capsys,
+                                          "M04/W0/B1", "speaker_id", "ZZZ")
+        assert "has speaker_id 'ZZZ', but the manifest lists 'M04'" in err
+
+    def test_index_block_unlike_manifest_refused(self, env, tmp_path, capsys):
+        err = self._train_on_edited_index(env, tmp_path, capsys,
+                                          "M04/W0/B1", "block", "B3")
+        assert "has block 'B3', but the manifest lists 'B1'" in err
+
+    def test_index_unknown_block_refused(self, env, tmp_path, capsys):
+        err = self._train_on_edited_index(env, tmp_path, capsys,
+                                          "M04/W0/B1", "block", "B9")
+        assert "has block 'B9', not one of B1, B2, B3" in err
+
+    @pytest.mark.parametrize("frames,says", [
+        (True, "has a non-int 'frames'"),
+        (0, "has 0 frames; expected a positive count"),
+    ])
+    def test_index_bad_frame_count_refused(self, env, tmp_path, capsys,
+                                           frames, says):
+        err = self._train_on_edited_index(env, tmp_path, capsys,
+                                          "M04/W0/B1", "frames", frames)
+        assert says in err
+
+    @pytest.mark.parametrize("outside", ["absolute", "parent"])
+    def test_index_path_outside_store_refused(self, env, tmp_path, capsys,
+                                              outside):
+        # both name an existing feature file, by a path that could name any
+        # file on the machine
+        named = env["feats"] / "features" / "M04_W0_B1.mcep"
+        path = (str(named) if outside == "absolute"
+                else f"../{env['feats'].name}/features/M04_W0_B1.mcep")
+        err = self._train_on_edited_index(env, tmp_path, capsys,
+                                          "M04/W0/B1", "feature_path", path)
+        assert f"names {path}, which is not a path under" in err
+
 
 class TestConvert:
     def test_b2_only_by_default(self, env, tmp_path):
@@ -614,6 +676,35 @@ class TestConvert:
         assert len(blobs[0]) == 18
         assert all(b == blobs[0] for b in blobs[1:])
 
+    def test_outputs_independent_of_blas_threads(self, env, tmp_path):
+        # preprocess, train and convert with wavs, once per BLAS thread
+        # count, each command in a fresh interpreter; relative output paths
+        # keep the run directory out of the files
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            child_env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                             PYTHONPATH=os.pathsep.join(
+                                 filter(None, [src, os.environ.get("PYTHONPATH")])))
+            for argv in (
+                    ["--out", "feats", "preprocess", str(env["manifest"])],
+                    ["--out", "model", "--seed", "1", "train",
+                     str(env["manifest"]), "--features", "feats"],
+                    ["--out", "conv", "convert", "model/model.hvqv",
+                     "--features", "feats", "--source", "M04",
+                     "--target", "M12"]):
+                subprocess.run([sys.executable, "-m", "pathovc.cli",
+                                "--config", str(env["ini"]), *argv],
+                               cwd=run_dir, env=child_env, capture_output=True,
+                               check=True, timeout=300)
+            runs.append({str(p.relative_to(run_dir)):
+                         hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(run_dir.rglob("*")) if p.is_file()})
+        assert len([name for name in runs[0] if name.endswith(".wav")]) == 3
+        assert runs[0] == runs[1]
+
     def test_failure_lines_keep_selection_order(self, env, tmp_path, capsys,
                                                 monkeypatch):
         # W0/B3 fails in the waveform pool, the later W1/B1 on the calling
@@ -691,15 +782,9 @@ class TestConvert:
         assert f"--gl-iterations must be >= 1, got {n}" in err
         assert not out.exists()
 
-    def _store_copy(self, env, tmp_path, index_text):
-        feats = tmp_path / "feats"
-        shutil.copytree(env["feats"], feats)
-        (feats / "index.json").write_text(index_text)
-        return feats
-
     def test_truncated_index_is_user_error(self, env, tmp_path, capsys):
         text = (env["feats"] / "index.json").read_text()
-        feats = self._store_copy(env, tmp_path, text[:len(text) // 2])
+        feats = store_copy(env, tmp_path, text[:len(text) // 2])
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
                      "convert", str(env["ckpt"]), "--features", str(feats),
                      "--source", "M04", "--target", "M12", "--no-wav"]) == 1
@@ -710,7 +795,7 @@ class TestConvert:
     def test_index_entry_without_speaker_is_user_error(self, env, tmp_path, capsys):
         index = json.loads((env["feats"] / "index.json").read_text())
         del index["M04/W1/B2"]["speaker_id"]
-        feats = self._store_copy(env, tmp_path, json.dumps(index))
+        feats = store_copy(env, tmp_path, json.dumps(index))
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
                      "convert", str(env["ckpt"]), "--features", str(feats),
                      "--source", "M04", "--target", "M12", "--no-wav"]) == 1
@@ -783,6 +868,83 @@ class TestPair:
             assert main(["pair", str(manifest), "--max-delta", "1"]) == 0
         assert capsys.readouterr().err == "unpaired: M04, M12\n"
         assert not caplog.records
+
+
+# every float key of the sections that the DSP, model, training and
+# pairing code read; the integer keys are left out, since a huge width or
+# crop asks numpy for tens of GiB before any check could refuse it
+FLOAT_KEYS = [(section, key) for section in ("dsp", "model", "training", "pairing")
+              for key, default in SECTIONS[section][1].items()
+              if type(default) is float]
+
+
+class TestFloatKeys:
+    @pytest.fixture(scope="class")
+    def one_clip(self, env):
+        manifest = env["root"] / "one_clip.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M04,M,2,very_low,,,\n"
+            f"M04,,,,W0,B1,{env['root'] / 'wavs' / 'M04_W0_B1.wav'}\n")
+        return manifest
+
+    @staticmethod
+    def _ini(path, section, key, value):
+        """RUN_INI, one training step, and ``key = value`` in ``section``."""
+        ini = configparser.ConfigParser(interpolation=None)
+        ini.read_string(RUN_INI)
+        ini["training"]["steps"] = "1"
+        if not ini.has_section(section):
+            ini.add_section(section)
+        ini[section][key] = value
+        with open(path, "w") as f:
+            ini.write(f)
+        return path
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e308", "-1e308", "0", "-1"])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_value_ends_in_exit_0_or_1(self, env, one_clip, tmp_path, capsys,
+                                       section, key, value):
+        ini = self._ini(tmp_path / "run.ini", section, key, value)
+        out = tmp_path / "out"
+        command = {
+            "dsp": ["preprocess", str(one_clip)],
+            "model": ["train", str(env["manifest"]), "--features", str(env["feats"])],
+            "training": ["train", str(env["manifest"]), "--features", str(env["feats"])],
+            "pairing": ["pair", str(env["manifest"])],
+        }[section]
+        code = main(["--config", str(ini), "--out", str(out), *command])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("section,key,value,rule", [
+        ("dsp", "trim_frame_ms", "inf", "expected a finite number"),
+        ("dsp", "trim_frame_ms", "0", "trim_frame_ms must be positive"),
+        ("dsp", "noise_gate_db", "1e308", "noise_gate_db must be at most 200"),
+        ("dsp", "noise_attenuation_db", "10",
+         "noise_attenuation_db must be at most 0"),
+        ("model", "beta", "-1", "beta must be non-negative"),
+        ("training", "learning_rate", "0", "learning_rate must be positive"),
+        ("training", "learning_rate", "-1", "learning_rate must be positive"),
+        ("pairing", "max_delta", "inf", "expected a finite number"),
+    ])
+    def test_refused_value_names_file_and_key(self, env, tmp_path, capsys,
+                                              section, key, value, rule):
+        ini = self._ini(tmp_path / "run.ini", section, key, value)
+        assert main(["--config", str(ini), "pair", str(env["manifest"])]) == 1
+        err = capsys.readouterr().err
+        assert str(ini) in err and rule in err
+
+    def test_huge_trim_frame_keeps_the_whole_clip(self, env, one_clip, tmp_path):
+        # the frame is clamped to the clip, so the whole clip is one frame
+        ini = self._ini(tmp_path / "run.ini", "dsp", "trim_frame_ms", "1e308")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out),
+                     "preprocess", str(one_clip)]) == 0
+        entry = json.loads((out / "index.json").read_text())["M04/W0/B1"]
+        ref = json.loads((env["feats"] / "index.json").read_text())["M04/W0/B1"]
+        assert entry["frames"] >= ref["frames"]
 
 
 def write_ratings(path: Path, rows):

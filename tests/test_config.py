@@ -98,7 +98,7 @@ class TestLoad:
         path.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(config.ConfigError) as exc:
             config.load_run_config(path)
-        assert f"{path} [{section}] {key}: expected a number" in str(exc.value)
+        assert f"{path} [{section}] {key}: expected a finite number" in str(exc.value)
 
     def test_validation_errors_surface(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -1,11 +1,16 @@
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.signal
+import scipy.sparse
 
 from pathovc import cli, dsp
 from pathovc.dsp import audio, features
@@ -262,10 +267,23 @@ class TestOpenRuns:
         assert got.tobytes() == _runs_mask(20, kept).tobytes()
 
 
+def assert_frozen(bank):
+    """Neither a stored entry nor a structural zero of ``bank`` can be set."""
+    parts = [a.tobytes() for a in (bank.data, bank.indices, bank.indptr)]
+    with pytest.raises(ValueError, match="read-only"):
+        bank[0, bank.indices[0]] = 2.0
+    # filter 0 ends below the Nyquist bin; the tier-1 warning policy turns
+    # the structure change into an error before the write is tried
+    assert bank[0, -1] == 0.0
+    with pytest.raises((ValueError, scipy.sparse.SparseEfficiencyWarning)):
+        bank[0, -1] = 2.0
+    assert [a.tobytes() for a in (bank.data, bank.indices, bank.indptr)] == parts
+
+
 class TestMelFilterbank:
     def test_weights_nonnegative_and_peak_at_center(self):
         cfg = dsp.DspConfig()
-        fb = dsp.mel_filterbank(cfg)
+        fb = dsp.mel_filterbank(cfg).toarray()
         assert fb.shape == (80, 513)
         assert np.all(fb >= 0)
         assert np.all(fb <= 1.0 + 1e-12)
@@ -277,7 +295,7 @@ class TestMelFilterbank:
 
     def test_interior_bins_all_covered(self):
         cfg = dsp.DspConfig()
-        fb = dsp.mel_filterbank(cfg)
+        fb = dsp.mel_filterbank(cfg).toarray()
         bin_hz = cfg.sample_rate / cfg.fft_size
         freqs = np.arange(fb.shape[1]) * bin_hz
         interior = (freqs > cfg.fmin) & (freqs < cfg.fmax)
@@ -299,15 +317,13 @@ class TestMelFilterbank:
                             window_size=fft_size, hop_size=fft_size // 4,
                             n_mels=n_mels, fmin=fmin, fmax=fmax,
                             cepstral_order=n_mels - 1)
-        got = dsp.mel_filterbank(cfg)
+        got = dsp.mel_filterbank(cfg).toarray()
         assert got.tobytes() == mel_filterbank_ref(*sizes).tobytes()
 
     def test_cached_bank_is_shared_and_read_only(self):
-        cfg = dsp.DspConfig()
-        fb = dsp.mel_filterbank(cfg)
+        fb = dsp.mel_filterbank(dsp.DspConfig())
         assert dsp.mel_filterbank(dsp.DspConfig()) is fb
-        with pytest.raises(ValueError, match="read-only"):
-            fb[0, 0] = 1.0
+        assert_frozen(fb)
 
     def test_cache_follows_a_mutated_config(self):
         # DspConfig is mutable, so the cache must key on its values
@@ -316,8 +332,8 @@ class TestMelFilterbank:
         cfg.n_mels, cfg.fmax = 40, 8000.0
         fb = dsp.mel_filterbank(cfg)
         assert fb.shape == (40, 513)
-        rebuilt = features._mel_filterbank.__wrapped__(24000, 1024, 40, 80.0, 8000.0)
-        assert fb.tobytes() == rebuilt.tobytes()
+        rebuilt = features._mel_banks.__wrapped__(24000, 1024, 40, 80.0, 8000.0)[0]
+        assert fb.toarray().tobytes() == rebuilt.toarray().tobytes()
 
 
 # n_mels 2, 40 and 80; fmin 0; fmax at Nyquist; fft_size 512 and 2048
@@ -335,13 +351,13 @@ MEL_TO_LINEAR_CONFIGS = [
 class TestMelToLinear:
     @staticmethod
     def _dense_weights(cfg):
-        fb = dsp.mel_filterbank(cfg)
+        fb = dsp.mel_filterbank(cfg).toarray()
         return fb / np.maximum(fb.sum(axis=0, keepdims=True), 1e-12)
 
     @staticmethod
-    def _taps(cfg):
-        return features._mel_to_linear_taps(
-            cfg.sample_rate, cfg.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
+    def _weights(cfg):
+        return features._mel_banks(
+            cfg.sample_rate, cfg.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)[1]
 
     @pytest.mark.parametrize("kwargs", MEL_TO_LINEAR_CONFIGS)
     def test_within_one_ulp_of_dense_product(self, kwargs):
@@ -358,22 +374,15 @@ class TestMelToLinear:
     @pytest.mark.parametrize("kwargs", MEL_TO_LINEAR_CONFIGS)
     def test_no_bin_under_more_than_two_filters(self, kwargs):
         cfg = dsp.DspConfig(**kwargs)
-        assert (dsp.mel_filterbank(cfg) > 0).sum(axis=0).max() <= 2
-        # the two taps per bin rebuild the dense weights exactly
-        lo, hi, w_lo, w_hi = self._taps(cfg)
-        bins = np.arange(lo.size)
-        rebuilt = np.zeros((cfg.n_mels, lo.size))
-        rebuilt[lo, bins] = w_lo
-        rebuilt[hi, bins] += w_hi
-        assert rebuilt.tobytes() == self._dense_weights(cfg).tobytes()
+        assert (dsp.mel_filterbank(cfg).toarray() > 0).sum(axis=0).max() <= 2
 
-    def test_cached_taps_are_shared_and_read_only(self):
-        cfg = dsp.DspConfig()
-        taps = self._taps(cfg)
-        assert all(a is b for a, b in zip(self._taps(dsp.DspConfig()), taps))
-        for a in taps:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
+    @pytest.mark.parametrize("kwargs", MEL_TO_LINEAR_CONFIGS)
+    def test_cached_weights_are_shared_and_read_only(self, kwargs):
+        cfg = dsp.DspConfig(**kwargs)
+        weights = self._weights(cfg)
+        assert self._weights(dsp.DspConfig(**kwargs)) is weights
+        assert weights.toarray().tobytes() == self._dense_weights(cfg).tobytes()
+        assert_frozen(weights)
 
 
 class TestMelSpectrogram:
@@ -400,6 +409,33 @@ class TestMelSpectrogram:
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="too short"):
             dsp.mel_spectrogram(dsp.Waveform(np.ones(512), 24000), dsp.DspConfig())
+
+    def test_frames_independent_of_blas_threads(self):
+        # the float64 frames of 40 noise clips of 0.25-2.5 s, once per BLAS
+        # thread count, each in a fresh interpreter
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from pathovc import dsp\n"
+            "rng = np.random.default_rng(3)\n"
+            "cfg = dsp.DspConfig()\n"
+            "h = hashlib.sha256()\n"
+            "for _ in range(40):\n"
+            "    x = rng.uniform(-1.0, 1.0, int(rng.integers(6000, 60001)))\n"
+            "    ms = dsp.mel_spectrogram(dsp.Waveform(x, 24000), cfg)\n"
+            "    h.update(ms.frames.tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = str(Path(dsp.__file__).resolve().parents[2])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=300)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestMelCepstrum:

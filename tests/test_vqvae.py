@@ -480,12 +480,18 @@ class TestTraining:
         cfg = vqvae.VqVaeConfig(in_channels=16, hidden=8, latent_dim=4,
                                 codebook_size=4, embed_dim=2)
         m = vqvae.HVqVaeModel(cfg, ["A"], seed=4)
-        _, rep = vqvae.train(m, data, vqvae.TrainingConfig(
-            steps=4, batch_size=2, crop_frames=16, learning_rate=0.0, seed=11))
+
+        def frozen(**kwargs):
+            # TrainingConfig refuses a zero rate, which trains nothing; set
+            # it on the instance so that only the optimizer's step is zero
+            tc = vqvae.TrainingConfig(batch_size=2, crop_frames=16, **kwargs)
+            tc.learning_rate = 0.0
+            return tc
+
+        _, rep = vqvae.train(m, data, frozen(steps=4, seed=11))
         snapshot = {k: p.data.copy() for k, p in m.params.items()}
         assert len(set(rep.reconstruction)) == 1
-        _, rep2 = vqvae.train(m, data, vqvae.TrainingConfig(
-            steps=3, batch_size=2, crop_frames=16, learning_rate=0.0, seed=12))
+        _, rep2 = vqvae.train(m, data, frozen(steps=3, seed=12))
         for k, p in m.params.items():
             np.testing.assert_array_equal(p.data, snapshot[k])
         assert len(set(rep2.reconstruction)) == 1
