@@ -4,8 +4,9 @@ Subcommands: preprocess (manifest to feature store), train (feature
 store to checkpoint), convert (checkpoint plus features to converted
 features and waveforms), pair (severity-matched speaker pairs), stats
 (listening-test analysis).  Global flags --config, --seed, and --out
-come before the subcommand.  Exit codes: 0 success, 1 user error,
-2 internal error.
+come before the subcommand; a flag or argument named like a config key
+sets that key over the --config file, and --dump-config prints the values
+in effect.  Exit codes: 0 success, 1 user error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", metavar="FILE",
                         help="INI configuration file; see --dump-config")
-    parser.add_argument("--seed", type=int, metavar="N",
+    parser.add_argument("--seed", metavar="N",
                         help="random seed; overrides [training] seed")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory; overrides [paths] out")
@@ -90,18 +91,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair", help="propose severity-matched speaker pairs")
     p.add_argument("manifest", nargs="?", help="corpus manifest CSV")
-    p.add_argument("--max-delta", type=float, metavar="PCT",
+    p.add_argument("--max-delta", metavar="PCT",
                    help="largest allowed score difference")
-    p.add_argument("--include-female", action="store_true")
-    p.add_argument("--allow-cross-sex", action="store_true")
+    p.add_argument("--include-female", action="store_const", const="true")
+    p.add_argument("--allow-cross-sex", action="store_const", const="true")
 
     p = sub.add_parser("stats", help="analyze listening-test ratings")
-    p.add_argument("ratings", nargs="?", help="ratings CSV")
+    p.add_argument("ratings", help="ratings CSV")
     p.add_argument("--mode", required=True, choices=("mos", "wilcoxon", "ab"))
     p.add_argument("--conditions", action="append", metavar="A:B",
                    help="condition pair for the wilcoxon mode; repeatable "
                         "(default: gt_X:vc_X per severity band present)")
     return parser
+
+
+# the command-line values that set a config key: (section, key, flag), where
+# the key is also the argparse dest, None when the flag was not given
+OVERRIDES = (("training", "seed", "--seed"), ("paths", "out", "--out"),
+             ("paths", "manifest", "manifest"), ("paths", "features", "--features"),
+             ("paths", "checkpoint", "checkpoint"),
+             ("pairing", "max_delta", "--max-delta"),
+             ("pairing", "include_female", "--include-female"),
+             ("pairing", "allow_cross_sex", "--allow-cross-sex"))
+
+
+def run_config(args):
+    """The --config file's settings, then those of the flags given."""
+    return load_run_config(args.config, [
+        (section, key, getattr(args, key), flag) for section, key, flag in OVERRIDES
+        if getattr(args, key, None) is not None])
 
 
 def _require(value, what: str):
@@ -111,33 +129,27 @@ def _require(value, what: str):
     return value
 
 
-def _resolve(arg_value, cfg_value, what: str):
-    return _require(arg_value or cfg_value, what)
-
-
-def _out_dir(args, cfg) -> Path:
-    out = Path(_resolve(args.out, cfg.paths.get("out"), "--out directory"))
+def _out_dir(cfg) -> Path:
+    out = Path(_require(cfg.paths["out"], "--out directory"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_manifest(args, cfg):
-    path = _resolve(getattr(args, "manifest", None),
-                    cfg.paths.get("manifest"), "manifest path")
-    return corpus.parse_manifest(path, band_cuts=cfg.corpus["band_cuts"])
+def _load_manifest(cfg):
+    return corpus.parse_manifest(_require(cfg.paths["manifest"], "manifest path"),
+                                 band_cuts=cfg.corpus["band_cuts"])
 
 
-def _load_store(args, cfg) -> corpus.FeatureStore:
-    root = Path(_resolve(args.features, cfg.paths.get("features"),
-                         "--features directory"))
+def _load_store(cfg) -> corpus.FeatureStore:
+    root = Path(_require(cfg.paths["features"], "--features directory"))
     if not (root / "index.json").is_file():
         raise UserError(f"no feature index under {root}; run preprocess first")
     return corpus.load_feature_store(root)
 
 
 def cmd_preprocess(args, cfg) -> int:
-    manifest = _load_manifest(args, cfg)
-    out = _out_dir(args, cfg)
+    manifest = _load_manifest(cfg)
+    out = _out_dir(cfg)
     store = corpus.build_feature_store(manifest, cfg.dsp, out)
     print(f"wrote {len(store.entries)} feature file(s) to {out}")
     if store.skipped:
@@ -168,15 +180,6 @@ def _read_features(path, cfg):
     return frames
 
 
-def _training_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cfg.has("training", "seed"):
-        return cfg.training.seed
-    raise UserError("train requires a seed: pass --seed or set "
-                    "[training] seed in the config")
-
-
 def _train_keys(args, manifest) -> list:
     train, _ = corpus.partition_blocks(manifest)
     if not args.train_list:
@@ -203,9 +206,11 @@ def _train_keys(args, manifest) -> list:
 
 
 def cmd_train(args, cfg) -> int:
-    seed = _training_seed(args, cfg)
-    manifest = _load_manifest(args, cfg)
-    store = _load_store(args, cfg)
+    if not cfg.has("training", "seed"):
+        raise UserError("train requires a seed: pass --seed or set "
+                        "[training] seed in the config")
+    manifest = _load_manifest(cfg)
+    store = _load_store(cfg)
     keys = _train_keys(args, manifest)
 
     present = [k for k in keys if k in store.entries]
@@ -232,21 +237,20 @@ def cmd_train(args, cfg) -> int:
             raise UserError(f"{path} carries {frames.shape[1]} coefficients but "
                             f"{paths[0]} carries {width}; re-run preprocess")
 
-    training = dataclasses.replace(cfg.training, seed=seed)
     model = vqvae.HVqVaeModel(dataclasses.replace(cfg.model, in_channels=width),
-                              manifest.speaker_ids, seed=seed)
+                              manifest.speaker_ids, seed=cfg.training.seed)
     try:
-        model, report = vqvae.train(model, dataset, training)
+        model, report = vqvae.train(model, dataset, cfg.training)
     except vqvae.NonFiniteLossError as exc:
         raise UserError(f"{exc}; the batch held "
                         + ", ".join(str(paths[i]) for i in exc.batch)) from None
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     ckpt = out / CHECKPOINT_NAME
     vqvae.save_checkpoint(model, ckpt)
     report.write_csv(out / REPORT_NAME)
-    print(f"trained {training.steps} step(s) on {len(dataset)} utterance(s) "
-          f"with seed {seed}")
+    print(f"trained {cfg.training.steps} step(s) on {len(dataset)} utterance(s) "
+          f"with seed {cfg.training.seed}")
     print(f"final reconstruction loss {report.reconstruction[-1]:.6f}")
     print(f"checkpoint {ckpt}")
     return 0
@@ -273,14 +277,13 @@ def _synthesize(frames, cfg, iterations: int, path) -> None:
 def cmd_convert(args, cfg) -> int:
     if args.gl_iterations < 1:
         raise UserError(f"--gl-iterations must be >= 1, got {args.gl_iterations}")
-    ckpt = _resolve(args.checkpoint, cfg.paths.get("checkpoint"),
-                    "checkpoint path")
+    ckpt = _require(cfg.paths["checkpoint"], "checkpoint path")
     if not Path(ckpt).is_file():
         raise UserError(f"checkpoint not found: {ckpt}")
     model = vqvae.load_checkpoint(ckpt)
     model.speaker_index(args.target)
-    store = _load_store(args, cfg)
-    out = _out_dir(args, cfg)
+    store = _load_store(cfg)
+    out = _out_dir(cfg)
 
     selected = [
         (key, entry) for key, entry in sorted(store.entries.items())
@@ -348,15 +351,8 @@ def cmd_convert(args, cfg) -> int:
 
 
 def cmd_pair(args, cfg) -> int:
-    manifest = _load_manifest(args, cfg)
-    max_delta = (args.max_delta if args.max_delta is not None
-                 else cfg.pairing.max_delta)
-    if not max_delta >= 0:  # NaN fails this too
-        raise UserError(f"--max-delta must be a non-negative number, got {max_delta}")
-    pairs = corpus.pair_speakers(
-        manifest, max_delta=max_delta,
-        include_female=args.include_female or cfg.pairing.include_female,
-        allow_cross_sex=args.allow_cross_sex or cfg.pairing.allow_cross_sex)
+    manifest = _load_manifest(cfg)
+    pairs = corpus.pair_speakers(manifest, **dataclasses.asdict(cfg.pairing))
     table = "speaker_a,speaker_b,delta\n" + "".join(
         f"{p.a},{p.b},{p.delta}\n" for p in pairs)
     sys.stdout.write(table)
@@ -364,9 +360,8 @@ def cmd_pair(args, cfg) -> int:
     unmatched = [s for s in manifest.speaker_ids if s not in paired]
     if unmatched:
         print("unpaired: " + ", ".join(unmatched), file=sys.stderr)
-    if args.out or cfg.paths.get("out"):
-        out = _out_dir(args, cfg)
-        with atomic_open(out / "pairs.csv", "w", encoding="utf-8") as fh:
+    if cfg.paths["out"]:
+        with atomic_open(_out_dir(cfg) / "pairs.csv", "w", encoding="utf-8") as fh:
             fh.write(table)
     return 0
 
@@ -391,11 +386,7 @@ def _wilcoxon_pairs(args, rs) -> list:
 
 
 def cmd_stats(args, cfg) -> int:
-    ratings = _require(args.ratings, "ratings CSV path")
-    rs = stats.RatingSet.from_csv(ratings)
-    out = None
-    if args.out or cfg.paths.get("out"):
-        out = _out_dir(args, cfg)
+    rs = stats.RatingSet.from_csv(args.ratings)
 
     if args.mode == "mos":
         summaries = stats.mos_summary(rs.mos_scores())
@@ -435,8 +426,8 @@ def cmd_stats(args, cfg) -> int:
                   f"{agg.percent_matching:.2f}%,"
                   f"{agg.percent_matching_sure_only:.2f}%")
         table = {"similarity": stats.similarity_grid(rs)}
-    if out:
-        stats.export_tables(table, out)
+    if cfg.paths["out"]:
+        stats.export_tables(table, _out_dir(cfg))
     return 0
 
 
@@ -450,7 +441,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_run_config(args.config)
+        cfg = run_config(args)
         if args.dump_config:
             sys.stdout.write(dump_run_config(cfg))
             return 0

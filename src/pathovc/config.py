@@ -94,12 +94,16 @@ class RunConfig:
     explicit: frozenset
 
     def has(self, section: str, key: str) -> bool:
-        """True when the key was written out in the loaded file."""
+        """True when the loaded file or a command-line override set the key."""
         return f"{section}.{key}" in self.explicit
 
 
-def load_run_config(path=None) -> RunConfig:
-    """Read a config file; with ``path`` None, every key keeps its default."""
+def load_run_config(path=None, overrides=()) -> RunConfig:
+    """Read a config file, then the ``(section, key, text, flag)`` overrides.
+
+    An override is parsed and checked as ``key = text`` written after the
+    file's keys, and its errors name ``flag``.  Unset keys keep defaults.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         path = Path(path)
@@ -112,6 +116,7 @@ def load_run_config(path=None) -> RunConfig:
             raise ConfigError(f"{path}: {exc}") from None
 
     values = {name: {} for name in SECTIONS}
+    entries = []  # (section, key, text, where) for each key in the file
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]; expected "
@@ -122,19 +127,21 @@ def load_run_config(path=None) -> RunConfig:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]; expected "
                     f"one of {', '.join(defaults)}")
-            where = f"{path} [{section}] {key}"
-            kind = type(defaults[key])
+            entries.append((section, key, raw, f"{path} [{section}] {key}"))
+
+    # the file's keys are checked together, then each override on its own
+    for origin, batch in [(path, entries)] + [(o[3], [o]) for o in overrides]:
+        for section, key, raw, where in batch:
+            kind = type(SECTIONS[section][1][key])
             values[section][key] = (_parse_cuts(raw, where) if kind is tuple
                                     else _parse_scalar(kind, raw, where))
-
-    try:
-        return RunConfig(
-            **{name: build(**{**defaults, **values[name]})
-               for name, (build, defaults) in SECTIONS.items()},
-            explicit=frozenset(f"{section}.{key}"
-                               for section, keys in values.items() for key in keys))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        try:
+            built = {name: build(**{**defaults, **values[name]})
+                     for name, (build, defaults) in SECTIONS.items()}
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: {exc}") from None
+    return RunConfig(**built, explicit=frozenset(
+        f"{section}.{key}" for section, keys in values.items() for key in keys))
 
 
 def _format_value(v) -> str:

@@ -35,6 +35,8 @@ class TrainingConfig:
             raise ValueError(f"crop_frames must admit three halvings (>= {MIN_FRAMES})")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -120,6 +120,34 @@ class TestDumpConfig:
         assert main(["--config", str(env["ini"]), "--dump-config"]) == 0
         assert "steps = 5" in capsys.readouterr().out
 
+    def test_reflects_flags(self, env, capsys):
+        assert main(["--config", str(env["ini"]), "--seed", "9", "--out", "d",
+                     "--dump-config"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "seed = 9" in lines and "out = d" in lines
+        assert "steps = 5" in lines
+
+    @pytest.mark.parametrize("in_file", ["false", "true"])
+    def test_store_true_flag_only_turns_its_key_on(self, tmp_path, capsys, in_file):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[pairing]\ninclude_female = {in_file}\n")
+        assert main(["--config", str(ini), "--dump-config", "pair"]) == 0
+        assert f"include_female = {in_file}" in capsys.readouterr().out.splitlines()
+        assert main(["--config", str(ini), "--dump-config", "pair",
+                     "--include-female"]) == 0
+        assert "include_female = true" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--seed", "-1"], "--seed: seed must be non-negative, got -1"),
+        (["--seed", "abc"], "--seed: expected int, got 'abc'"),
+        (["--seed", "1.5"], "--seed: expected int, got '1.5'"),
+        (["pair", "--max-delta", "x"], "--max-delta: expected float, got 'x'"),
+    ], ids=["seed-negative", "seed-abc", "seed-fraction", "max-delta-x"])
+    def test_bad_flag_value_names_the_flag(self, capsys, flags, named):
+        assert main(["--dump-config", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err and "internal error" not in err
+
 
 class TestPreprocess:
     def test_index_written(self, env):
@@ -256,6 +284,33 @@ class TestTrain:
                      "--features", str(env["feats"])]) == 0
         assert (out2 / "model.hvqv").read_bytes() != env["ckpt"].read_bytes()
 
+    def test_seed_flag_equals_seed_in_file(self, env, tmp_path):
+        one_step = RUN_INI.replace("steps = 5", "steps = 1")
+        ini3, ini7 = tmp_path / "seed3.ini", tmp_path / "seed7.ini"
+        ini3.write_text(one_step.replace("seed = 7", "seed = 3"))
+        ini7.write_text(one_step)
+        common = ["train", str(env["manifest"]), "--features", str(env["feats"])]
+        assert main(["--config", str(ini3), "--seed", "7",
+                     "--out", str(tmp_path / "flag"), *common]) == 0
+        assert main(["--config", str(ini7), "--out", str(tmp_path / "file"),
+                     *common]) == 0
+        flag, file = (tmp_path / d / "model.hvqv" for d in ("flag", "file"))
+        assert flag.read_bytes() == file.read_bytes()
+
+    def test_negative_seed_is_user_error(self, env, tmp_path, capsys):
+        out = tmp_path / "m"
+        common = ["train", str(env["manifest"]), "--features", str(env["feats"])]
+        assert main(["--config", str(env["ini"]), "--seed", "-1",
+                     "--out", str(out), *common]) == 1
+        err = capsys.readouterr().err
+        assert "error: --seed: seed must be non-negative, got -1" in err
+        ini = tmp_path / "neg.ini"
+        ini.write_text(RUN_INI.replace("seed = 7", "seed = -3"))
+        assert main(["--config", str(ini), "--out", str(out), *common]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ini}: seed must be non-negative, got -3" in err
+        assert "internal error" not in err and not out.exists()
+
     def test_seed_required(self, env, tmp_path, capsys):
         assert main(["--out", str(tmp_path / "m"), "train",
                      str(env["manifest"]), "--features", str(env["feats"])]) == 1
@@ -350,9 +405,9 @@ class TestTrain:
     def test_narrow_feature_file_raises_user_error(self, env, tmp_path):
         feats, bad = self._narrow_last_b1(env, tmp_path)
         args = cli.build_parser().parse_args(
-            ["--out", str(tmp_path / "m"), "train", str(env["manifest"]),
-             "--features", str(feats)])
-        cfg = load_run_config(env["ini"])
+            ["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+             "train", str(env["manifest"]), "--features", str(feats)])
+        cfg = cli.run_config(args)
         with pytest.raises(cli.UserError, match=f"{bad.name} carries 20 coefficients"):
             cli.cmd_train(args, cfg)
 
@@ -839,10 +894,14 @@ class TestPair:
         assert f"{manifest} line 3: not UTF-8 text" in err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_max_delta_is_user_error(self, env, capsys, value):
+        # the flag follows the rules of [pairing] max_delta in a file
+        rule = ("max_delta must be non-negative, got -1.0" if value == "-1"
+                else f"expected a finite number, got {value!r}")
         assert main(["pair", str(env["manifest"]), "--max-delta", value]) == 1
-        assert "--max-delta must be a non-negative number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: --max-delta: {rule}" in err and "internal error" not in err
 
     def test_decreasing_band_cuts_is_user_error(self, env, tmp_path, capsys):
         ini = tmp_path / "cuts.ini"
@@ -1034,6 +1093,12 @@ class TestStats:
             assert ((shared / name).read_bytes()
                     == (tmp_path / mode / name).read_bytes())
         assert sorted(p.name for p in shared.iterdir()) == sorted(tables.values())
+
+    def test_ratings_file_required(self, capsys):
+        assert main(["stats", "--mode", "mos"]) == 1
+        err = capsys.readouterr().err
+        assert "the following arguments are required: ratings" in err
+        assert "[paths]" not in err
 
     def test_malformed_ratings_rejected(self, tmp_path, capsys):
         ratings = tmp_path / "r.csv"

@@ -33,6 +33,43 @@ class TestLoad:
         assert cfg.has("training", "seed")
         assert not cfg.has("training", "learning_rate")
 
+    def test_command_line_overrides_follow_the_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[training]\nseed = 7\n[paths]\nout = results\n")
+        cfg = config.load_run_config(path, [
+            ("training", "seed", "9", "--seed"),
+            ("pairing", "include_female", "true", "--include-female"),
+            ("pairing", "max_delta", "2.5", "--max-delta")])
+        assert cfg.training.seed == 9
+        assert cfg.pairing.include_female is True
+        assert cfg.pairing.max_delta == 2.5
+        assert cfg.paths["out"] == "results"
+        assert cfg.has("pairing", "max_delta") and cfg.has("paths", "out")
+        assert not cfg.has("pairing", "allow_cross_sex")
+
+    @pytest.mark.parametrize("override,message", [
+        (("pairing", "max_delta", "inf", "--max-delta"),
+         "--max-delta: expected a finite number, got 'inf'"),
+        (("pairing", "max_delta", "-2", "--max-delta"),
+         "--max-delta: max_delta must be non-negative, got -2.0"),
+        (("training", "seed", "-1", "--seed"),
+         "--seed: seed must be non-negative, got -1"),
+        (("training", "seed", "7.0", "--seed"), "--seed: expected int, got '7.0'"),
+    ], ids=["max-delta-inf", "max-delta-negative", "seed-negative", "seed-fraction"])
+    def test_bad_override_names_its_flag(self, tmp_path, override, message):
+        path = tmp_path / "run.ini"
+        path.write_text("[training]\nsteps = 3\n")
+        with pytest.raises(config.ConfigError) as exc:
+            config.load_run_config(path, [override])
+        assert str(exc.value) == message
+
+    def test_bad_file_value_names_the_file_over_an_override(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[training]\nseed = -3\n")
+        with pytest.raises(config.ConfigError) as exc:
+            config.load_run_config(path, [("training", "seed", "1", "--seed")])
+        assert str(exc.value) == f"{path}: seed must be non-negative, got -3"
+
     def test_band_cuts_parsed(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[corpus]\nband_cuts = 20, 40, 60\n")
