@@ -14,13 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import corpus, dsp, stats, vqvae
+from . import corpus, dsp, stats, vqvae, workers
 from .atomic import atomic_open
 from .config import ConfigError, dump_run_config, load_run_config
 
@@ -256,14 +254,6 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _synthesize(frames, cfg, iterations: int, path) -> None:
     """Write the Fast Griffin-Lim waveform of cepstral ``frames`` to ``path``."""
     mc = dsp.MelCepstrogram(frames,
@@ -314,29 +304,19 @@ def cmd_convert(args, cfg) -> int:
         except (ValueError, OSError) as exc:
             errors[i] = str(exc)
 
-    # Phase 2: the waveforms, one word per CPU. No BLAS call may run on
-    # any thread while the pool works: synthesis makes none (mel_to_linear
-    # is a sparse product, not a GEMM), and phase 1 is over. On a 2-core VM
-    # with OpenBLAS 0.3.31 at 2 threads, this took convert-heldout from
-    # 82.3 to 52.8 ms per word (medians of 10 benchmark pairs). With a GEMM
-    # in each worker the pool gained only 4%, and with phase 1 overlapping
-    # the pool 3%: BLAS threads spinning on busy cores cancel the gain.
-    # Each word's output depends only on its own frames, so no byte
-    # depends on the worker count.
-    if not args.no_wav and jobs:
-        pool = ThreadPoolExecutor(max_workers=_cpu_count())
+    # Phase 2: the waveforms, one word per CPU (see workers for why the
+    # model runs first).
+    def synthesize(job):
+        _, frames, path = job
         try:
-            futures = [(i, pool.submit(_synthesize, frames, cfg,
-                                       args.gl_iterations, path))
-                       for i, frames, path in jobs]
-            for i, future in futures:
-                try:
-                    future.result()
-                except (ValueError, OSError) as exc:
-                    errors[i] = str(exc)
-        finally:
-            # an internal error or Ctrl-C does not wait for queued words
-            pool.shutdown(cancel_futures=True)
+            _synthesize(frames, cfg, args.gl_iterations, path)
+        except (ValueError, OSError) as exc:
+            return str(exc)
+
+    if not args.no_wav:
+        for (i, _, _), msg in zip(jobs, workers.ordered_map(synthesize, jobs)):
+            if msg is not None:
+                errors[i] = msg
 
     failures = [(key, msg) for (key, _), msg in zip(selected, errors)
                 if msg is not None]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
-from . import dsp
+from . import dsp, workers
 from .atomic import atomic_open
 
 logger = logging.getLogger(__name__)
@@ -365,6 +365,29 @@ def load_feature_store(root) -> FeatureStore:
     return FeatureStore(root=root, entries=entries)
 
 
+def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
+    """Write one clip's features; return the frame count, None for an
+    all-silent clip, or the message (a str) of a clip that fails."""
+    try:
+        w = dsp.read_wav(utt.audio_path)  # its errors name the file
+    except (OSError, ValueError) as exc:
+        return str(exc)
+    try:
+        w = dsp.reduce_noise(w, dsp_cfg)
+        w = dsp.trim_silence(w, threshold_db=dsp_cfg.trim_threshold_db,
+                             frame_ms=dsp_cfg.trim_frame_ms)
+        w = dsp.resample(w, dsp_cfg.sample_rate)
+        w = dsp.normalize(w)
+        ms = dsp.mel_spectrogram(w, dsp_cfg)
+        mc = dsp.mel_cepstrum(ms, dsp_cfg.cepstral_order)
+    except dsp.AllSilentError:
+        return None
+    except ValueError as exc:
+        return f"{utt.audio_path}: {exc}"
+    dsp.write_mcep(feat_dir / f"{utt.stem}.mcep", mc.frames)
+    return int(mc.frames.shape[0])
+
+
 def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     """Extract and persist mel-cepstral features for every utterance.
 
@@ -374,40 +397,31 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     listed in ``skipped.txt``; unreadable or too-short clips are recorded
     in ``errors.txt`` and the run continues.  ``index.json`` maps each
     utterance key to its feature file and frame count.
+
+    Clips run one per usable CPU (``workers.ordered_map``).  Each clip's
+    features depend only on the clip, and ``skipped``, ``errors`` and
+    their files follow manifest order, so every output is byte-identical
+    whatever the CPU count.
     """
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     store = FeatureStore(root=out_dir)
 
-    for utt in m.utterances:
-        try:
-            w = dsp.read_wav(utt.audio_path)  # its errors name the file
-        except (OSError, ValueError) as exc:
-            store.errors.append((utt.key, str(exc)))
-            continue
-        try:
-            w = dsp.reduce_noise(w, dsp_cfg)
-            w = dsp.trim_silence(w, threshold_db=dsp_cfg.trim_threshold_db,
-                                 frame_ms=dsp_cfg.trim_frame_ms)
-            w = dsp.resample(w, dsp_cfg.sample_rate)
-            w = dsp.normalize(w)
-            ms = dsp.mel_spectrogram(w, dsp_cfg)
-            mc = dsp.mel_cepstrum(ms, dsp_cfg.cepstral_order)
-        except dsp.AllSilentError:
+    outcomes = workers.ordered_map(
+        lambda utt: _extract(utt, dsp_cfg, feat_dir), m.utterances)
+    for utt, outcome in zip(m.utterances, outcomes):
+        if outcome is None:
             store.skipped.append(utt.key)
-            continue
-        except ValueError as exc:
-            store.errors.append((utt.key, f"{utt.audio_path}: {exc}"))
-            continue
-        name = f"{utt.stem}.mcep"
-        dsp.write_mcep(feat_dir / name, mc.frames)
-        store.entries[utt.key] = {
-            "speaker_id": utt.speaker_id,
-            "block": utt.block,
-            "feature_path": f"features/{name}",
-            "frames": int(mc.frames.shape[0]),
-        }
+        elif isinstance(outcome, str):
+            store.errors.append((utt.key, outcome))
+        else:
+            store.entries[utt.key] = {
+                "speaker_id": utt.speaker_id,
+                "block": utt.block,
+                "feature_path": f"features/{utt.stem}.mcep",
+                "frames": outcome,
+            }
 
     with atomic_open(store.index_path, "w", encoding="utf-8") as fh:
         json.dump(store.entries, fh, indent=2, sort_keys=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathovc import cli, dsp, vqvae
+from pathovc import cli, dsp, vqvae, workers
 from pathovc.cli import main
 from pathovc.config import SECTIONS, load_run_config
 
@@ -217,6 +217,37 @@ class TestPreprocess:
         assert (out2 / name).read_bytes() == (env["feats"] / name).read_bytes()
         assert ((out2 / "index.json").read_text()
                 == (env["feats"] / "index.json").read_text())
+
+    def test_internal_error_in_a_clip_cancels_queued_clips(
+            self, env, tmp_path, capsys, monkeypatch):
+        # the first clip is longer than the rest, so it is known by its size
+        first = tmp_path / "first.wav"
+        dsp.write_wav(first, dsp.Waveform(np.full(9000, 0.25), 16000))
+        lines = env["manifest"].read_text().splitlines()
+        lines.insert(3, f"M04,,,,W9,B1,{first}")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        reduce_noise = dsp.reduce_noise
+        calls = []
+
+        def failing(w, cfg):
+            calls.append(w.samples.size)
+            if w.samples.size == 9000:
+                raise RuntimeError("front-end bug")
+            time.sleep(0.2)  # leaves the queue to the calling thread
+            return reduce_noise(w, cfg)
+
+        monkeypatch.setattr(dsp, "reduce_noise", failing)
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "out"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "preprocess", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" in err and "front-end bug" in err
+        assert 9000 in calls
+        assert len(calls) <= 3  # of 19 clips queued, on 2 workers
+        for name in ("index.json", "skipped.txt", "errors.txt"):
+            assert not (out / name).exists()
 
     @pytest.mark.parametrize("key", ["trim_threshold_db", "noise_gate_db"])
     def test_nan_dsp_setting_is_user_error(self, env, tmp_path, capsys, key):
@@ -710,19 +741,19 @@ class TestConvert:
     def test_outputs_independent_of_worker_count(self, env, tmp_path, monkeypatch):
         pools = []
 
-        class Pool(cli.ThreadPoolExecutor):
+        class Pool(workers.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(workers, "ThreadPoolExecutor", Pool)
         blobs = []
         for cpus in ({0}, {0, 1}, {0, 1, 2}, None):
             if cpus is None:  # no affinity call: the CPU count decides
-                monkeypatch.delattr(cli.os, "sched_getaffinity")
-                monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+                monkeypatch.delattr(workers.os, "sched_getaffinity")
+                monkeypatch.setattr(workers.os, "cpu_count", lambda: 4)
             else:
-                monkeypatch.setattr(cli.os, "sched_getaffinity",
+                monkeypatch.setattr(workers.os, "sched_getaffinity",
                                     lambda pid, cpus=cpus: cpus)
             out = tmp_path / f"run{len(blobs)}"
             assert self._convert_all(env, env["feats"], out) == 0
@@ -731,34 +762,42 @@ class TestConvert:
         assert len(blobs[0]) == 18
         assert all(b == blobs[0] for b in blobs[1:])
 
-    def test_outputs_independent_of_blas_threads(self, env, tmp_path):
-        # preprocess, train and convert with wavs, once per BLAS thread
-        # count, each command in a fresh interpreter; relative output paths
-        # keep the run directory out of the files
+    def test_outputs_independent_of_blas_threads_and_workers(self, env, tmp_path):
+        # preprocess, train and convert with wavs, at 1 and 2 BLAS threads
+        # and 1 and 2 pool workers, each command in a fresh interpreter that
+        # sees only the first N CPUs; relative output paths keep the run
+        # directory out of the files
         src = str(Path(cli.__file__).resolve().parents[1])
+        launcher = ("import os, sys\n"
+                    "from pathovc import cli\n"
+                    "cpus = set(range(int(sys.argv.pop(1))))\n"
+                    "os.sched_getaffinity = lambda pid: cpus\n"
+                    "sys.exit(cli.main(sys.argv[1:]))\n")
         runs = []
         for threads in ("1", "2"):
-            run_dir = tmp_path / f"threads{threads}"
-            run_dir.mkdir()
             child_env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                              PYTHONPATH=os.pathsep.join(
                                  filter(None, [src, os.environ.get("PYTHONPATH")])))
-            for argv in (
-                    ["--out", "feats", "preprocess", str(env["manifest"])],
-                    ["--out", "model", "--seed", "1", "train",
-                     str(env["manifest"]), "--features", "feats"],
-                    ["--out", "conv", "convert", "model/model.hvqv",
-                     "--features", "feats", "--source", "M04",
-                     "--target", "M12"]):
-                subprocess.run([sys.executable, "-m", "pathovc.cli",
-                                "--config", str(env["ini"]), *argv],
-                               cwd=run_dir, env=child_env, capture_output=True,
-                               check=True, timeout=300)
-            runs.append({str(p.relative_to(run_dir)):
-                         hashlib.sha256(p.read_bytes()).hexdigest()
-                         for p in sorted(run_dir.rglob("*")) if p.is_file()})
+            for cpus in ("1", "2"):
+                run_dir = tmp_path / f"threads{threads}_cpus{cpus}"
+                run_dir.mkdir()
+                for argv in (
+                        ["--out", "feats", "preprocess", str(env["manifest"])],
+                        ["--out", "model", "--seed", "1", "train",
+                         str(env["manifest"]), "--features", "feats"],
+                        ["--out", "conv", "convert", "model/model.hvqv",
+                         "--features", "feats", "--source", "M04",
+                         "--target", "M12"]):
+                    subprocess.run([sys.executable, "-c", launcher, cpus,
+                                    "--config", str(env["ini"]), *argv],
+                                   cwd=run_dir, env=child_env,
+                                   capture_output=True, check=True, timeout=300)
+                runs.append({str(p.relative_to(run_dir)):
+                             hashlib.sha256(p.read_bytes()).hexdigest()
+                             for p in sorted(run_dir.rglob("*")) if p.is_file()})
         assert len([name for name in runs[0] if name.endswith(".wav")]) == 3
-        assert runs[0] == runs[1]
+        assert len([name for name in runs[0] if name.endswith(".mcep")]) == 21
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_failure_lines_keep_selection_order(self, env, tmp_path, capsys,
                                                 monkeypatch):
@@ -776,7 +815,7 @@ class TestConvert:
             write_wav(path, w)
 
         monkeypatch.setattr(dsp, "write_wav", failing_write)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "c"
         assert self._convert_all(env, feats, out) == 1
         captured = capsys.readouterr()
@@ -801,7 +840,7 @@ class TestConvert:
             time.sleep(0.2)  # leaves the queue to the calling thread
 
         monkeypatch.setattr(cli, "_synthesize", synthesize)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
         assert self._convert_all(env, env["feats"], tmp_path / "c") == 2
         err = capsys.readouterr().err
         assert "internal error" in err and "synthesis bug" in err

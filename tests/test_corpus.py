@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from pathovc import corpus, dsp
+from pathovc import corpus, dsp, workers
 
 from oracles import greedy_pairing_ref
 
@@ -381,6 +381,47 @@ class TestBuildFeatureStore:
         f2 = store2.feature_path("M04/CW1/B1").read_bytes()
         assert f1 == f2
         assert store1.index_path.read_bytes() == store2.index_path.read_bytes()
+
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # the failures come first, each quicker than the one before it, so
+        # in a pool they finish out of order; the report follows the manifest
+        rng = np.random.default_rng(0)
+        clips = [("W0", np.full(300, 0.5), 16000),  # too short for a frame
+                 ("W1", None, 16000),  # missing
+                 ("W2", np.zeros(32000), 16000),  # all silent
+                 ("W3", np.zeros(4000), 22050)]
+        for w in range(4, 10):
+            sr = (16000, 22050)[w % 2]
+            t = np.arange(int(0.3 * sr)) / sr
+            clips.append((f"W{w}", 0.5 * np.sin(2 * np.pi * 70.0 * w * t)
+                          + 0.01 * rng.standard_normal(t.size), sr))
+        rows = []
+        for word, samples, sr in clips:
+            path = tmp_path / f"{word}.wav"
+            if samples is not None:
+                dsp.write_wav(path, dsp.Waveform(samples, sr))
+            rows.append(("M04", word, "B1", str(path)))
+        m = corpus.parse_manifest(write_manifest(
+            tmp_path / "m.csv", TABLE_SPEAKERS[:1], rows))
+
+        runs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}, None):
+            if cpus is None:  # no affinity call: the CPU count decides
+                monkeypatch.delattr(workers.os, "sched_getaffinity")
+                monkeypatch.setattr(workers.os, "cpu_count", lambda: 4)
+            else:
+                monkeypatch.setattr(workers.os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"out{len(runs)}"
+            store = corpus.build_feature_store(m, self.small_cfg(), out)
+            assert [key for key, _ in store.errors] == ["M04/W0/B1", "M04/W1/B1"]
+            assert "too short" in store.errors[0][1]
+            assert store.skipped == ["M04/W2/B1", "M04/W3/B1"]
+            assert len(store.entries) == 6
+            runs.append({str(p.relative_to(out)): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(runs[0]) == 9  # six features, index, skipped, errors
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_load_feature_store_round_trip(self, tmp_path, dummy_wav):
         m = corpus.parse_manifest(write_manifest(
