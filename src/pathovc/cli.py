@@ -4,9 +4,11 @@ Subcommands: preprocess (manifest to feature store), train (feature
 store to checkpoint), convert (checkpoint plus features to converted
 features and waveforms), pair (severity-matched speaker pairs), stats
 (listening-test analysis).  Global flags --config, --seed, and --out
-come before the subcommand; a flag or argument named like a config key
-sets that key over the --config file, and --dump-config prints the values
-in effect.  Exit codes: 0 success, 1 user error, 2 internal error.
+come before the subcommand.  --seed, --out and each subcommand's flags
+and arguments, but --source, --target and those of stats, set the config
+key of their name (--no-wav: [convert] wav) over the --config file, and
+--dump-config prints the values in effect.  Exit codes: 0 success,
+1 user error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_NAME = "model.hvqv"
 REPORT_NAME = "training_report.csv"
-# Fast Griffin-Lim momentum for convert's waveforms; at this alpha
-# GL_ITERATIONS reach the spectral convergence of 60 plain iterations
+# Fast Griffin-Lim momentum for convert's waveforms; at this alpha the
+# default gl_iterations reach the convergence of 60 plain iterations
 GL_MOMENTUM = 0.99
-GL_ITERATIONS = 19
 
 
 class UserError(Exception):
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature store from the preprocess step")
     p.add_argument("--train-list", metavar="FILE",
                    help="file of utterance keys to train on instead of "
-                        "the default B1/B3 split")
+                        "the default B1/B3 split; overrides [paths] train_list")
 
     p = sub.add_parser("convert", help="convert utterances to a target voice")
     p.add_argument("checkpoint", nargs="?", help="trained model checkpoint")
@@ -79,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="speaker whose utterances are converted")
     p.add_argument("--target", required=True, metavar="SPEAKER",
                    help="speaker whose voice the output should carry")
-    p.add_argument("--all-blocks", action="store_true",
+    p.add_argument("--all-blocks", action="store_const", const="true",
                    help="convert every block, not only the held-out B2 set")
-    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS,
-                   metavar="N", help="Fast Griffin-Lim iterations "
-                   f"(default {GL_ITERATIONS})")
-    p.add_argument("--no-wav", action="store_true",
+    p.add_argument("--gl-iterations", metavar="N",
+                   help="Fast Griffin-Lim iterations; overrides "
+                        "[convert] gl_iterations")
+    p.add_argument("--no-wav", dest="wav", action="store_const", const="false",
                    help="write converted features only, skip waveforms")
 
     p = sub.add_parser("pair", help="propose severity-matched speaker pairs")
@@ -108,6 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 OVERRIDES = (("training", "seed", "--seed"), ("paths", "out", "--out"),
              ("paths", "manifest", "manifest"), ("paths", "features", "--features"),
              ("paths", "checkpoint", "checkpoint"),
+             ("paths", "train_list", "--train-list"),
+             ("convert", "all_blocks", "--all-blocks"),
+             ("convert", "gl_iterations", "--gl-iterations"),
+             ("convert", "wav", "--no-wav"),
              ("pairing", "max_delta", "--max-delta"),
              ("pairing", "include_female", "--include-female"),
              ("pairing", "allow_cross_sex", "--allow-cross-sex"))
@@ -178,18 +183,18 @@ def _read_features(path, cfg):
     return frames
 
 
-def _train_keys(args, manifest) -> list:
+def _train_keys(train_list: str, manifest) -> list:
     train, _ = corpus.partition_blocks(manifest)
-    if not args.train_list:
+    if not train_list:
         return sorted(u.key for u in train)
     known = {u.key: u for u in manifest.utterances}
     keys: dict = {}
-    text = corpus.read_utf8(args.train_list, UserError)
+    text = corpus.read_utf8(train_list, UserError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         key = line.strip()
         if not key:
             continue
-        where = f"{args.train_list} line {lineno}"
+        where = f"{train_list} line {lineno}"
         if key in keys:
             raise UserError(f"{where}: duplicate utterance key {key}, first on "
                             f"line {keys[key]}")
@@ -199,7 +204,7 @@ def _train_keys(args, manifest) -> list:
             raise UserError(f"{where}: refusing to train on held-out B2 utterance {key}")
         keys[key] = lineno
     if not keys:
-        raise UserError(f"{args.train_list}: no utterance keys")
+        raise UserError(f"{train_list}: no utterance keys")
     return sorted(keys)
 
 
@@ -209,7 +214,7 @@ def cmd_train(args, cfg) -> int:
                         "[training] seed in the config")
     manifest = _load_manifest(cfg)
     store = _load_store(cfg)
-    keys = _train_keys(args, manifest)
+    keys = _train_keys(cfg.paths["train_list"], manifest)
 
     present = [k for k in keys if k in store.entries]
     utterances = {u.key: u for u in manifest.utterances}
@@ -254,19 +259,18 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _synthesize(frames, cfg, iterations: int, path) -> None:
+def _synthesize(frames, cfg, path) -> None:
     """Write the Fast Griffin-Lim waveform of cepstral ``frames`` to ``path``."""
     mc = dsp.MelCepstrogram(frames,
                             frame_shift=cfg.dsp.hop_size / cfg.dsp.sample_rate,
                             sample_rate=cfg.dsp.sample_rate)
     ms = dsp.invert_mel_cepstrum(mc, cfg.dsp.n_mels)
-    w = dsp.griffin_lim(ms, cfg.dsp, iterations, momentum=GL_MOMENTUM)
+    w = dsp.griffin_lim(ms, cfg.dsp, cfg.convert.gl_iterations,
+                        momentum=GL_MOMENTUM)
     dsp.write_wav(path, dsp.normalize(w))
 
 
 def cmd_convert(args, cfg) -> int:
-    if args.gl_iterations < 1:
-        raise UserError(f"--gl-iterations must be >= 1, got {args.gl_iterations}")
     ckpt = _require(cfg.paths["checkpoint"], "checkpoint path")
     if not Path(ckpt).is_file():
         raise UserError(f"checkpoint not found: {ckpt}")
@@ -278,9 +282,9 @@ def cmd_convert(args, cfg) -> int:
     selected = [
         (key, entry) for key, entry in sorted(store.entries.items())
         if entry["speaker_id"] == args.source
-        and (args.all_blocks or entry["block"] == corpus.TEST_BLOCK)]
+        and (cfg.convert.all_blocks or entry["block"] == corpus.TEST_BLOCK)]
     if not selected:
-        blocks = "any block" if args.all_blocks else corpus.TEST_BLOCK
+        blocks = "any block" if cfg.convert.all_blocks else corpus.TEST_BLOCK
         raise UserError(f"no utterances of speaker {args.source!r} in "
                         f"{blocks}; check --source or pass --all-blocks")
 
@@ -309,11 +313,11 @@ def cmd_convert(args, cfg) -> int:
     def synthesize(job):
         _, frames, path = job
         try:
-            _synthesize(frames, cfg, args.gl_iterations, path)
+            _synthesize(frames, cfg, path)
         except (ValueError, OSError) as exc:
             return str(exc)
 
-    if not args.no_wav:
+    if cfg.convert.wav:
         for (i, _, _), msg in zip(jobs, workers.ordered_map(synthesize, jobs)):
             if msg is not None:
                 errors[i] = msg

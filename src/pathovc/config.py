@@ -1,10 +1,11 @@
 """Run configuration: one INI-style file covering every pipeline knob.
 
 Sections map onto the modules: [dsp] feeds DspConfig, [model] feeds
-VqVaeConfig, [training] feeds TrainingConfig, [corpus] and [pairing]
-feed the manifest tooling, [paths] holds default file locations the
-command line can override.  Every key is optional; omitted keys keep
-their defaults.  Unknown sections or keys are an error, never ignored.
+VqVaeConfig, [training] feeds TrainingConfig, [convert] feeds
+ConvertConfig, [corpus] and [pairing] feed the manifest tooling, [paths]
+holds default file locations the command line can override.  Every key
+is optional; omitted keys keep their defaults.  Unknown sections or keys
+are an error, never ignored.
 """
 
 from __future__ import annotations
@@ -31,8 +32,19 @@ class PairingConfig:
     allow_cross_sex: bool = False
 
     def __post_init__(self):
-        if self.max_delta < 0:
+        if not self.max_delta >= 0:
             raise ValueError(f"max_delta must be non-negative, got {self.max_delta}")
+
+
+@dataclasses.dataclass
+class ConvertConfig:
+    all_blocks: bool = False  # False converts only the held-out B2 words
+    gl_iterations: int = 19  # Fast Griffin-Lim iterations per waveform
+    wav: bool = True  # False writes the converted features only
+
+    def __post_init__(self):
+        if not self.gl_iterations >= 1:
+            raise ValueError(f"gl_iterations must be >= 1, got {self.gl_iterations}")
 
 
 def _parse_scalar(kind, text: str, where: str):
@@ -77,9 +89,11 @@ SECTIONS = {
     "dsp": (DspConfig, _defaults(DspConfig)),
     "model": (VqVaeConfig, _defaults(VqVaeConfig, ("in_channels", "param_dtype"))),
     "training": (TrainingConfig, _defaults(TrainingConfig)),
+    "convert": (ConvertConfig, _defaults(ConvertConfig)),
     "corpus": (dict, {"band_cuts": tuple(DEFAULT_BAND_CUTS)}),
     "pairing": (PairingConfig, _defaults(PairingConfig)),
-    "paths": (dict, dict.fromkeys(("manifest", "features", "checkpoint", "out"), "")),
+    "paths": (dict, dict.fromkeys(
+        ("manifest", "features", "checkpoint", "train_list", "out"), "")),
 }
 
 
@@ -88,6 +102,7 @@ class RunConfig:
     dsp: DspConfig
     model: VqVaeConfig
     training: TrainingConfig
+    convert: ConvertConfig
     corpus: dict
     pairing: PairingConfig
     paths: dict

@@ -80,7 +80,7 @@ def trim_silence(w: Waveform, threshold_db: float = -40.0,
     to the end of the last one survives, so no frame above threshold is
     ever removed.
     """
-    if threshold_db >= 0:
+    if not threshold_db < 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
     x = w.samples
     peak = np.max(np.abs(x)) if x.size else 0.0

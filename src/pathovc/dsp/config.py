@@ -28,7 +28,7 @@ class DspConfig:
             raise ValueError("n_mels must be at least 2")
         if not (0 <= self.cepstral_order < self.n_mels):
             raise ValueError("cepstral_order must be in [0, n_mels)")
-        if self.trim_threshold_db >= 0:
+        if not self.trim_threshold_db < 0:
             raise ValueError("trim_threshold_db must be negative")
         if not self.trim_frame_ms > 0:
             raise ValueError("trim_frame_ms must be positive")

@@ -48,8 +48,8 @@ class VqVaeConfig:
             raise ValueError("codebook_size must be at least 2")
         if min(self.in_channels, self.hidden, self.latent_dim, self.embed_dim) < 1:
             raise ValueError("channel widths must be positive")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ValueError("kernel_size must be positive and odd")
         if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
 

@@ -137,6 +137,30 @@ class TestDumpConfig:
                      "--include-female"]) == 0
         assert "include_female = true" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("flags,default,given", [
+        (["--train-list", "keys.txt"], "train_list = ", "train_list = keys.txt"),
+        (["--all-blocks"], "all_blocks = false", "all_blocks = true"),
+        (["--gl-iterations", "5"], "gl_iterations = 19", "gl_iterations = 5"),
+        (["--no-wav"], "wav = true", "wav = false"),
+    ], ids=["train-list", "all-blocks", "gl-iterations", "no-wav"])
+    def test_command_flag_shows_in_dump(self, capsys, flags, default, given):
+        command = (["train"] if flags[0] == "--train-list" else
+                   ["convert", "m.hvqv", "--source", "a", "--target", "b"])
+        assert main(["--dump-config", *command]) == 0
+        assert default in capsys.readouterr().out.splitlines()
+        assert main(["--dump-config", *command, *flags]) == 0
+        assert given in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("in_file", ["false", "true"])
+    def test_no_wav_flag_only_turns_wavs_off(self, tmp_path, capsys, in_file):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[convert]\nwav = {in_file}\n")
+        convert = ["convert", "m.hvqv", "--source", "a", "--target", "b"]
+        assert main(["--config", str(ini), "--dump-config", *convert]) == 0
+        assert f"wav = {in_file}" in capsys.readouterr().out.splitlines()
+        assert main(["--config", str(ini), "--dump-config", *convert, "--no-wav"]) == 0
+        assert "wav = false" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("flags,named", [
         (["--seed", "-1"], "--seed: seed must be non-negative, got -1"),
         (["--seed", "abc"], "--seed: expected int, got 'abc'"),
@@ -355,6 +379,49 @@ class TestTrain:
                      str(env["feats"]), "--train-list", str(listing)]) == 1
         err = capsys.readouterr().err
         assert "M04/W0/B2" in err and "refusing" in err
+
+    def test_b2_in_configured_train_list_refused(self, env, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_text("M04/W1/B1\nM04/W0/B2\n")
+        ini = tmp_path / "list.ini"
+        ini.write_text(RUN_INI + f"[paths]\ntrain_list = {listing}\n")
+        out = tmp_path / "m"
+        assert main(["--config", str(ini), "--out", str(out), "train",
+                     str(env["manifest"]), "--features", str(env["feats"])]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {listing} line 2: refusing to train on held-out B2 "
+                "utterance M04/W0/B2") in err
+        assert not out.exists()
+
+    def test_dumped_train_list_reproduces_checkpoint(self, env, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_text("M04/W0/B1\nM12/W0/B3\n")
+        out = tmp_path / "m"
+        argv = ["--config", str(env["ini"]), "--out", str(out), "train",
+                str(env["manifest"]), "--features", str(env["feats"]),
+                "--train-list", str(listing)]
+        assert main(["--dump-config", *argv]) == 0
+        dumped = tmp_path / "dumped.ini"
+        dumped.write_text(capsys.readouterr().out)
+        assert main(argv) == 0
+        by_flags = (out / "model.hvqv").read_bytes()
+        assert by_flags != env["ckpt"].read_bytes()
+        shutil.rmtree(out)
+        assert main(["--config", str(dumped), "train"]) == 0
+        assert (out / "model.hvqv").read_bytes() == by_flags
+
+    @pytest.mark.parametrize("k", ["-1", "-3"])
+    def test_negative_kernel_size_is_user_error(self, env, tmp_path, capsys, k):
+        # -1 % 2 == 1, so an odd-only check let these through to numpy
+        ini = tmp_path / "k.ini"
+        ini.write_text(RUN_INI.replace("embed_dim = 4",
+                                       f"embed_dim = 4\nkernel_size = {k}"))
+        out = tmp_path / "m"
+        assert main(["--config", str(ini), "--out", str(out), "train",
+                     str(env["manifest"]), "--features", str(env["feats"])]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ini}: kernel_size must be positive and odd" in err
+        assert "internal error" not in err and not out.exists()
 
     def test_explicit_train_list_accepted(self, env, tmp_path):
         listing = tmp_path / "list.txt"
@@ -605,6 +672,26 @@ class TestConvert:
         assert len(list(out.glob("*.mcep"))) == 9
         assert list(out.glob("*.wav")) == []
 
+    @pytest.mark.parametrize("flags,files", [
+        (["--all-blocks", "--gl-iterations", "3"], 18), (["--no-wav"], 3),
+    ], ids=["all-blocks-gl-iterations", "no-wav"])
+    def test_dumped_flags_reproduce_outputs(self, env, tmp_path, capsys,
+                                            flags, files):
+        out = tmp_path / "c"
+        argv = ["--config", str(env["ini"]), "--out", str(out), "convert",
+                str(env["ckpt"]), "--features", str(env["feats"]),
+                "--source", "M04", "--target", "M12", *flags]
+        assert main(["--dump-config", *argv]) == 0
+        dumped = tmp_path / "dumped.ini"
+        dumped.write_text(capsys.readouterr().out)
+        assert main(argv) == 0
+        by_flags = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(by_flags) == files
+        shutil.rmtree(out)
+        assert main(["--config", str(dumped), "convert",
+                     "--source", "M04", "--target", "M12"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == by_flags
+
     def test_unknown_target_is_lookup_error(self, env, tmp_path, capsys):
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
                      "convert", str(env["ckpt"]), "--features",
@@ -833,7 +920,7 @@ class TestConvert:
             self, env, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def synthesize(frames, cfg, iterations, path):
+        def synthesize(frames, cfg, path):
             calls.append(path.name)
             if len(calls) == 1:
                 raise RuntimeError("synthesis bug")
@@ -867,14 +954,26 @@ class TestConvert:
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_bad_gl_iterations_is_user_error(self, env, tmp_path, capsys, n):
+        # the flag follows the rules of [convert] gl_iterations in a file
         out = tmp_path / "c"
         assert main(["--config", str(env["ini"]), "--out", str(out),
                      "convert", str(env["ckpt"]), "--features",
                      str(env["feats"]), "--source", "M04", "--target", "M12",
                      "--gl-iterations", n]) == 1
         err = capsys.readouterr().err
-        assert f"--gl-iterations must be >= 1, got {n}" in err
+        assert f"error: --gl-iterations: gl_iterations must be >= 1, got {n}" in err
         assert not out.exists()
+
+    def test_bad_gl_iterations_in_file_names_the_file(self, env, tmp_path, capsys):
+        ini = tmp_path / "gl.ini"
+        ini.write_text(RUN_INI + "[convert]\ngl_iterations = 0\n")
+        out = tmp_path / "c"
+        assert main(["--config", str(ini), "--out", str(out), "convert",
+                     str(env["ckpt"]), "--features", str(env["feats"]),
+                     "--source", "M04", "--target", "M12"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ini}: gl_iterations must be >= 1, got 0" in err
+        assert "internal error" not in err and not out.exists()
 
     def test_truncated_index_is_user_error(self, env, tmp_path, capsys):
         text = (env["feats"] / "index.json").read_text()

@@ -137,6 +137,11 @@ class TestLoad:
             config.load_run_config(path)
         assert f"{path} [{section}] {key}: expected a finite number" in str(exc.value)
 
+    def test_nan_max_delta_rejected_by_the_dataclass(self):
+        # the loader refuses NaN in a file; a library caller gets here
+        with pytest.raises(ValueError, match="max_delta must be non-negative"):
+            config.PairingConfig(max_delta=float("nan"))
+
     def test_validation_errors_surface(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[dsp]\nhop_size = 4096\n")

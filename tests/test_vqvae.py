@@ -771,6 +771,18 @@ class TestCheckpoint:
         with pytest.raises(vqvae.CheckpointFormatError, match="h.hvqv: "):
             vqvae.load_checkpoint(path)
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_kernel_size_is_format_error(self, tmp_path, k):
+        # refused by the config, before the layout takes sqrt of a negative
+        path = tmp_path / "k.hvqv"
+        vqvae.save_checkpoint(self._small_model(), path)
+        self._edit_header(path, lambda h: h["config"].__setitem__("kernel_size", k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(vqvae.CheckpointFormatError,
+                               match="k.hvqv: .*kernel_size must be positive and odd"):
+                vqvae.load_checkpoint(path)
+
     @pytest.mark.parametrize("dtype", ["float64", "no-such-type"])
     def test_non_float32_param_dtype_is_format_error(self, tmp_path, dtype):
         path = tmp_path / "d.hvqv"
