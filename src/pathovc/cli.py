@@ -150,6 +150,16 @@ def _load_store(cfg) -> corpus.FeatureStore:
     return corpus.load_feature_store(root)
 
 
+def _report_failures(failures, what: str) -> int:
+    """Print the ``(key, message)`` failures on stderr; 1 if any, else 0."""
+    if not failures:
+        return 0
+    print(f"{len(failures)} {what}(s) failed:", file=sys.stderr)
+    for key, msg in failures:
+        print(f"  {key}: {msg}", file=sys.stderr)
+    return 1
+
+
 def cmd_preprocess(args, cfg) -> int:
     manifest = _load_manifest(cfg)
     out = _out_dir(cfg)
@@ -158,12 +168,7 @@ def cmd_preprocess(args, cfg) -> int:
     if store.skipped:
         print(f"skipped {len(store.skipped)} all-silent clip(s), "
               f"see {out / 'skipped.txt'}")
-    if store.errors:
-        print(f"{len(store.errors)} clip(s) failed:", file=sys.stderr)
-        for key, msg in store.errors:
-            print(f"  {key}: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_failures(store.errors, "clip")
 
 
 def _read_features(path, cfg):
@@ -209,9 +214,6 @@ def _train_keys(train_list: str, manifest) -> list:
 
 
 def cmd_train(args, cfg) -> int:
-    if not cfg.has("training", "seed"):
-        raise UserError("train requires a seed: pass --seed or set "
-                        "[training] seed in the config")
     manifest = _load_manifest(cfg)
     store = _load_store(cfg)
     keys = _train_keys(cfg.paths["train_list"], manifest)
@@ -326,12 +328,7 @@ def cmd_convert(args, cfg) -> int:
                 if msg is not None]
     print(f"converted {len(selected) - len(failures)} utterance(s) of "
           f"{args.source} to {args.target} in {out}")
-    if failures:
-        print(f"{len(failures)} utterance(s) failed:", file=sys.stderr)
-        for key, msg in failures:
-            print(f"  {key}: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_failures(failures, "utterance")
 
 
 def cmd_pair(args, cfg) -> int:

@@ -106,11 +106,6 @@ class RunConfig:
     corpus: dict
     pairing: PairingConfig
     paths: dict
-    explicit: frozenset
-
-    def has(self, section: str, key: str) -> bool:
-        """True when the loaded file or a command-line override set the key."""
-        return f"{section}.{key}" in self.explicit
 
 
 def load_run_config(path=None, overrides=()) -> RunConfig:
@@ -155,8 +150,7 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
                      for name, (build, defaults) in SECTIONS.items()}
         except ValueError as exc:
             raise ConfigError(f"{origin}: {exc}") from None
-    return RunConfig(**built, explicit=frozenset(
-        f"{section}.{key}" for section, keys in values.items() for key in keys))
+    return RunConfig(**built)
 
 
 def _format_value(v) -> str:

@@ -14,6 +14,7 @@ minimum intelligibility-score difference within the same band.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -51,15 +52,18 @@ INDEX_FIELDS = {"speaker_id": str, "block": str, "feature_path": str,
 
 
 def read_utf8(path, error) -> str:
-    """The text of ``path``; a byte that is not UTF-8 raises ``error``
-    naming the file and the line."""
+    """The text of ``path`` less one leading byte-order mark; a byte that
+    is not UTF-8 raises ``error`` naming the file, the line and the byte
+    offset as they are on disk."""
     raw = Path(path).read_bytes()
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        return raw.decode("utf-8")
+        return raw[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        at = start + exc.start
+        line = raw.count(b"\n", 0, at) + 1
         raise error(f"{path} line {line}: not UTF-8 text ({exc.reason} at "
-                    f"byte {exc.start})") from None
+                    f"byte {at})") from None
 
 
 def read_csv_table(path, columns, error, what):

@@ -66,6 +66,8 @@ class RatingSet:
         for lineno, (listener, kind, group, value) in read_csv_table(
                 rs.path, RATINGS_COLUMNS, RatingsFormatError, "ratings file"):
             where = f"{rs.path} line {lineno}"
+            if not listener:
+                raise RatingsFormatError(f"{where}: listener_id is empty")
             seen = first_line.setdefault((listener, kind, group), lineno)
             if seen != lineno:
                 raise RatingsFormatError(

@@ -1,3 +1,4 @@
+import codecs
 import configparser
 import hashlib
 import json
@@ -106,6 +107,33 @@ class TestParsing:
         err = capsys.readouterr().err
         assert f"{bad} line 3: not UTF-8 text" in err
         assert "internal error" not in err
+
+
+class TestByteOrderMark:
+    """Excel and many editors start UTF-8 text with a byte-order mark."""
+
+    @pytest.mark.parametrize("reader", ["manifest", "ratings", "train-list",
+                                        "config"])
+    def test_marked_file_reads_like_unmarked(self, env, tmp_path, capsys,
+                                             reader):
+        text, argv = {
+            "manifest": (env["manifest"].read_bytes(), ["pair", "{}"]),
+            "ratings": (b"listener_id,kind,group_key,value\n"
+                        b"L0,mos,gt_high,3\nL1,mos,gt_high,4\n",
+                        ["stats", "{}", "--mode", "mos"]),
+            "train-list": (b"M04/W0/B1\nM12/W0/B3\n",
+                           ["--config", str(env["ini"]), "--out",
+                            str(tmp_path / "m"), "train", str(env["manifest"]),
+                            "--features", str(env["feats"]), "--train-list", "{}"]),
+            "config": (env["ini"].read_bytes(), ["--config", "{}", "--dump-config"]),
+        }[reader]
+        printed = []
+        for name, raw in (("plain", text), ("marked", codecs.BOM_UTF8 + text)):
+            path = tmp_path / name
+            path.write_bytes(raw)
+            assert main([a.format(path) for a in argv]) == 0, capsys.readouterr().err
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 class TestDumpConfig:
@@ -366,10 +394,28 @@ class TestTrain:
         assert f"error: {ini}: seed must be non-negative, got -3" in err
         assert "internal error" not in err and not out.exists()
 
-    def test_seed_required(self, env, tmp_path, capsys):
-        assert main(["--out", str(tmp_path / "m"), "train",
-                     str(env["manifest"]), "--features", str(env["feats"])]) == 1
-        assert "seed" in capsys.readouterr().err
+    def test_unseeded_train_matches_its_dump_and_seed_0(self, env, tmp_path,
+                                                         capsys):
+        # the dump of a config without a seed spells out the seed it trains with
+        ini = tmp_path / "unseeded.ini"
+        ini.write_text(RUN_INI.replace("seed = 7\n", ""))
+        assert main(["--config", str(ini), "--dump-config"]) == 0
+        dumped = tmp_path / "dumped.ini"
+        dumped.write_text(capsys.readouterr().out)
+        assert "\nseed = 0\n" in dumped.read_text()
+        runs = {"unseeded": ["--config", str(ini)],
+                "dumped": ["--config", str(dumped)],
+                "seed0": ["--config", str(ini), "--seed", "0"]}
+        outputs = []
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out), "train", str(env["manifest"]),
+                         "--features", str(env["feats"])]) == 0
+            assert "with seed 0" in capsys.readouterr().out
+            outputs.append([(out / f).read_bytes()
+                            for f in (cli.CHECKPOINT_NAME, cli.REPORT_NAME)])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0] != env["ckpt"].read_bytes()  # trained with seed 7
 
     def test_b2_in_train_list_refused(self, env, tmp_path, capsys):
         listing = tmp_path / "list.txt"
@@ -1243,6 +1289,18 @@ class TestStats:
         ratings.write_text("listener_id,kind,group_key,value\nL0,mos,gt_high,9\n")
         assert main(["stats", str(ratings), "--mode", "mos"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["mos", "wilcoxon"])
+    def test_empty_listener_is_user_error(self, tmp_path, capsys, mode):
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("listener_id,kind,group_key,value\n"
+                           ",mos,gt_high,3\n,mos,vc_high,4\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "stats", str(ratings),
+                     "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ratings} line 2: listener_id is empty\n"
+        assert captured.out == "" and not out.exists()
 
     def test_non_utf8_ratings_is_user_error(self, tmp_path, capsys):
         ratings = tmp_path / "r.csv"

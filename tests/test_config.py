@@ -11,7 +11,7 @@ class TestDefaults:
         assert cfg.training.steps == 200
         assert cfg.pairing.include_female is False
         assert cfg.corpus["band_cuts"] == (25.0, 50.0, 75.0)
-        assert cfg.explicit == frozenset()
+        assert cfg.training.seed == 0
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(config.ConfigError, match="not found"):
@@ -19,7 +19,7 @@ class TestDefaults:
 
 
 class TestLoad:
-    def test_overrides_applied_and_tracked(self, tmp_path):
+    def test_file_values_applied(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[training]\nseed = 7\nsteps = 11\n"
                         "[model]\nhidden = 16\n"
@@ -30,8 +30,7 @@ class TestLoad:
         assert cfg.model.hidden == 16
         assert cfg.model.latent_dim == 64
         assert cfg.pairing.include_female is True
-        assert cfg.has("training", "seed")
-        assert not cfg.has("training", "learning_rate")
+        assert cfg.training.learning_rate == 2e-4
 
     def test_command_line_overrides_follow_the_file(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -44,8 +43,7 @@ class TestLoad:
         assert cfg.pairing.include_female is True
         assert cfg.pairing.max_delta == 2.5
         assert cfg.paths["out"] == "results"
-        assert cfg.has("pairing", "max_delta") and cfg.has("paths", "out")
-        assert not cfg.has("pairing", "allow_cross_sex")
+        assert cfg.pairing.allow_cross_sex is False
 
     @pytest.mark.parametrize("override,message", [
         (("pairing", "max_delta", "inf", "--max-delta"),
@@ -188,3 +186,39 @@ class TestDump:
         path.write_text(first)
         again = config.dump_run_config(config.load_run_config(path))
         assert first == again
+        assert config.load_run_config(path) == config.load_run_config(None)
+
+    def test_every_key_round_trips(self, tmp_path):
+        # a valid value other than the default for each of the 36 keys
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[dsp]\nsample_rate = 16000\nfft_size = 512\nwindow_size = 400\n"
+            "hop_size = 160\nn_mels = 40\nfmin = 60.5\nfmax = 7000.0\n"
+            "cepstral_order = 24\ntrim_threshold_db = -35.5\n"
+            "trim_frame_ms = 20.0\nnoise_gate_db = 4.5\n"
+            "noise_floor_quantile = 0.2\nnoise_attenuation_db = -24.0\n"
+            "[model]\nhidden = 32\nlatent_dim = 16\ncodebook_size = 16\n"
+            "embed_dim = 8\nbeta = 0.5\nkernel_size = 3\n"
+            "[training]\nsteps = 7\nbatch_size = 2\ncrop_frames = 32\n"
+            "learning_rate = 0.001\nseed = 11\n"
+            "[convert]\nall_blocks = true\ngl_iterations = 5\nwav = false\n"
+            "[corpus]\nband_cuts = 20, 45.5, 70\n"
+            "[pairing]\nmax_delta = 2.5\ninclude_female = true\n"
+            "allow_cross_sex = true\n"
+            "[paths]\nmanifest = corpus.csv\nfeatures = feats\n"
+            "checkpoint = m/model.hvqv\ntrain_list = keys.txt\nout = results\n")
+        cfg = config.load_run_config(path)
+        set_keys = 0
+        for name, (_, defaults) in config.SECTIONS.items():
+            section = getattr(cfg, name)
+            for key, default in defaults.items():
+                value = (section[key] if isinstance(section, dict)
+                         else getattr(section, key))
+                assert value != default, f"[{name}] {key}"
+                set_keys += 1
+        assert set_keys == 36
+        dumped = tmp_path / "dumped.ini"
+        dumped.write_text(config.dump_run_config(cfg))
+        assert config.load_run_config(dumped) == cfg
+        again = config.dump_run_config(config.load_run_config(dumped))
+        assert again == dumped.read_text()

@@ -1,3 +1,4 @@
+import codecs
 import json
 import logging
 
@@ -38,6 +39,27 @@ def dummy_wav(tmp_path):
     path = tmp_path / "clip.wav"
     dsp.write_wav(path, w)
     return path
+
+
+class TestReadUtf8:
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"speaker_id\n\xef\xbb\xbfM04\n")
+        # only the first mark goes; one later in the text is kept
+        assert corpus.read_utf8(path, ValueError) == "speaker_id\n\ufeffM04\n"
+
+    @pytest.mark.parametrize("raw,line,at", [
+        (codecs.BOM_UTF8 + b"\xffid\n", 1, 3),
+        (codecs.BOM_UTF8 + b"ab\nc\xff\n", 2, 7),
+        (b"ab\nc\xff\n", 2, 4),
+    ], ids=["after-mark", "marked-line-2", "unmarked-line-2"])
+    def test_bad_byte_counted_on_disk(self, tmp_path, raw, line, at):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as exc:
+            corpus.read_utf8(path, ValueError)
+        assert str(exc.value) == (f"{path} line {line}: not UTF-8 text "
+                                  f"(invalid start byte at byte {at})")
 
 
 class TestBandForScore:

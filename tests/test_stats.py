@@ -34,6 +34,13 @@ class TestRatingSet:
         assert rs.ab_groups() == {
             ("M04-M12", "a_to_b", "VC_vs_T"): ["same_sure"]}
 
+    def test_empty_listener_rejected(self, tmp_path):
+        path = ratings_csv(tmp_path, [("L01", "mos", "gt_high", "4"),
+                                      (" ", "mos", "gt_high", "3")])
+        with pytest.raises(stats.RatingsFormatError) as exc:
+            stats.RatingSet.from_csv(path)
+        assert str(exc.value) == f"{path} line 3: listener_id is empty"
+
     def test_unknown_condition_rejected(self, tmp_path):
         path = ratings_csv(tmp_path, [("L01", "mos", "sparkling", "4")])
         with pytest.raises(stats.RatingsFormatError, match="line 2.*sparkling"):
