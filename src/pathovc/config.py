@@ -54,6 +54,13 @@ def _parse_scalar(kind, text: str, where: str):
         if value is None:
             raise ConfigError(f"{where}: expected a boolean, got {text!r}")
         return value
+    if kind is str:
+        # a dump writes `key = value` on one line, and reading it back
+        # strips the value and takes a line break for a continuation line
+        if text != text.strip() or "\n" in text or "\r" in text:
+            raise ConfigError(f"{where}: expected a value on one line without "
+                              f"surrounding whitespace, got {text!r}")
+        return text
     try:
         value = kind(text)
     except ValueError:

@@ -13,40 +13,28 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        # two flat work buffers per dtype, as large as the largest parameter
-        size = max((p.data.size for p in self.params), default=0)
-        self._work = {m.dtype: (np.empty(size, m.dtype), np.empty(size, m.dtype))
-                      for m in self._m}
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        """One bias-corrected update in place on each parameter that has a grad.
+        """One bias-corrected update on each parameter that has a grad.
 
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-        p -= lr (m / c1) / (sqrt(v / c2) + eps), each operation in that
-        order in the parameter's dtype, into the moments and two reused
-        buffers.
+        p -= lr (m / c1) / (sqrt(v / c2) + eps) (Kingma & Ba, 2015), each
+        operation in that order in the parameter's dtype; the moments and
+        the parameter are updated in place.
         """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            g, m, v = p.grad, self._m[i], self._v[i]
-            a, b = (w[:m.size].reshape(m.shape) for w in self._work[m.dtype])
+            g = p.grad
             m *= b1
-            m += np.multiply(1.0 - b1, g, out=a)
-            np.multiply(g, g, out=a)
+            m += (1.0 - b1) * g
             v *= b2
-            v += np.multiply(1.0 - b2, a, out=a)
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p.data -= a
+            v += (1.0 - b2) * (g * g)
+            p.data -= m / c1 * self.lr / (np.sqrt(v / c2) + self.eps)

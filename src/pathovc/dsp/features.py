@@ -87,7 +87,12 @@ def _mel_banks(sample_rate, fft_size, n_mels, fmin, fmax):
 
 
 def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:
-    """Mel-weighted STFT magnitudes, time-major."""
+    """Mel-weighted STFT magnitudes, time-major, of a waveform at
+    ``cfg.sample_rate``, for which the filterbank is laid out."""
+    if w.sample_rate != cfg.sample_rate:
+        raise ValueError(
+            f"waveform at {w.sample_rate} Hz, but [dsp] sample_rate is "
+            f"{cfg.sample_rate} Hz; resample first")
     if w.samples.size < cfg.window_size:
         raise ValueError(
             f"waveform of {w.samples.size} samples is too short for one "
@@ -152,16 +157,15 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
                 return_convergence: bool = False, momentum: float = 0.0):
     """Iterative phase reconstruction from a mel spectrogram.
 
-    Zero-phase start, then alternate least-squares inversion and magnitude
-    replacement. With ``momentum`` 0 this is plain Griffin-Lim, whose
-    spectral-convergence error is non-increasing. Any other ``momentum``
-    (alpha) runs Fast Griffin-Lim (Perraudin, Balazs & Søndergaard, 2013):
-    the magnitude is replaced in ``estimate - alpha / (1 + alpha) * prev``,
-    where ``prev`` is the previous iteration's estimate (zero before the
-    first), and the error may rise between iterations. Returns the
-    waveform, or (waveform, per-iteration errors of the estimate) when
-    asked. Every iteration runs in buffers allocated once per call, and
-    the errors are computed only when asked for.
+    Zero-phase start, then per iteration one Fast Griffin-Lim update
+    (Perraudin, Balazs & Søndergaard, 2013) with alpha = ``momentum``: the
+    magnitude is replaced in ``estimate - alpha / (1 + alpha) * prev``,
+    ``prev`` being the previous iteration's estimate (zero before the
+    first). Alpha 0 is plain Griffin-Lim, whose spectral-convergence error
+    is non-increasing; otherwise the error may rise between iterations.
+    Returns the waveform, or (waveform, per-iteration errors of the
+    estimate) when asked. Every iteration runs in buffers allocated once
+    per call; |estimate| is computed only for the errors.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -177,27 +181,21 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
     spec = plan.spec
     spec[...] = target
     mag = np.empty(target.shape)
-    if momentum:
-        decay = momentum / (1.0 + momentum)
-        prev = np.zeros_like(spec)  # -decay times the previous estimate
-        accel = np.empty_like(spec)
+    decay = momentum / (1.0 + momentum)
+    prev = np.zeros_like(spec)  # -decay times the previous estimate
+    accel = np.empty_like(spec)
     errors = []
     for _ in range(iterations):
         x = istft(spec, *sizes, plan=plan)
         estimate = stft(x, *sizes, plan=plan)  # plan.spec, i.e. spec
-        if return_convergence or not momentum:
-            # with momentum, |estimate| serves only the errors
-            np.abs(estimate, out=mag)
         if return_convergence:
-            errors.append(spectral_convergence(mag, target))
-        if momentum:
-            np.add(estimate, prev, out=accel)
-            np.multiply(estimate, -decay, out=prev)
-            estimate = accel
-            np.abs(estimate, out=mag)
-        # spec = target * estimate / max(|estimate|, 1e-12), in place
+            errors.append(spectral_convergence(np.abs(estimate, out=mag), target))
+        np.add(estimate, prev, out=accel)
+        np.multiply(estimate, -decay, out=prev)
+        # spec = target * accel / max(|accel|, 1e-12), in place
+        np.abs(accel, out=mag)
         np.maximum(mag, 1e-12, out=mag)
-        np.multiply(target, estimate, out=spec)
+        np.multiply(target, accel, out=spec)
         np.divide(spec, mag, out=spec)
     out = Waveform(x.copy(), cfg.sample_rate)
     return (out, errors) if return_convergence else out

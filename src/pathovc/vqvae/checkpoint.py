@@ -68,6 +68,15 @@ def load_checkpoint(path) -> HVqVaeModel:
         header = json.loads(raw[base:base + header_len].decode("utf-8"))
         cfg = VqVaeConfig(**header["config"])
         speakers = header["speakers"]
+        # a string would load as one speaker per character
+        if not (isinstance(speakers, list)
+                and all(isinstance(s, str) and s for s in speakers)):
+            raise ValueError("speakers must be a list of non-empty strings, "
+                             f"got {speakers!r}")
+        initialized = header["codebooks_initialized"]
+        if not isinstance(initialized, bool):
+            raise ValueError("codebooks_initialized must be true or false, "
+                             f"got {initialized!r}")
         # widths parsed from JSON may be floats, which no shape takes
         layout = sorted((name, tuple(map(operator.index, shape)))
                         for name, shape, _ in _param_layout(cfg, len(speakers)))
@@ -96,5 +105,5 @@ def load_checkpoint(path) -> HVqVaeModel:
         model = HVqVaeModel._from_arrays(cfg, speakers, arrays)
     except (ValueError, TypeError) as e:
         raise CheckpointFormatError(f"{path}: {e}") from None
-    model.codebooks_initialized = bool(header.get("codebooks_initialized", False))
+    model.codebooks_initialized = initialized
     return model

@@ -194,7 +194,14 @@ class TestDumpConfig:
         (["--seed", "abc"], "--seed: expected int, got 'abc'"),
         (["--seed", "1.5"], "--seed: expected int, got '1.5'"),
         (["pair", "--max-delta", "x"], "--max-delta: expected float, got 'x'"),
-    ], ids=["seed-negative", "seed-abc", "seed-fraction", "max-delta-x"])
+        # a dump would write these back as 'spaced' and as two lines
+        (["--out", " spaced"], "--out: expected a value on one line without "
+                               "surrounding whitespace, got ' spaced'"),
+        (["train", "--features", "a\nb"], "--features: expected a value on one "
+                                          "line without surrounding whitespace, "
+                                          "got 'a\\nb'"),
+    ], ids=["seed-negative", "seed-abc", "seed-fraction", "max-delta-x",
+            "out-spaced", "features-line-break"])
     def test_bad_flag_value_names_the_flag(self, capsys, flags, named):
         assert main(["--dump-config", *flags]) == 1
         err = capsys.readouterr().err

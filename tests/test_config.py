@@ -82,6 +82,24 @@ class TestLoad:
         assert cfg.paths["out"] == "results"
         assert cfg.paths["features"] == ""
 
+    def test_path_with_inner_spaces_kept(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[paths]\nout = my results\n")
+        assert config.load_run_config(path).paths["out"] == "my results"
+        assert config.load_run_config(None, [
+            ("paths", "out", "my results", "--out")]).paths["out"] == "my results"
+
+    def test_continuation_line_rejected(self, tmp_path):
+        # an indented line continues the value, which then holds a line
+        # break that no dump can write back on one line
+        path = tmp_path / "run.ini"
+        path.write_text("[paths]\nout = results\n  more\n")
+        with pytest.raises(config.ConfigError) as exc:
+            config.load_run_config(path)
+        assert str(exc.value) == (
+            f"{path} [paths] out: expected a value on one line without "
+            "surrounding whitespace, got 'results\\nmore'")
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[mystery]\nx = 1\n")

@@ -420,6 +420,14 @@ class TestMelSpectrogram:
         with pytest.raises(ValueError, match="too short"):
             dsp.mel_spectrogram(dsp.Waveform(np.ones(512), 24000), dsp.DspConfig())
 
+    def test_waveform_at_another_rate_raises(self):
+        # the filterbank is laid out for [dsp] sample_rate, so a 1 kHz tone
+        # at 16 kHz would peak in the band centred at 1,531 Hz
+        w = dsp.Waveform(sine(1000, 16000), 16000)
+        with pytest.raises(ValueError, match="waveform at 16000 Hz, but "
+                           r"\[dsp\] sample_rate is 24000 Hz; resample first"):
+            dsp.mel_spectrogram(w, dsp.DspConfig())
+
     def test_frames_independent_of_blas_threads(self):
         # the float64 frames of 40 noise clips of 0.25-2.5 s, once per BLAS
         # thread count, each in a fresh interpreter

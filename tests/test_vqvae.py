@@ -16,7 +16,8 @@ from pathovc import vqvae
 
 from oracles import (finite_difference_grad, init_params_ref, max_relative_error,
                      nearest_codeword_ref)
-from synthdata import make_two_speaker_dataset, train_toy_model
+from synthdata import (MODEL_SEED, TOY_MODEL, TOY_TRAINING,
+                       make_two_speaker_dataset, train_toy_model)
 
 
 def tiny_model(seed=0, dtype="float64", speakers=("A", "B")):
@@ -457,6 +458,21 @@ class TestTraining:
         b = model.convert(data[3][1], "B")
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("beta", [0.25, 0.3])
+    def test_commitment_is_beta_times_codebook(self, beta):
+        # both terms are one squared distance, with the gradient stopped on
+        # opposite sides (van den Oord et al., 2017), so they differ only
+        # by the factor beta, bit for bit at every step
+        data, _, _ = make_two_speaker_dataset()
+        model = vqvae.HVqVaeModel(vqvae.VqVaeConfig(**TOY_MODEL, beta=beta),
+                                  ["A", "B"], seed=MODEL_SEED)
+        _, report = vqvae.train(model, data, vqvae.TrainingConfig(
+            **{**TOY_TRAINING, "steps": 30}))
+        assert len(report) == 30 and all(c > 0 for c in report.codebook)
+        for step, (codebook, commitment) in enumerate(
+                zip(report.codebook, report.commitment)):
+            assert commitment == beta * codebook, step
+
     def test_same_seed_bit_identical_reports(self):
         data, _, _ = make_two_speaker_dataset()
         cfg = vqvae.VqVaeConfig(in_channels=16, hidden=8, latent_dim=4,
@@ -763,11 +779,16 @@ class TestCheckpoint:
         ("speakers", [["M04"], ["M12"]]),
         ("config", {"in_channels": 4, "hidden": 6.0, "latent_dim": 3,
                     "codebook_size": 4, "embed_dim": 2, "beta": 0.25,
-                    "kernel_size": 5, "param_dtype": "float32"})])
+                    "kernel_size": 5, "param_dtype": "float32"}),
+        # two characters for two speakers, and speakers that are not strings
+        ("speakers", "AB"), ("speakers", [1, 2]), ("speakers", ["M04", ""]),
+        ("codebooks_initialized", "no"), ("codebooks_initialized", 1),
+        ("codebooks_initialized", None)])  # None: the key is left out
     def test_malformed_header_is_format_error(self, tmp_path, field, value):
         path = tmp_path / "h.hvqv"
         vqvae.save_checkpoint(self._small_model(), path)
-        self._edit_header(path, lambda header: header.__setitem__(field, value))
+        self._edit_header(path, lambda header: header.pop(field) if value is None
+                          else header.__setitem__(field, value))
         with pytest.raises(vqvae.CheckpointFormatError, match="h.hvqv: "):
             vqvae.load_checkpoint(path)
 
