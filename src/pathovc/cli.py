@@ -14,7 +14,9 @@ key of their name (--no-wav: [convert] wav) over the --config file, and
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import logging
 import sys
 import traceback
@@ -150,6 +152,13 @@ def _load_store(cfg) -> corpus.FeatureStore:
     return corpus.load_feature_store(root)
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV lines; only a cell holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _report_failures(failures, what: str) -> int:
     """Print the ``(key, message)`` failures on stderr; 1 if any, else 0."""
     if not failures:
@@ -219,14 +228,6 @@ def cmd_train(args, cfg) -> int:
     keys = _train_keys(cfg.paths["train_list"], manifest)
 
     present = [k for k in keys if k in store.entries]
-    utterances = {u.key: u for u in manifest.utterances}
-    for k in present:
-        for name in ("speaker_id", "block"):
-            indexed, listed = store.entries[k][name], getattr(utterances[k], name)
-            if indexed != listed:
-                raise corpus.FeatureIndexError(
-                    f"{store.index_path}: entry {k!r} has {name} {indexed!r}, "
-                    f"but the manifest lists {listed!r}")
     if len(present) < len(keys):
         logger.warning("%d training utterance(s) have no features and are "
                        "skipped", len(keys) - len(present))
@@ -334,8 +335,8 @@ def cmd_convert(args, cfg) -> int:
 def cmd_pair(args, cfg) -> int:
     manifest = _load_manifest(cfg)
     pairs = corpus.pair_speakers(manifest, **dataclasses.asdict(cfg.pairing))
-    table = "speaker_a,speaker_b,delta\n" + "".join(
-        f"{p.a},{p.b},{p.delta}\n" for p in pairs)
+    table = _csv_text([("speaker_a", "speaker_b", "delta")]
+                      + [(p.a, p.b, p.delta) for p in pairs])
     sys.stdout.write(table)
     paired = {p.a for p in pairs} | {p.b for p in pairs}
     unmatched = [s for s in manifest.speaker_ids if s not in paired]
@@ -399,13 +400,14 @@ def cmd_stats(args, cfg) -> int:
         groups = rs.ab_groups()
         if not groups:
             raise UserError(f"{rs.path}: no ab rows in the ratings file")
-        print("pair,direction,comparison,expectation,n,percent,percent_sure")
+        rows = ["pair,direction,comparison,expectation,n,percent,percent_sure".split(",")]
         for (pair, direction, kind), judgments in sorted(groups.items()):
             expectation = stats.AB_EXPECTATIONS[kind]
             agg = stats.ab_agreement(judgments, expectation)
-            print(f"{pair},{direction},{kind},{expectation},{agg.n},"
-                  f"{agg.percent_matching:.2f}%,"
-                  f"{agg.percent_matching_sure_only:.2f}%")
+            rows.append((pair, direction, kind, expectation, agg.n,
+                         f"{agg.percent_matching:.2f}%",
+                         f"{agg.percent_matching_sure_only:.2f}%"))
+        sys.stdout.write(_csv_text(rows))
         table = {"similarity": stats.similarity_grid(rs)}
     if cfg.paths["out"]:
         stats.export_tables(table, _out_dir(cfg))

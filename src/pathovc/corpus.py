@@ -46,11 +46,6 @@ class FeatureIndexError(ValueError):
     """Raised when a feature store's ``index.json`` is not a valid index."""
 
 
-# what `build_feature_store` writes for each utterance key
-INDEX_FIELDS = {"speaker_id": str, "block": str, "feature_path": str,
-                "frames": int}
-
-
 def read_utf8(path, error) -> str:
     """The text of ``path`` less one leading byte-order mark; a byte that
     is not UTF-8 raises ``error`` naming the file, the line and the byte
@@ -331,9 +326,18 @@ class FeatureStore:
         return self.root / self.entries[key]["feature_path"]
 
 
+def _index_entry(utt: UtteranceRecord, frames) -> dict:
+    """The ``index.json`` entry of ``utt`` with ``frames`` feature frames;
+    all but the frame count follow from the utterance's key."""
+    return {"speaker_id": utt.speaker_id, "block": utt.block,
+            "feature_path": f"features/{utt.stem}.mcep", "frames": frames}
+
+
 def load_feature_store(root) -> FeatureStore:
     """Read ``root/index.json``; a malformed index raises FeatureIndexError
-    naming the file and, where known, the line or the bad key."""
+    naming the file and, where known, the line or the bad key.  Each key must
+    be a ``speaker/word/block`` a manifest could hold, and its entry the one
+    ``_index_entry`` derives from it, with positive int frames and a file."""
     root = Path(root)
     path = root / "index.json"
     try:
@@ -346,24 +350,25 @@ def load_feature_store(root) -> FeatureStore:
     for key, entry in entries.items():
         if not isinstance(entry, dict):
             raise FeatureIndexError(f"{path}: entry {key!r} is not an object")
-        for name, kind in INDEX_FIELDS.items():
+        parts = key.split("/")
+        if (len(parts) != 3 or not all(parts) or "\\" in key
+                or parts[2] not in BLOCKS):
+            raise FeatureIndexError(f"{path}: entry key {key!r} is not "
+                                    "speaker/word/block")
+        frames = entry.get("frames")
+        for name, value in _index_entry(UtteranceRecord(*parts, ""), frames).items():
             if name not in entry:
                 raise FeatureIndexError(f"{path}: entry {key!r} lacks {name!r}")
-            # a bool is an int to isinstance
-            if not isinstance(entry[name], kind) or isinstance(entry[name], bool):
-                raise FeatureIndexError(f"{path}: entry {key!r} has a "
-                                        f"non-{kind.__name__} {name!r}")
-        if entry["block"] not in BLOCKS:
-            raise FeatureIndexError(f"{path}: entry {key!r} has block "
-                                    f"{entry['block']!r}, not one of {', '.join(BLOCKS)}")
-        if entry["frames"] < 1:
-            raise FeatureIndexError(f"{path}: entry {key!r} has {entry['frames']} "
+            if name != "frames" and entry[name] != value:
+                raise FeatureIndexError(f"{path}: entry {key!r} has {name} "
+                                        f"{entry[name]!r}, but its key gives {value!r}")
+        # a bool is an int to isinstance
+        if not isinstance(frames, int) or isinstance(frames, bool):
+            raise FeatureIndexError(f"{path}: entry {key!r} has a non-int 'frames'")
+        if frames < 1:
+            raise FeatureIndexError(f"{path}: entry {key!r} has {frames} "
                                     f"frames; expected a positive count")
-        feature_path = Path(entry["feature_path"])
-        if feature_path.is_absolute() or ".." in feature_path.parts:
-            raise FeatureIndexError(f"{path}: entry {key!r} names {feature_path}, "
-                                    f"which is not a path under {root}")
-        if not (root / feature_path).is_file():
+        if not (root / entry["feature_path"]).is_file():
             raise FeatureIndexError(f"{path}: entry {key!r} names "
                                     f"{entry['feature_path']}, which is not a file")
     return FeatureStore(root=root, entries=entries)
@@ -378,8 +383,7 @@ def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
         return str(exc)
     try:
         w = dsp.reduce_noise(w, dsp_cfg)
-        w = dsp.trim_silence(w, threshold_db=dsp_cfg.trim_threshold_db,
-                             frame_ms=dsp_cfg.trim_frame_ms)
+        w = dsp.trim_silence(w, dsp_cfg)
         w = dsp.resample(w, dsp_cfg.sample_rate)
         w = dsp.normalize(w)
         ms = dsp.mel_spectrogram(w, dsp_cfg)
@@ -400,7 +404,8 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     file under ``out_dir/features``.  All-silent clips are skipped and
     listed in ``skipped.txt``; unreadable or too-short clips are recorded
     in ``errors.txt`` and the run continues.  ``index.json`` maps each
-    utterance key to its feature file and frame count.
+    utterance key to its speaker, block, feature file and frame count,
+    the entry ``load_feature_store`` derives from the key to check it.
 
     Clips run one per usable CPU (``workers.ordered_map``).  Each clip's
     features depend only on the clip, and ``skipped``, ``errors`` and
@@ -420,12 +425,7 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
         elif isinstance(outcome, str):
             store.errors.append((utt.key, outcome))
         else:
-            store.entries[utt.key] = {
-                "speaker_id": utt.speaker_id,
-                "block": utt.block,
-                "feature_path": f"features/{utt.stem}.mcep",
-                "frames": outcome,
-            }
+            store.entries[utt.key] = _index_entry(utt, outcome)
 
     with atomic_open(store.index_path, "w", encoding="utf-8") as fh:
         json.dump(store.entries, fh, indent=2, sort_keys=True)

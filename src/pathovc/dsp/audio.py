@@ -72,24 +72,22 @@ def _resampling_filter(up: int, down: int) -> np.ndarray:
     return h
 
 
-def trim_silence(w: Waveform, threshold_db: float = -40.0,
-                 frame_ms: float = 25.0) -> Waveform:
-    """Drop leading/trailing frames whose peak is below threshold_db re max.
+def trim_silence(w: Waveform, cfg: DspConfig) -> Waveform:
+    """Drop leading/trailing ``cfg.trim_frame_ms`` frames whose peak is
+    below ``cfg.trim_threshold_db`` (negative, see ``DspConfig``) re max.
 
     Trimming is frame-granular: everything from the first non-silent frame
     to the end of the last one survives, so no frame above threshold is
     ever removed.
     """
-    if not threshold_db < 0:
-        raise ValueError("threshold_db must be negative (relative to peak)")
     x = w.samples
     peak = np.max(np.abs(x)) if x.size else 0.0
     if peak == 0.0:
         raise AllSilentError("clip has no signal above the trim threshold")
     # at most the clip: one frame then spans it, and a huge frame_ms
     # cannot overflow the conversion to int
-    frame = max(1, int(round(min(w.sample_rate * frame_ms / 1000.0, x.size))))
-    gate = peak * 10.0 ** (threshold_db / 20.0)
+    frame = max(1, int(round(min(w.sample_rate * cfg.trim_frame_ms / 1000.0, x.size))))
+    gate = peak * 10.0 ** (cfg.trim_threshold_db / 20.0)
     # per-frame peaks; the last frame may be short
     loud = np.maximum.reduceat(np.abs(x), np.arange(0, x.size, frame)) >= gate
     if not loud.any():

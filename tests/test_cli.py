@@ -1,5 +1,6 @@
 import codecs
 import configparser
+import csv
 import hashlib
 import json
 import logging
@@ -664,17 +665,17 @@ class TestTrain:
     def test_index_speaker_unlike_manifest_refused(self, env, tmp_path, capsys):
         err = self._train_on_edited_index(env, tmp_path, capsys,
                                           "M04/W0/B1", "speaker_id", "ZZZ")
-        assert "has speaker_id 'ZZZ', but the manifest lists 'M04'" in err
+        assert "has speaker_id 'ZZZ', but its key gives 'M04'" in err
 
     def test_index_block_unlike_manifest_refused(self, env, tmp_path, capsys):
         err = self._train_on_edited_index(env, tmp_path, capsys,
                                           "M04/W0/B1", "block", "B3")
-        assert "has block 'B3', but the manifest lists 'B1'" in err
+        assert "has block 'B3', but its key gives 'B1'" in err
 
     def test_index_unknown_block_refused(self, env, tmp_path, capsys):
         err = self._train_on_edited_index(env, tmp_path, capsys,
                                           "M04/W0/B1", "block", "B9")
-        assert "has block 'B9', not one of B1, B2, B3" in err
+        assert "has block 'B9', but its key gives 'B1'" in err
 
     @pytest.mark.parametrize("frames,says", [
         (True, "has a non-int 'frames'"),
@@ -696,7 +697,8 @@ class TestTrain:
                 else f"../{env['feats'].name}/features/M04_W0_B1.mcep")
         err = self._train_on_edited_index(env, tmp_path, capsys,
                                           "M04/W0/B1", "feature_path", path)
-        assert f"names {path}, which is not a path under" in err
+        assert (f"has feature_path {path!r}, but its key gives "
+                "'features/M04_W0_B1.mcep'") in err
 
 
 class TestConvert:
@@ -1049,6 +1051,23 @@ class TestConvert:
         assert (f"{feats / 'index.json'}: entry 'M04/W1/B2' lacks 'speaker_id'"
                 in err)
 
+    def test_training_word_labelled_held_out_refused(self, env, tmp_path, capsys):
+        # a B1 word whose entry claims B2 would be converted as held out
+        index = json.loads((env["feats"] / "index.json").read_text())
+        index["M04/W0/B1"]["block"] = "B2"
+        feats = store_copy(env, tmp_path, json.dumps(index))
+        out = tmp_path / "c"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {feats / 'index.json'}: entry 'M04/W0/B1' has block "
+                "'B2', but its key gives 'B1'") in err
+        assert not list(out.glob("*.mcep"))
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]), "--features", str(feats)]) == 1
+        assert "entry 'M04/W0/B1' has block 'B2'" in capsys.readouterr().err
+
     def test_unknown_source_reported(self, env, tmp_path, capsys):
         assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
                      "convert", str(env["ckpt"]), "--features",
@@ -1063,6 +1082,19 @@ class TestPair:
         assert main(["--out", str(out), "pair", str(env["manifest"])]) == 0
         assert "M04,M12,5.4" in capsys.readouterr().out
         assert (out / "pairs.csv").read_text().splitlines()[1] == "M04,M12,5.4"
+
+    def test_speaker_id_holding_a_comma_stays_one_cell(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            '"M,04",M,2,very_low,,,\n'
+            "M12,M,7.4,very_low,,,\n")
+        out = tmp_path / "pairs"
+        assert main(["--out", str(out), "pair", str(manifest)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == (out / "pairs.csv").read_text()
+        assert list(csv.reader(printed.splitlines())) == [
+            ["speaker_a", "speaker_b", "delta"], ["M,04", "M12", "5.4"]]
 
     def test_non_numeric_utterance_score_is_user_error(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"
@@ -1225,6 +1257,17 @@ class TestStats:
         write_ratings(ratings, rows)
         assert main(["stats", str(ratings), "--mode", "ab"]) == 0
         assert "73.33%" in capsys.readouterr().out
+
+    def test_ab_pair_holding_a_comma_stays_one_cell(self, tmp_path, capsys):
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("listener_id,kind,group_key,value\n"
+                           'L00,ab,"P,1:a_to_b:VC_vs_T",same_sure\n')
+        assert main(["stats", str(ratings), "--mode", "ab"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows == [
+            ["pair", "direction", "comparison", "expectation", "n", "percent",
+             "percent_sure"],
+            ["P,1", "a_to_b", "VC_vs_T", "same", "1", "100.00%", "100.00%"]]
 
     def test_wilcoxon_no_test_reported(self, tmp_path, capsys):
         rows = []

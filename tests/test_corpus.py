@@ -1,6 +1,8 @@
 import codecs
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,6 +485,54 @@ class TestLoadFeatureStore:
             corpus.load_feature_store(tmp_path)
         entry[field] = [1]
         index.write_text(json.dumps({"M04/CW1/B1": entry}))
+        wrong = ("has a non-int 'frames'" if field == "frames"
+                 else f"has {field} [1], but its key gives {GOOD_ENTRY[field]!r}")
         with pytest.raises(corpus.FeatureIndexError,
-                           match=f"entry 'M04/CW1/B1' has a non-.* '{field}'"):
+                           match=re.escape(f"entry 'M04/CW1/B1' {wrong}")):
             corpus.load_feature_store(tmp_path)
+
+    @pytest.mark.parametrize("original,key,says", [
+        # byte mutations of a built index's keys, which once loaded
+        ("M04/W2/B3", "M0:4/W2/B3",
+         "entry 'M0:4/W2/B3' has speaker_id 'M04', but its key gives 'M0:4'"),
+        ("M12/W1/B3", "M,12/W1/B3",
+         "entry 'M,12/W1/B3' has speaker_id 'M12', but its key gives 'M,12'"),
+        ("M04/W1/B2", "M04-W1/B2",
+         "entry key 'M04-W1/B2' is not speaker/word/block"),
+    ], ids=["colon", "comma", "dash"])
+    def test_corrupt_key_refused(self, tmp_path, original, key, says):
+        sid, word, block = original.split("/")
+        entry = {"speaker_id": sid, "block": block,
+                 "feature_path": f"features/{sid}_{word}_{block}.mcep", "frames": 9}
+        (tmp_path / "features").mkdir()
+        (tmp_path / entry["feature_path"]).write_bytes(b"")
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps({original: entry}))
+        assert corpus.load_feature_store(tmp_path).entries == {original: entry}
+        index.write_text(json.dumps({key: entry}))
+        with pytest.raises(corpus.FeatureIndexError) as exc:
+            corpus.load_feature_store(tmp_path)
+        assert str(exc.value) == f"{index}: {says}"
+
+    @pytest.mark.parametrize("key", ["M04/CW1/B1/x", "M04//B1", "M\\04/CW1/B1",
+                                     "M04/CW1/B9"])
+    def test_key_outside_manifest_rules_refused(self, tmp_path, key):
+        (tmp_path / "index.json").write_text(json.dumps({key: GOOD_ENTRY}))
+        with pytest.raises(corpus.FeatureIndexError) as exc:
+            corpus.load_feature_store(tmp_path)
+        assert str(exc.value).endswith(f"entry key {key!r} is not speaker/word/block")
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.mark.parametrize("workload", ["preprocess-corpus", "train-default",
+                                      "convert-heldout"])
+def test_benchmark_workload_store_loads_unchanged(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import bench
+    written = bench.write_corpus(bench.WORKLOADS[workload], 1, tmp_path / "corpus")
+    built = corpus.build_feature_store(corpus.parse_manifest(written.manifest),
+                                       dsp.DspConfig(), tmp_path / "feats")
+    assert built.entries and not built.errors
+    assert corpus.load_feature_store(tmp_path / "feats").entries == built.entries

@@ -118,21 +118,22 @@ class TestResample:
 class TestTrimSilence:
     SR = 16000
     FRAME = 400  # 25 ms at 16 kHz
+    CFG = dsp.DspConfig(trim_threshold_db=-40.0, trim_frame_ms=25.0)
 
     def test_constructed_case_frame_granular(self):
         x = np.zeros(6 * self.FRAME)
         x[800:1400] = 0.5
-        out = dsp.trim_silence(dsp.Waveform(x, self.SR), -40.0)
+        out = dsp.trim_silence(dsp.Waveform(x, self.SR), self.CFG)
         np.testing.assert_array_equal(out.samples, x[800:1600])
 
     def test_no_silence_unchanged(self):
         v = sine(300, self.SR, 0.5)
-        out = dsp.trim_silence(dsp.Waveform(v.copy(), self.SR), -40.0)
+        out = dsp.trim_silence(dsp.Waveform(v.copy(), self.SR), self.CFG)
         np.testing.assert_array_equal(out.samples, v)
 
     def test_all_zero_raises(self):
         with pytest.raises(dsp.AllSilentError):
-            dsp.trim_silence(dsp.Waveform(np.zeros(4000), self.SR), -40.0)
+            dsp.trim_silence(dsp.Waveform(np.zeros(4000), self.SR), self.CFG)
 
     def test_below_threshold_everywhere_raises(self):
         x = np.zeros(4000)
@@ -140,7 +141,7 @@ class TestTrimSilence:
         x[1:] = 1e-4  # -80 dB re peak
         # the frame holding the peak survives; make even that frame quiet
         with pytest.raises(dsp.AllSilentError):
-            dsp.trim_silence(dsp.Waveform(np.full(4000, 0.0), self.SR), -40.0)
+            dsp.trim_silence(dsp.Waveform(np.full(4000, 0.0), self.SR), self.CFG)
 
     def test_loud_frames_never_removed(self):
         rng = np.random.default_rng(2)
@@ -152,22 +153,18 @@ class TestTrimSilence:
             x = np.concatenate([
                 (0.5 if is_loud else 1e-5) * np.ones(self.FRAME)
                 for is_loud in loud])
-            out = dsp.trim_silence(dsp.Waveform(x, self.SR), -40.0)
+            out = dsp.trim_silence(dsp.Waveform(x, self.SR), self.CFG)
             first = int(np.argmax(loud))
             last = int(len(loud) - 1 - np.argmax(loud[::-1]))
             kept = (last + 1 - first) * self.FRAME
             assert out.samples.size == kept
 
     def test_nonnegative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            dsp.trim_silence(dsp.Waveform(np.ones(100), self.SR), 3.0)
-
-    def test_nan_threshold_rejected(self):
-        # NaN would pass a threshold_db >= 0 check and gate every frame shut
-        with pytest.raises(ValueError, match="negative"):
-            dsp.trim_silence(dsp.Waveform(np.ones(100), self.SR), np.nan)
+        with pytest.raises(ValueError, match="trim_threshold_db must be negative"):
+            dsp.DspConfig(trim_threshold_db=3.0)
 
     def test_nan_trim_threshold_setting_rejected(self):
+        # NaN would pass a threshold >= 0 check and gate every frame shut
         with pytest.raises(ValueError, match="trim_threshold_db must be negative"):
             dsp.DspConfig(trim_threshold_db=np.nan)
 
@@ -189,11 +186,13 @@ class TestTrimSilence:
                         for samples in (x, edge[:n]):
                             want = trim_silence_ref(samples, sr, threshold_db, frame_ms)
                             w = dsp.Waveform(samples, sr)
+                            cfg = dsp.DspConfig(trim_threshold_db=threshold_db,
+                                                trim_frame_ms=frame_ms)
                             if want is None:
                                 with pytest.raises(dsp.AllSilentError):
-                                    dsp.trim_silence(w, threshold_db, frame_ms)
+                                    dsp.trim_silence(w, cfg)
                             else:
-                                got = dsp.trim_silence(w, threshold_db, frame_ms)
+                                got = dsp.trim_silence(w, cfg)
                                 assert got.samples.tobytes() == want.tobytes()
                             cases += 1
         assert cases == 540
