@@ -163,6 +163,13 @@ class TestTrimSilence:
         with pytest.raises(ValueError, match="trim_threshold_db must be negative"):
             dsp.DspConfig(trim_threshold_db=3.0)
 
+    def test_nan_threshold_rejected(self):
+        # NaN would pass a threshold_db >= 0 check and gate every frame shut;
+        # the config a trim reads refuses it before the trim can run
+        with pytest.raises(ValueError, match="negative"):
+            dsp.trim_silence(dsp.Waveform(np.ones(100), self.SR),
+                             dsp.DspConfig(trim_threshold_db=np.nan))
+
     def test_nan_trim_threshold_setting_rejected(self):
         # NaN would pass a threshold >= 0 check and gate every frame shut
         with pytest.raises(ValueError, match="trim_threshold_db must be negative"):
