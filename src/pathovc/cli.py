@@ -352,11 +352,13 @@ def _wilcoxon_pairs(args, rs) -> list:
     if args.conditions:
         pairs = []
         for entry in args.conditions:
-            parts = entry.split(":")
+            parts = tuple(entry.split(":"))
             if len(parts) != 2 or not all(parts):
                 raise UserError(f"--conditions entries look like a:b, "
                                 f"got {entry!r}")
-            pairs.append(tuple(parts))
+            if parts in pairs:
+                raise UserError(f"--conditions {entry} given twice")
+            pairs.append(parts)
         return pairs
     present = {condition for _, condition, _ in rs.mos}
     pairs = [(f"gt_{band}", f"vc_{band}") for band in ("high", "mid", "low")
@@ -368,49 +370,28 @@ def _wilcoxon_pairs(args, rs) -> list:
 
 
 def cmd_stats(args, cfg) -> int:
+    if args.conditions and args.mode != "wilcoxon":
+        raise UserError("--conditions applies to --mode wilcoxon only, "
+                        f"not {args.mode}")
     rs = stats.RatingSet.from_csv(args.ratings)
 
     if args.mode == "mos":
         summaries = stats.mos_summary(rs.mos_scores())
-        print("condition,n,mean,ci_low,ci_high")
-        order = [c for c in stats.MOS_CONDITIONS if c in summaries]
-        for cond in order:
-            s = summaries[cond]
-            lo = "" if s.ci_low is None else f"{s.ci_low:.4f}"
-            hi = "" if s.ci_high is None else f"{s.ci_high:.4f}"
-            print(f"{cond},{s.n},{s.mean:.4f},{lo},{hi}")
+        columns = stats.MOS_TABLE_COLUMNS
+        rows = stats.mos_table(summaries, "{:.4f}".format)
         table = {"mos": summaries}
-
     elif args.mode == "wilcoxon":
-        rows = []
-        print(",".join(stats.WILCOXON_COLUMNS))
-        for cond_a, cond_b in _wilcoxon_pairs(args, rs):
-            a, b = rs.mos_pairs(cond_a, cond_b)
-            try:
-                res = stats.wilcoxon_signed_rank(a, b)
-                cells, note = (res.n, res.statistic, res.p_value, res.method), ""
-            except stats.AllZeroDifferencesError:
-                cells, note = (0, "", "", "no_test"), " (all differences zero)"
-            row = dict(zip(stats.WILCOXON_COLUMNS, (cond_a, cond_b) + cells))
-            print(",".join(str(v) for v in row.values()) + note)
-            rows.append(row)
+        columns = stats.WILCOXON_COLUMNS
+        rows = stats.wilcoxon_table(rs, _wilcoxon_pairs(args, rs))
         table = {"wilcoxon": rows}
-
     else:
-        groups = rs.ab_groups()
-        if not groups:
+        columns, rows = stats.AB_COLUMNS, stats.ab_table(rs)
+        if not rows:
             raise UserError(f"{rs.path}: no ab rows in the ratings file")
-        rows = ["pair,direction,comparison,expectation,n,percent,percent_sure".split(",")]
-        for (pair, direction, kind), judgments in sorted(groups.items()):
-            expectation = stats.AB_EXPECTATIONS[kind]
-            agg = stats.ab_agreement(judgments, expectation)
-            rows.append((pair, direction, kind, expectation, agg.n,
-                         f"{agg.percent_matching:.2f}%",
-                         f"{agg.percent_matching_sure_only:.2f}%"))
-        sys.stdout.write(_csv_text(rows))
         table = {"similarity": stats.similarity_grid(rs)}
     if cfg.paths["out"]:
         stats.export_tables(table, _out_dir(cfg))
+    sys.stdout.write(_csv_text([columns] + [row.values() for row in rows]))
     return 0
 
 

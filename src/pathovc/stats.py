@@ -305,6 +305,56 @@ def ab_agreement(trials, expectation: str) -> AbAgreement:
                        Fraction(matching, n), Fraction(sure, n))
 
 
+def _agreement_cells(groups: dict, key: tuple, percent=float) -> tuple:
+    """n and ``percent``-formatted shares of AB group ``key``, or empty cells."""
+    if key not in groups:
+        return "", "", ""
+    agg = ab_agreement(groups[key], AB_EXPECTATIONS[key[2]])
+    return (agg.n, percent(agg.percent_matching),
+            percent(agg.percent_matching_sure_only))
+
+
+MOS_TABLE_COLUMNS = ("condition", "n", "mean", "ci_low", "ci_high")
+WILCOXON_COLUMNS = ("condition_a", "condition_b", "n", "statistic",
+                    "p_value", "method")
+AB_COLUMNS = ("pair", "direction", "comparison", "expectation", "n",
+              "percent", "percent_sure")
+GRID_COLUMNS = ("pair", "direction", "reference", "vc_comparison", "vc_n",
+                "vc_percent", "vc_percent_sure", "gt_comparison", "gt_n",
+                "gt_percent", "gt_percent_sure")
+
+
+def mos_table(summaries: dict, number=lambda x: repr(float(x))) -> list:
+    """Rows of ``mos_summary``'s result; ``number`` formats mean and bounds."""
+    order = [c for c in MOS_CONDITIONS if c in summaries]
+    order += [c for c in summaries if c not in MOS_CONDITIONS]
+    return [dict(zip(MOS_TABLE_COLUMNS, (s.condition, s.n, number(s.mean), *(
+                "" if x is None else number(x) for x in (s.ci_low, s.ci_high)))))
+            for s in (summaries[c] for c in order)]
+
+
+def wilcoxon_table(rs: RatingSet, pairs) -> list:
+    """One row per condition pair; all-zero differences warn and give ``no_test``."""
+    rows = []
+    for cond_a, cond_b in pairs:
+        try:
+            res = wilcoxon_signed_rank(*rs.mos_pairs(cond_a, cond_b))
+            cells = (res.n, res.statistic, res.p_value, res.method)
+        except AllZeroDifferencesError:
+            logger.warning("%s:%s has all differences zero; no_test", cond_a, cond_b)
+            cells = (0, "", "", "no_test")
+        rows.append(dict(zip(WILCOXON_COLUMNS, (cond_a, cond_b) + cells)))
+    return rows
+
+
+def ab_table(rs: RatingSet) -> list:
+    """One row per AB comparison group, in key order, shares in percent."""
+    groups = rs.ab_groups()
+    return [dict(zip(AB_COLUMNS, (*key, AB_EXPECTATIONS[key[2]],
+                                  *_agreement_cells(groups, key, "{:.2f}%".format))))
+            for key in sorted(groups)]
+
+
 # per (pair, direction) panel: the converted samples judged against one
 # reference speaker, next to that reference's own ground-truth trials
 GRID_REFERENCES = (("source", "VC_vs_S", "S_vs_S"), ("target", "VC_vs_T", "T_vs_T"))
@@ -319,44 +369,12 @@ def similarity_grid(rs: RatingSet) -> list:
     from the data leave their cells empty.
     """
     groups = rs.ab_groups()
-    keys = sorted({(p, d) for p, d, _ in groups})
-    rows = []
-    for pair, direction in keys:
-        for reference, vc_kind, gt_kind in GRID_REFERENCES:
-            row = {"pair": pair, "direction": direction, "reference": reference,
-                   "vc_comparison": vc_kind, "vc_n": "", "vc_percent": "",
-                   "vc_percent_sure": "", "gt_comparison": gt_kind,
-                   "gt_n": "", "gt_percent": "", "gt_percent_sure": ""}
-            vc = groups.get((pair, direction, vc_kind))
-            if vc:
-                agg = ab_agreement(vc, AB_EXPECTATIONS[vc_kind])
-                row.update(vc_n=agg.n, vc_percent=agg.percent_matching,
-                           vc_percent_sure=agg.percent_matching_sure_only)
-            gt = groups.get((pair, direction, gt_kind))
-            if gt:
-                agg = ab_agreement(gt, AB_EXPECTATIONS[gt_kind])
-                row.update(gt_n=agg.n, gt_percent=agg.percent_matching,
-                           gt_percent_sure=agg.percent_matching_sure_only)
-            rows.append(row)
-    return rows
-
-
-MOS_TABLE_COLUMNS = ("condition", "n", "mean", "ci_low", "ci_high")
-GRID_COLUMNS = ("pair", "direction", "reference", "vc_comparison", "vc_n",
-                "vc_percent", "vc_percent_sure", "gt_comparison", "gt_n",
-                "gt_percent", "gt_percent_sure")
-WILCOXON_COLUMNS = ("condition_a", "condition_b", "n", "statistic",
-                    "p_value", "method")
-
-
-def _mos_rows(summaries: dict):
-    order = [c for c in MOS_CONDITIONS if c in summaries]
-    order += [c for c in summaries if c not in MOS_CONDITIONS]
-    for cond in order:
-        s = summaries[cond]
-        yield {"condition": s.condition, "n": s.n, "mean": repr(float(s.mean)),
-               "ci_low": "" if s.ci_low is None else repr(float(s.ci_low)),
-               "ci_high": "" if s.ci_high is None else repr(float(s.ci_high))}
+    return [dict(zip(GRID_COLUMNS, (
+                pair, direction, reference,
+                vc, *_agreement_cells(groups, (pair, direction, vc)),
+                gt, *_agreement_cells(groups, (pair, direction, gt)))))
+            for pair, direction in sorted({key[:2] for key in groups})
+            for reference, vc, gt in GRID_REFERENCES]
 
 
 # the file and columns of each table ``export_tables`` writes
@@ -368,10 +386,10 @@ TABLES = {"mos": ("mos_summary.csv", MOS_TABLE_COLUMNS),
 def export_tables(results: dict, out_dir) -> list:
     """Write each given analysis table as a CSV file; return their paths.
 
-    ``results`` may hold "mos" (mapping condition to MosSummary),
-    "similarity" (grid rows), and "wilcoxon" (row dicts).  Only the
-    tables given are written, so tables of other runs in ``out_dir``
-    stay as they are.
+    ``results`` may hold "mos" (mapping condition to MosSummary, written
+    through ``mos_table`` at full precision), "similarity" (grid rows), and
+    "wilcoxon" (``wilcoxon_table`` rows).  Only the tables given are
+    written, so tables of other runs in ``out_dir`` stay as they are.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,6 +400,6 @@ def export_tables(results: dict, out_dir) -> list:
         with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
-            writer.writerows(_mos_rows(rows) if key == "mos" else rows)
+            writer.writerows(mos_table(rows) if key == "mos" else rows)
         written.append(path)
     return written

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,45 @@ class TestPreprocess:
     def test_out_dir_required(self, env, capsys):
         assert main(["preprocess", str(env["manifest"])]) == 1
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [
+        ("M04,,3,,W1,B1", "line 4: score 3 contradicts declared 2.0 for M04"),
+        ("M04,,,low,W1,B1",
+         "line 4: band 'low' contradicts declared 'very_low' for M04"),
+    ], ids=["score", "band"])
+    def test_utterance_contradicting_its_speaker_is_user_error(
+            self, env, tmp_path, capsys, row, message):
+        wav = env["root"] / "wavs" / "M04_W0_B1.wav"
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M04,M,2,very_low,,,\n"
+            f"M04,,,,W0,B1,{wav}\n"
+            f"{row},{wav}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(manifest)]) == 1
+        assert f"error: {manifest} {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wav_rate_outside_range_is_one_error_line(self, env, tmp_path):
+        good = env["root"] / "wavs" / "M04_W0_B1.wav"
+        fast = tmp_path / "fast.wav"
+        with wave.open(str(fast), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(1000000)
+            f.writeframes(bytes(4000))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+            "M04,M,2,very_low,,,\n"
+            f"M04,,,,W0,B1,{fast}\n"
+            f"M04,,,,W1,B1,{good}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(manifest)]) == 1
+        assert (out / "errors.txt").read_text().splitlines() == [
+            f"M04/W0/B1\t{fast}: sample rate 1000000 Hz outside 1-384000"]
+        assert list(json.loads((out / "index.json").read_text())) == ["M04/W1/B1"]
 
 
 class TestTrain:
@@ -701,7 +741,64 @@ class TestTrain:
                 "'features/M04_W0_B1.mcep'") in err
 
 
+    def test_features_dir_without_index_is_user_error(self, env, tmp_path,
+                                                       capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "m"),
+                     "train", str(env["manifest"]), "--features", str(empty)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no feature index under {empty}; run preprocess first\n")
+
+    @pytest.mark.parametrize("dropped", ["all", "one"])
+    def test_training_words_without_features(self, env, tmp_path, capsys,
+                                             caplog, dropped):
+        # B2 words never train, so an index of B2 alone leaves none to train on
+        index = json.loads((env["feats"] / "index.json").read_text())
+        gone = ([k for k in index if not k.endswith("/B2")] if dropped == "all"
+                else ["M04/W0/B1"])
+        feats = store_copy(env, tmp_path, json.dumps(
+            {k: v for k, v in index.items() if k not in gone}))
+        ini = tmp_path / "one.ini"
+        ini.write_text(RUN_INI.replace("steps = 5", "steps = 1"))
+        model = tmp_path / "m"
+        with caplog.at_level(logging.WARNING):
+            code = main(["--config", str(ini), "--out", str(model), "train",
+                         str(env["manifest"]), "--features", str(feats)])
+        err = capsys.readouterr().err
+        if dropped == "all":
+            assert code == 1
+            assert err == ("error: no training utterances have features; "
+                           "nothing to do\n")
+            assert not model.exists()
+        else:
+            assert code == 0 and (model / "model.hvqv").is_file()
+            assert [r.getMessage() for r in caplog.records] == [
+                "1 training utterance(s) have no features and are skipped"]
+
+
 class TestConvert:
+    def test_index_entry_without_its_file_is_user_error(self, env, tmp_path,
+                                                        capsys):
+        feats = store_copy(env, tmp_path,
+                           (env["feats"] / "index.json").read_text())
+        (feats / "features" / "M04_W0_B1.mcep").unlink()
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {feats / 'index.json'}: entry 'M04/W0/B1' names "
+            "features/M04_W0_B1.mcep, which is not a file\n")
+
+    def test_four_byte_checkpoint_is_user_error(self, env, tmp_path, capsys):
+        ckpt = tmp_path / "short.hvqv"
+        ckpt.write_bytes(b"HVQV")
+        assert main(["--config", str(env["ini"]), "--out", str(tmp_path / "c"),
+                     "convert", str(ckpt), "--features", str(env["feats"]),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: file too short for a checkpoint header\n")
+
     def test_b2_only_by_default(self, env, tmp_path):
         out = tmp_path / "conv"
         assert main(["--config", str(env["ini"]), "--out", str(out),
@@ -1234,6 +1331,88 @@ def write_ratings(path: Path, rows):
                     + "\n".join(",".join(r) for r in rows) + "\n")
 
 
+def golden_ratings(path: Path):
+    """Ratings holding all seven MOS conditions, a gt/vc pair whose
+    differences are all zero, every AB comparison kind, and a pair id
+    holding a comma."""
+    mos = {"healthy_natural": (5,),
+           "gt_high": (4, 3, 4, 5, 3), "vc_high": (4, 3, 4, 5, 3),
+           "gt_mid": (4, 4, 3, 5, 4), "vc_mid": (2, 3, 3, 4, 1),
+           "gt_low": (3, 2, 4, 3, 2), "vc_low": (1, 2, 2, 4, 1)}
+    every_kind = ("S_vs_S", "T_vs_T", "S_vs_T", "VC_vs_S", "VC_vs_T")
+    ab = (("M,04-M12", "a_to_b", every_kind), ("M,04-M12", "b_to_a", every_kind),
+          ("F02-F03", "a_to_b", ("S_vs_T", "VC_vs_T")))
+    judgments = ("same_sure", "same_not_sure", "different_not_sure",
+                 "different_sure")
+    rows = [(f"L{i}", "mos", cond, str(score))
+            for cond, scores in mos.items() for i, score in enumerate(scores)]
+    groups = [f"{pair}:{direction}:{kind}"
+              for pair, direction, kinds in ab for kind in kinds]
+    rows += [(f"L{i}", "ab", group, judgments[(i * g + g // 2) % 4])
+             for g, group in enumerate(groups, start=1) for i in range(6)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("listener_id", "kind", "group_key", "value")] + rows)
+
+
+# stdout and the written file of each mode on golden_ratings; the wilcoxon
+# stdout was recorded when the no_test note still ended its row
+GOLDEN_STATS = {
+    "mos": (
+        "condition,n,mean,ci_low,ci_high\n"
+        "healthy_natural,1,5.0000,,\n"
+        "gt_high,5,3.8000,2.7611,4.8389\n"
+        "gt_mid,5,4.0000,3.1220,4.8780\n"
+        "gt_low,5,2.8000,1.7611,3.8389\n"
+        "vc_high,5,3.8000,2.7611,4.8389\n"
+        "vc_mid,5,2.6000,1.1843,4.0157\n"
+        "vc_low,5,2.0000,0.4793,3.5207\n",
+        "mos_summary.csv",
+        "condition,n,mean,ci_low,ci_high\r\n"
+        "healthy_natural,1,5.0,,\r\n"
+        "gt_high,5,3.8,2.761149366316432,4.838850633683568\r\n"
+        "gt_mid,5,4.0,3.1220109669149174,4.877989033085083\r\n"
+        "gt_low,5,2.8,1.7611493663164322,3.8388506336835677\r\n"
+        "vc_high,5,3.8,2.761149366316432,4.838850633683568\r\n"
+        "vc_mid,5,2.6,1.184285223017728,4.015714776982272\r\n"
+        "vc_low,5,2.0,0.4792783862083647,3.5207216137916353\r\n"),
+    "wilcoxon": (
+        "condition_a,condition_b,n,statistic,p_value,method\n"
+        "gt_high,vc_high,0,,,no_test (all differences zero)\n"
+        "gt_mid,vc_mid,4,0.0,0.125,exact\n"
+        "gt_low,vc_low,4,1.5,0.375,exact\n",
+        "wilcoxon.csv",
+        "condition_a,condition_b,n,statistic,p_value,method\r\n"
+        "gt_high,vc_high,0,,,no_test\r\n"
+        "gt_mid,vc_mid,4,0.0,0.125,exact\r\n"
+        "gt_low,vc_low,4,1.5,0.375,exact\r\n"),
+    "ab": (
+        "pair,direction,comparison,expectation,n,percent,percent_sure\n"
+        "F02-F03,a_to_b,S_vs_T,different,6,33.33%,16.66%\n"
+        "F02-F03,a_to_b,VC_vs_T,same,6,0.00%,0.00%\n"
+        '"M,04-M12",a_to_b,S_vs_S,same,6,66.66%,33.33%\n'
+        '"M,04-M12",a_to_b,S_vs_T,different,6,33.33%,16.66%\n'
+        '"M,04-M12",a_to_b,T_vs_T,same,6,50.00%,0.00%\n'
+        '"M,04-M12",a_to_b,VC_vs_S,different,6,100.00%,0.00%\n'
+        '"M,04-M12",a_to_b,VC_vs_T,same,6,33.33%,16.66%\n'
+        '"M,04-M12",b_to_a,S_vs_S,same,6,50.00%,0.00%\n'
+        '"M,04-M12",b_to_a,S_vs_T,different,6,0.00%,0.00%\n'
+        '"M,04-M12",b_to_a,T_vs_T,same,6,33.33%,16.66%\n'
+        '"M,04-M12",b_to_a,VC_vs_S,different,6,33.33%,16.66%\n'
+        '"M,04-M12",b_to_a,VC_vs_T,same,6,50.00%,0.00%\n',
+        "similarity_grid.csv",
+        "pair,direction,reference,vc_comparison,vc_n,vc_percent,"
+        "vc_percent_sure,gt_comparison,gt_n,gt_percent,gt_percent_sure\r\n"
+        "F02-F03,a_to_b,source,VC_vs_S,,,,S_vs_S,,,\r\n"
+        "F02-F03,a_to_b,target,VC_vs_T,6,0.0,0.0,T_vs_T,,,\r\n"
+        '"M,04-M12",a_to_b,source,VC_vs_S,6,100.0,0.0,S_vs_S,6,66.66,33.33\r\n'
+        '"M,04-M12",a_to_b,target,VC_vs_T,6,33.33,16.66,T_vs_T,6,50.0,0.0\r\n'
+        '"M,04-M12",b_to_a,source,VC_vs_S,6,33.33,16.66,S_vs_S,6,50.0,0.0\r\n'
+        '"M,04-M12",b_to_a,target,VC_vs_T,6,50.0,0.0,T_vs_T,6,33.33,16.66\r\n'),
+}
+NO_TEST_NOTE = " (all differences zero)"
+
+
 class TestStats:
     def test_mos_seven_conditions(self, tmp_path, capsys):
         rows = []
@@ -1370,3 +1549,83 @@ class TestStats:
                      "--mode", "ab"]) == 0
         grid = (tmp_path / "out" / "similarity_grid.csv").read_text()
         assert grid.splitlines()[0].startswith("pair,direction,reference")
+
+    @pytest.mark.parametrize("mode", GOLDEN_STATS)
+    def test_outputs_keep_their_bytes(self, tmp_path, capsys, mode):
+        ratings = tmp_path / "r.csv"
+        golden_ratings(ratings)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "stats", str(ratings),
+                     "--mode", mode]) == 0
+        stdout, name, written = GOLDEN_STATS[mode]
+        # the note moved to stderr; every other byte stays
+        assert capsys.readouterr().out == stdout.replace(NO_TEST_NOTE, "")
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == written.encode()
+
+    def test_wilcoxon_prints_the_rows_it_writes(self, tmp_path):
+        # the console script, so that the note takes the default log handler
+        ratings = tmp_path / "r.csv"
+        golden_ratings(ratings)
+        out = tmp_path / "out"
+        run = subprocess.run(
+            [sys.executable, "-m", "pathovc.cli", "--out", str(out), "stats",
+             str(ratings), "--mode", "wilcoxon"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])))
+        assert run.returncode == 0
+        with open(out / "wilcoxon.csv", newline="", encoding="utf-8") as fh:
+            written = list(csv.reader(fh))
+        assert list(csv.reader(run.stdout.splitlines())) == written
+        assert run.stderr == ("WARNING gt_high:vc_high has all differences "
+                              "zero; no_test\n")
+
+    @pytest.mark.parametrize("conditions,message", [
+        (["gt_low:vc_low", "gt_mid:vc_mid"],
+         "no mos ratings for condition 'gt_mid' or 'vc_mid'"),
+        (["gt_high"], "--conditions entries look like a:b, got 'gt_high'"),
+        (["gt_low:vc_low", "gt_low:vc_low"],
+         "--conditions gt_low:vc_low given twice"),
+    ], ids=["unrated-second-pair", "no-colon", "repeated-pair"])
+    def test_failing_wilcoxon_prints_no_table(self, tmp_path, capsys,
+                                              conditions, message):
+        rows = [(f"L{i:02d}", "mos", cond, str(2 + (i + j) % 3))
+                for i in range(5)
+                for j, cond in enumerate(("gt_high", "vc_high",
+                                          "gt_low", "vc_low"))]
+        ratings = tmp_path / "r.csv"
+        write_ratings(ratings, rows)
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "stats", str(ratings), "--mode", "wilcoxon"]
+        for pair in conditions:
+            argv += ["--conditions", pair]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("mode", ["mos", "ab"])
+    def test_conditions_outside_wilcoxon_refused(self, tmp_path, capsys, mode):
+        ratings = tmp_path / "r.csv"
+        golden_ratings(ratings)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "stats", str(ratings), "--mode", mode,
+                     "--conditions", "gt_high:nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --conditions applies to --mode "
+                                f"wilcoxon only, not {mode}\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_no_default_wilcoxon_pair_is_user_error(self, tmp_path, capsys):
+        rows = [(f"L{i:02d}", "mos", cond, "3")
+                for i in range(3) for cond in ("gt_high", "vc_low")]
+        ratings = tmp_path / "r.csv"
+        write_ratings(ratings, rows)
+        assert main(["stats", str(ratings), "--mode", "wilcoxon"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {ratings}: no gt/vc condition pairs found in the ratings; "
+            "name them with --conditions a:b\n")
+        assert captured.out == ""
