@@ -358,6 +358,9 @@ def _wilcoxon_pairs(args, rs) -> list:
                                 f"got {entry!r}")
             if parts in pairs:
                 raise UserError(f"--conditions {entry} given twice")
+            if parts[::-1] in pairs:
+                raise UserError(f"--conditions {entry} repeats {parts[1]}:{parts[0]}, "
+                                "the same two-sided test")
             pairs.append(parts)
         return pairs
     present = {condition for _, condition, _ in rs.mos}
@@ -374,6 +377,8 @@ def cmd_stats(args, cfg) -> int:
         raise UserError("--conditions applies to --mode wilcoxon only, "
                         f"not {args.mode}")
     rs = stats.RatingSet.from_csv(args.ratings)
+    if args.mode != "wilcoxon" and not getattr(rs, args.mode):
+        raise UserError(f"{rs.path}: no {args.mode} rows in the ratings file")
 
     if args.mode == "mos":
         summaries = stats.mos_summary(rs.mos_scores())
@@ -386,8 +391,6 @@ def cmd_stats(args, cfg) -> int:
         table = {"wilcoxon": rows}
     else:
         columns, rows = stats.AB_COLUMNS, stats.ab_table(rs)
-        if not rows:
-            raise UserError(f"{rs.path}: no ab rows in the ratings file")
         table = {"similarity": stats.similarity_grid(rs)}
     if cfg.paths["out"]:
         stats.export_tables(table, _out_dir(cfg))

@@ -7,13 +7,14 @@ Arrays are channel-major: (C, T), or (B, C, T) for a batch.  Every op
 indexes the last axes, so one code path serves both, and ``_unbroadcast``
 sums a parameter's gradient over the batch.  The conv ops do every
 contraction as a matmul, so BLAS does the work (im2col plus GEMM, after
-Chellapilla, Puri & Simard, 2006): ``_windows`` gathers the kernel windows
-of a (..., C, T) input into (..., C*W, n) column matrices, each kernel is
-viewed as a matrix with C*W on one side, and ``_overlap_add``, the adjoint
-of ``_windows``, scatters column matrices back.  The same inputs give the
-same bits on every run (the tests check one and two BLAS threads), but
-BLAS picks the summation order, so results can differ from a plain loop's
-in the last bits.
+Chellapilla, Puri & Simard, 2006): ``_im2col`` pads a (..., C, T) input and
+gathers its kernel windows into a (..., C*W, n) column matrix, its adjoint
+``_col2im`` overlap-adds such a matrix back and drops the padding, and each
+kernel is viewed as a matrix with C*W on one side.  conv1d gathers in its
+forward pass and scatters dx; conv_transpose1d, its adjoint, does the
+reverse.  The same inputs give the same bits on every run (the tests check
+one and two BLAS threads), but BLAS picks the summation order, so results
+can differ from a plain loop's in the last bits.
 """
 
 import weakref
@@ -200,43 +201,40 @@ def crop(x, length, axis=-1):
     return _make(x.data[idx].copy(), (x,), bw)
 
 
-def _pad(a, padding):
-    """a (..., C, T) with `padding` zero columns on each side of T.
+def _im2col(a, w, stride, padding, n):
+    """Columns (..., C*W, n) of a (..., C, T) padded by `padding` zeros on each side.
 
-    A zero buffer plus one slice assignment; np.pad does the same copy at
-    several times the cost on these small arrays.
+    Column t holds window t: [..., c*W + j, t] = a_padded[..., c, j + stride*t].
+    The padding is a zero buffer plus one slice assignment; np.pad does the
+    same copy at several times the cost on these small arrays.
     """
-    if not padding:
-        return a
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * padding,), dtype=a.dtype)
-    out[..., padding:padding + a.shape[-1]] = a
-    return out
-
-
-def _windows(xp, w, stride, n):
-    """im2col: (..., C, W, n) with [..., :, j, t] = xp[..., :, j + stride * t]."""
-    cols = np.empty(xp.shape[:-1] + (w, n), dtype=xp.dtype)
+    if padding:
+        xp = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * padding,), dtype=a.dtype)
+        xp[..., padding:-padding] = a
+        a = xp
+    cols = np.empty(a.shape[:-1] + (w, n), dtype=a.dtype)
     for j in range(w):
-        cols[..., j, :] = xp[..., j:j + stride * (n - 1) + 1:stride]
-    return cols
+        cols[..., j, :] = a[..., j:j + stride * (n - 1) + 1:stride]
+    return cols.reshape(a.shape[:-2] + (-1, n))
 
 
-def _overlap_add(cols, stride, size):
-    """Adjoint of _windows: scatter-add (..., C, W, n) columns into (..., C, size)."""
-    w, n = cols.shape[-2:]
-    out = np.zeros(cols.shape[:-2] + (size,), dtype=cols.dtype)
+def _col2im(cols, w, stride, padding, size):
+    """Adjoint of _im2col: overlap-add (..., C*W, n) columns into
+    (..., C, size + 2*padding), then drop the padding."""
+    n = cols.shape[-1]
+    cols = cols.reshape(cols.shape[:-2] + (-1, w, n))
+    out = np.zeros(cols.shape[:-2] + (size + 2 * padding,), dtype=cols.dtype)
     for j in range(w):
         out[..., j:j + stride * (n - 1) + 1:stride] += cols[..., j, :]
-    return out
+    return out[..., padding:padding + size]
 
 
 def conv1d(x, k, stride=1, padding=0):
     """Cross-correlation of x (Cin, T) or (B, Cin, T) with kernels k (Cout, Cin, W).
 
-    Lowered to GEMMs over the im2col matrices cols_m = _windows(x padded)
-    viewed as (..., Cin*W, Tout): y = k_m @ cols_m with k_m = k as
-    (Cout, Cin*W); dk = g @ cols_m.T, summed over the batch; dx
-    overlap-adds the columns k_m.T @ g.
+    Lowered to GEMMs over cols = _im2col(x), (..., Cin*W, Tout): y = k_m @ cols
+    with k_m = k as (Cout, Cin*W); dk = g @ cols.T, summed over the batch;
+    dx = _col2im(k_m.T @ g).
     """
     if x.data.ndim not in (2, 3) or k.data.ndim != 3:
         raise ShapeError("conv1d expects x ([B,] Cin, T) and k (Cout, Cin, W)")
@@ -250,28 +248,24 @@ def conv1d(x, k, stride=1, padding=0):
     if t_out < 1:
         raise ShapeError(f"conv1d output would be empty (T={t}, W={w}, pad={padding})")
 
-    lead = x.data.shape[:-2]
     k_m = k.data.reshape(cout, cin * w)
-    cols_m = _windows(_pad(x.data, padding), w, stride, t_out).reshape(
-        lead + (cin * w, t_out))
+    cols = _im2col(x.data, w, stride, padding, t_out)
 
     def bw(g):
-        dk = _unbroadcast(g @ np.swapaxes(cols_m, -1, -2), k_m.shape)
+        dk = _unbroadcast(g @ np.swapaxes(cols, -1, -2), k_m.shape)
         _accumulate(k, dk.reshape(k.data.shape))
         if x.requires_grad:
-            dcols = (k_m.T @ g).reshape(lead + (cin, w, t_out))
-            dxp = _overlap_add(dcols, stride, t + 2 * padding)
-            _accumulate(x, dxp[..., padding:padding + t])
-    return _make(k_m @ cols_m, (x, k), bw)
+            _accumulate(x, _col2im(k_m.T @ g, w, stride, padding, t))
+    return _make(k_m @ cols, (x, k), bw)
 
 
 def conv_transpose1d(x, k, stride=1, padding=0):
     """Transposed convolution of x (Cin, T) or (B, Cin, T) with kernels k (Cin, Cout, W).
 
     The adjoint of conv1d, lowered to GEMMs the same way with k_m = k as
-    (Cin, Cout*W): the forward overlap-adds the columns k_m.T @ x; the
-    backward takes cols_m = _windows(g padded) as (..., Cout*W, T), then
-    dx = k_m @ cols_m and dk = x @ cols_m.T, summed over the batch.
+    (Cin, Cout*W): y = _col2im(k_m.T @ x); the backward takes
+    cols = _im2col(g), (..., Cout*W, T), then dx = k_m @ cols and
+    dk = x @ cols.T, summed over the batch.
     """
     if x.data.ndim not in (2, 3) or k.data.ndim != 3:
         raise ShapeError("conv_transpose1d expects x ([B,] Cin, T) and k (Cin, Cout, W)")
@@ -281,21 +275,21 @@ def conv_transpose1d(x, k, stride=1, padding=0):
         raise ShapeError(f"conv_transpose1d channel mismatch: x has {cin}, kernel expects {kcin}")
     if stride < 1 or padding < 0:
         raise ValueError("stride must be >= 1 and padding >= 0")
-    t_full = (t - 1) * stride + w
-    t_out = t_full - 2 * padding
+    t_out = (t - 1) * stride + w - 2 * padding
     if t_out < 1:
         raise ShapeError("conv_transpose1d output would be empty")
 
-    lead = x.data.shape[:-2]
     k_m = k.data.reshape(cin, cout * w)
-    y = _overlap_add((k_m.T @ x.data).reshape(lead + (cout, w, t)), stride, t_full)
+    y = _col2im(k_m.T @ x.data, w, stride, padding, t_out)
 
     def bw(g):
-        cols_m = _windows(_pad(g, padding), w, stride, t).reshape(lead + (cout * w, t))
-        _accumulate(x, k_m @ cols_m)
-        dk = _unbroadcast(x.data @ np.swapaxes(cols_m, -1, -2), k_m.shape)
+        cols = _im2col(g, w, stride, padding, t)
+        _accumulate(x, k_m @ cols)
+        dk = _unbroadcast(x.data @ np.swapaxes(cols, -1, -2), k_m.shape)
         _accumulate(k, dk.reshape(k.data.shape))
-    return _make(y[..., padding:padding + t_out].copy() if padding else y, (x, k), bw)
+    # with padding, y is a strided view into the padded sum; the node gets
+    # its own contiguous copy
+    return _make(y.copy() if padding else y, (x, k), bw)
 
 
 def embedding(table, indices):

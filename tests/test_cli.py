@@ -1587,7 +1587,9 @@ class TestStats:
         (["gt_high"], "--conditions entries look like a:b, got 'gt_high'"),
         (["gt_low:vc_low", "gt_low:vc_low"],
          "--conditions gt_low:vc_low given twice"),
-    ], ids=["unrated-second-pair", "no-colon", "repeated-pair"])
+        (["gt_low:vc_low", "vc_low:gt_low"],
+         "--conditions vc_low:gt_low repeats gt_low:vc_low, the same two-sided test"),
+    ], ids=["unrated-second-pair", "no-colon", "repeated-pair", "reversed-pair"])
     def test_failing_wilcoxon_prints_no_table(self, tmp_path, capsys,
                                               conditions, message):
         rows = [(f"L{i:02d}", "mos", cond, str(2 + (i + j) % 3))
@@ -1605,6 +1607,19 @@ class TestStats:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ")
         assert captured.err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("mode,row", [
+        ("mos", ("L1", "ab", "M01-M02:a_to_b:VC_vs_T", "same_sure")),
+        ("ab", ("L1", "mos", "gt_high", "4")),
+    ], ids=["mos", "ab"])
+    def test_mode_without_its_rows_is_user_error(self, tmp_path, capsys, mode, row):
+        ratings = tmp_path / "r.csv"
+        write_ratings(ratings, [row])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "stats", str(ratings), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ratings}: no {mode} rows in the ratings file\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("mode", ["mos", "ab"])
     def test_conditions_outside_wilcoxon_refused(self, tmp_path, capsys, mode):

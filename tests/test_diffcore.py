@@ -124,18 +124,37 @@ class TestConv1d:
 
 
 class TestConvTranspose1d:
-    def test_adjoint_of_conv(self):
-        # <conv1d(a, k), p> == <a, conv_transpose1d(p, k)> at equal
-        # stride/padding; the (Cout, Cin, W) kernel reads as (Cin, Cout, W)
-        # on the transposed side.
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(3, 12))
-        k = rng.normal(size=(2, 3, 4))
-        fwd = dc.conv1d(dc.Tensor(a), dc.Tensor(k), stride=2, padding=1).data
-        probe = rng.normal(size=fwd.shape)
-        back = dc.conv_transpose1d(dc.Tensor(probe), dc.Tensor(k), stride=2, padding=1).data
-        assert back.shape == a.shape
-        assert np.isclose(np.sum(fwd * probe), np.sum(a * back), rtol=1e-10)
+    # the model's (stride, padding, W): the encoder's strided and plain
+    # convs, its 1x1 projection, and the decoder's up-conv
+    MODEL_CASES = [(2, 2, 5), (1, 2, 5), (1, 0, 1), (2, 1, 4)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("stride,padding,w", MODEL_CASES)
+    def test_adjoint_of_conv(self, stride, padding, w, lead, dtype):
+        # Each op's forward pass is the other's input gradient, bit for
+        # bit: the (Cout, Cin, W) kernel of conv1d reads as (Cin, Cout, W)
+        # on the transposed side, and both run the same GEMM and the same
+        # gather or scatter.  T is the length conv_transpose1d gives from n
+        # frames, so the two geometries match exactly.
+        rng = np.random.default_rng(stride * 100 + padding * 10 + w)
+        cin, cout, n = 6, 4, 13
+        t = (n - 1) * stride + w - 2 * padding
+        k = dc.Tensor(rng.normal(size=(cout, cin, w)).astype(dtype))
+        p = rng.normal(size=lead + (cout, n)).astype(dtype)
+        g = rng.normal(size=lead + (cin, t)).astype(dtype)
+
+        x = dc.Tensor(np.zeros_like(g), requires_grad=True)
+        dc.tsum(dc.mul(dc.conv1d(x, k, stride, padding), dc.Tensor(p))).backward()
+        want = dc.conv_transpose1d(dc.Tensor(p), k, stride, padding).data
+        assert want.dtype == dtype and want.shape == x.grad.shape
+        assert np.array_equal(want, x.grad)
+
+        q = dc.Tensor(np.zeros_like(p), requires_grad=True)
+        dc.tsum(dc.mul(dc.conv_transpose1d(q, k, stride, padding), dc.Tensor(g))).backward()
+        want = dc.conv1d(dc.Tensor(g), k, stride, padding).data
+        assert want.dtype == dtype and want.shape == q.grad.shape
+        assert np.array_equal(want, q.grad)
 
     def test_exact_doubling_geometry(self):
         x = dc.Tensor(np.ones((1, 8)))
