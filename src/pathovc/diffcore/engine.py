@@ -4,17 +4,18 @@ Each op computes its result and hands ``_make`` one function ``backward(g)``
 that routes the upstream gradient ``g`` of the result to the op's parents.
 
 Arrays are channel-major: (C, T), or (B, C, T) for a batch.  Every op
-indexes the last axes, so one code path serves both, and ``_unbroadcast``
-sums a parameter's gradient over the batch.  The conv ops do every
-contraction as a matmul, so BLAS does the work (im2col plus GEMM, after
-Chellapilla, Puri & Simard, 2006): ``_im2col`` pads a (..., C, T) input and
-gathers its kernel windows into a (..., C*W, n) column matrix, its adjoint
-``_col2im`` overlap-adds such a matrix back and drops the padding, and each
-kernel is viewed as a matrix with C*W on one side.  conv1d gathers in its
-forward pass and scatters dx; conv_transpose1d, its adjoint, does the
-reverse.  The same inputs give the same bits on every run (the tests check
-one and two BLAS threads), but BLAS picks the summation order, so results
-can differ from a plain loop's in the last bits.
+indexes the last axes, so one code path serves both.  The conv ops do every
+contraction as one matmul over the whole batch, so BLAS does the work
+(im2col plus GEMM, after Chellapilla, Puri & Simard, 2006): ``_im2col``
+pads the input and gathers every item's kernel windows into one
+(C*W, B*n) column matrix, its adjoint ``_col2im`` overlap-adds such a
+matrix back and drops the padding, and each kernel is viewed as a matrix
+with C*W on one side, so a kernel's gradient sums over the batch inside
+its GEMM; ``_unbroadcast`` does that sum for the biases.  conv1d gathers
+in its forward pass and scatters dx; conv_transpose1d, its adjoint, does
+the reverse.  The same inputs give the same bits on every run (the tests
+check one and two BLAS threads), but BLAS picks the summation order, so
+results can differ from a plain loop's in the last bits.
 """
 
 import weakref
@@ -202,39 +203,49 @@ def crop(x, length, axis=-1):
 
 
 def _im2col(a, w, stride, padding, n):
-    """Columns (..., C*W, n) of a (..., C, T) padded by `padding` zeros on each side.
+    """Columns (C*W, B*n) of a (C, T) or (B, C, T) padded by `padding` zeros on each side.
 
-    Column t holds window t: [..., c*W + j, t] = a_padded[..., c, j + stride*t].
-    The padding is a zero buffer plus one slice assignment; np.pad does the
-    same copy at several times the cost on these small arrays.
+    Column b*n + t holds window t of item b (a 2-D input is one item):
+    [c*W + j, b*n + t] = a_padded[b, c, j + stride*t].  The padding is a
+    zero buffer plus one slice assignment; np.pad does the same copy at
+    several times the cost on these small arrays.
     """
+    a = a.swapaxes(0, -2)
     if padding:
         xp = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * padding,), dtype=a.dtype)
         xp[..., padding:-padding] = a
         a = xp
-    cols = np.empty(a.shape[:-1] + (w, n), dtype=a.dtype)
+    cols = np.empty(a.shape[:1] + (w,) + a.shape[1:-1] + (n,), dtype=a.dtype)
     for j in range(w):
-        cols[..., j, :] = a[..., j:j + stride * (n - 1) + 1:stride]
-    return cols.reshape(a.shape[:-2] + (-1, n))
+        cols[:, j] = a[..., j:j + stride * (n - 1) + 1:stride]
+    return cols.reshape(a.shape[0] * w, -1)
 
 
-def _col2im(cols, w, stride, padding, size):
-    """Adjoint of _im2col: overlap-add (..., C*W, n) columns into
-    (..., C, size + 2*padding), then drop the padding."""
-    n = cols.shape[-1]
-    cols = cols.reshape(cols.shape[:-2] + (-1, w, n))
-    out = np.zeros(cols.shape[:-2] + (size + 2 * padding,), dtype=cols.dtype)
+def _col2im(cols, w, stride, padding, shape):
+    """Adjoint of _im2col: overlap-add (C*W, B*n) columns into a padded
+    (C, [B,] size + 2*padding) sum and return it unpadded as `shape`,
+    (C, size) or (B, C, size)."""
+    c, size = shape[-2:]
+    cols = cols.reshape((c, w) + shape[:-2] + (-1,))
+    out = np.zeros((c,) + shape[:-2] + (size + 2 * padding,), dtype=cols.dtype)
     for j in range(w):
-        out[..., j:j + stride * (n - 1) + 1:stride] += cols[..., j, :]
-    return out[..., padding:padding + size]
+        out[..., j:j + stride * (cols.shape[-1] - 1) + 1:stride] += cols[:, j]
+    return _unflat(out[..., padding:padding + size], shape)
+
+
+def _unflat(m, shape):
+    """A (C, B*T) or (C, [B,] T) array as `shape`, (C, T) or (B, C, T); the
+    inverse of a.swapaxes(0, -2).reshape(C, -1), which the convs use to
+    lay a whole batch out as one matrix."""
+    return m.reshape(shape[-2:-1] + shape[:-2] + shape[-1:]).swapaxes(0, -2)
 
 
 def conv1d(x, k, stride=1, padding=0):
     """Cross-correlation of x (Cin, T) or (B, Cin, T) with kernels k (Cout, Cin, W).
 
-    Lowered to GEMMs over cols = _im2col(x), (..., Cin*W, Tout): y = k_m @ cols
-    with k_m = k as (Cout, Cin*W); dk = g @ cols.T, summed over the batch;
-    dx = _col2im(k_m.T @ g).
+    Lowered to GEMMs over cols = _im2col(x), (Cin*W, B*Tout), and g as
+    g_m (Cout, B*Tout): y = k_m @ cols with k_m = k as (Cout, Cin*W);
+    dk = g_m @ cols.T, which sums over the batch; dx = _col2im(k_m.T @ g_m).
     """
     if x.data.ndim not in (2, 3) or k.data.ndim != 3:
         raise ShapeError("conv1d expects x ([B,] Cin, T) and k (Cout, Cin, W)")
@@ -252,20 +263,20 @@ def conv1d(x, k, stride=1, padding=0):
     cols = _im2col(x.data, w, stride, padding, t_out)
 
     def bw(g):
-        dk = _unbroadcast(g @ np.swapaxes(cols, -1, -2), k_m.shape)
-        _accumulate(k, dk.reshape(k.data.shape))
+        g_m = g.swapaxes(0, -2).reshape(cout, -1)
+        _accumulate(k, (g_m @ cols.T).reshape(k.data.shape))
         if x.requires_grad:
-            _accumulate(x, _col2im(k_m.T @ g, w, stride, padding, t))
-    return _make(k_m @ cols, (x, k), bw)
+            _accumulate(x, _col2im(k_m.T @ g_m, w, stride, padding, x.data.shape))
+    return _make(_unflat(k_m @ cols, x.data.shape[:-2] + (cout, t_out)), (x, k), bw)
 
 
 def conv_transpose1d(x, k, stride=1, padding=0):
     """Transposed convolution of x (Cin, T) or (B, Cin, T) with kernels k (Cin, Cout, W).
 
     The adjoint of conv1d, lowered to GEMMs the same way with k_m = k as
-    (Cin, Cout*W): y = _col2im(k_m.T @ x); the backward takes
-    cols = _im2col(g), (..., Cout*W, T), then dx = k_m @ cols and
-    dk = x @ cols.T, summed over the batch.
+    (Cin, Cout*W) and x as x_m (Cin, B*T): y = _col2im(k_m.T @ x_m); the
+    backward takes cols = _im2col(g), (Cout*W, B*T), then dx = k_m @ cols
+    and dk = x_m @ cols.T, which sums over the batch.
     """
     if x.data.ndim not in (2, 3) or k.data.ndim != 3:
         raise ShapeError("conv_transpose1d expects x ([B,] Cin, T) and k (Cin, Cout, W)")
@@ -280,13 +291,13 @@ def conv_transpose1d(x, k, stride=1, padding=0):
         raise ShapeError("conv_transpose1d output would be empty")
 
     k_m = k.data.reshape(cin, cout * w)
-    y = _col2im(k_m.T @ x.data, w, stride, padding, t_out)
+    x_m = x.data.swapaxes(0, -2).reshape(cin, -1)
+    y = _col2im(k_m.T @ x_m, w, stride, padding, x.data.shape[:-2] + (cout, t_out))
 
     def bw(g):
         cols = _im2col(g, w, stride, padding, t)
-        _accumulate(x, k_m @ cols)
-        dk = _unbroadcast(x.data @ np.swapaxes(cols, -1, -2), k_m.shape)
-        _accumulate(k, dk.reshape(k.data.shape))
+        _accumulate(x, _unflat(k_m @ cols, x.data.shape))
+        _accumulate(k, (x_m @ cols.T).reshape(k.data.shape))
     # with padding, y is a strided view into the padded sum; the node gets
     # its own contiguous copy
     return _make(y.copy() if padding else y, (x, k), bw)

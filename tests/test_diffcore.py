@@ -129,7 +129,8 @@ class TestConvTranspose1d:
     MODEL_CASES = [(2, 2, 5), (1, 2, 5), (1, 0, 1), (2, 1, 4)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("lead", [(), (3,), (1,), (8,)],
+                             ids=["unbatched", "batched", "batch_of_one", "training_batch"])
     @pytest.mark.parametrize("stride,padding,w", MODEL_CASES)
     def test_adjoint_of_conv(self, stride, padding, w, lead, dtype):
         # Each op's forward pass is the other's input gradient, bit for
@@ -197,6 +198,14 @@ class TestConvAgainstEinsum:
     @pytest.mark.parametrize("op,stride,padding,w,t", CASES)
     def test_batch_matches_oracle_per_item(self, op, stride, padding, w, t, dtype):
         self._check(op, stride, padding, w, t, dtype, lead=(3,))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,stride,padding,w,t", CASES)
+    @pytest.mark.parametrize("lead", [(1,), (8,)], ids=["batch_of_one", "training_batch"])
+    def test_batch_sizes_match_oracle_per_item(self, lead, op, stride, padding, w, t, dtype):
+        # a batch of one, and the training loop's batch of eight, whose
+        # columns make the widest GEMMs
+        self._check(op, stride, padding, w, t, dtype, lead=lead)
 
     def _check(self, op, stride, padding, w, t, dtype, lead):
         """x of shape lead + (Cin, T); the oracle runs item by item, and

@@ -356,6 +356,14 @@ class TestForwardLoss:
             tiny_model().forward_loss(np.ones((16, 3)), "A", mask=np.zeros(16))
 
 
+def take_grads(model):
+    """Each parameter's gradient by name, leaving every gradient cleared."""
+    grads = {k: p.grad for k, p in model.params.items()}
+    for p in model.params.values():
+        p.grad = None
+    return grads
+
+
 class TestBatchedGraph:
     def test_batch_is_mean_of_single_utterance_graphs(self):
         # one graph over a (B, T, C) batch against B graphs over (T, C):
@@ -368,22 +376,16 @@ class TestBatchedGraph:
         mask[0, 10:] = 0.0
         speakers = ["B", "A", "B"]
 
-        def take_grads():
-            grads = {k: p.grad for k, p in m.params.items()}
-            for p in m.params.values():
-                p.grad = None
-            return grads
-
         want_terms = np.zeros(3)
         for b in range(3):
             loss, parts = m.forward_loss(frames[b], speakers[b], mask=mask[b])
             (loss * (1 / 3)).backward()
             want_terms += [parts.reconstruction, parts.codebook, parts.commitment]
-        want = take_grads()
+        want = take_grads(m)
         loss, parts = m._forward_graph(
             frames, np.array([m.speaker_index(s) for s in speakers]), mask)
         loss.backward()
-        got = take_grads()
+        got = take_grads(m)
         np.testing.assert_allclose(
             [parts.reconstruction, parts.codebook, parts.commitment],
             want_terms / 3, rtol=1e-12)
@@ -392,6 +394,38 @@ class TestBatchedGraph:
             if want[name] is not None:
                 np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
                                            err_msg=name)
+
+    def test_training_batch_at_the_default_config(self):
+        # the shape every training step has: the default float32 model and
+        # B = 8 crops of T = 64 frames, one padded.  Each item quantizes to
+        # the codewords its own graph picks, and each parameter gradient is
+        # the mean of the single-utterance ones to float32 rounding, though
+        # the batched GEMMs sum in another order.
+        m = vqvae.HVqVaeModel(vqvae.VqVaeConfig(), ["A", "B", "C"], seed=31)
+        rng = np.random.default_rng(32)
+        frames = rng.normal(size=(8, 64, 40)).astype(np.float32)
+        frames[5, 37:] = 0.0
+        mask = np.ones((8, 64), dtype=np.float32)
+        mask[5, 37:] = 0.0
+        speakers = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+        m.init_codebooks([z.reshape(-1, z.shape[-1]) for z in m.encode(frames)], rng)
+
+        loss, parts = m._forward_graph(frames, speakers, mask)
+        loss.backward()
+        got = take_grads(m)
+        singles = [m._forward_graph(frames[b], speakers[b], mask[b]) for b in range(8)]
+        for b, (_, single) in enumerate(singles):
+            for stage, (batched, alone) in enumerate(zip(parts.indices, single.indices)):
+                assert np.array_equal(batched[b], alone), (b, stage)
+        want = {}
+        for single_loss, _ in singles:
+            single_loss.backward()
+            for name, g in take_grads(m).items():
+                want[name] = want.get(name, 0.0) + g.astype(np.float64) / 8
+        for name in sorted(m.params):
+            assert got[name].dtype == np.float32, name
+            err = np.linalg.norm(got[name] - want[name]) / np.linalg.norm(want[name])
+            assert err <= 1e-5, f"{name}: normwise relative error {err:.2e}"
 
 
 class TestPerplexity:
