@@ -39,7 +39,7 @@ class PairingConfig:
 @dataclasses.dataclass
 class ConvertConfig:
     all_blocks: bool = False  # False converts only the held-out B2 words
-    gl_iterations: int = 19  # Fast Griffin-Lim iterations per waveform
+    gl_iterations: int = 10  # Fast Griffin-Lim iterations per waveform
     wav: bool = True  # False writes the converted features only
 
     def __post_init__(self):

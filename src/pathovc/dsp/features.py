@@ -153,22 +153,67 @@ def spectral_convergence(mag: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(mag - target) / denom)
 
 
+def _phase_start(target: np.ndarray, cfg: DspConfig, out: np.ndarray) -> np.ndarray:
+    """``target * exp(1j * phi)`` in ``out``, phi estimated from |target|.
+
+    Phase-gradient integration (PGHI; Průša, Balazs & Søndergaard, IEEE/ACM
+    TASLP 2017) from each frame's peak bin instead of a heap, for a Hann
+    window of L samples as a Gaussian of lambda = 0.25645 L**2. With s the
+    log of ``target`` floored at 1e-10 of its peak, M = fft_size and a =
+    hop_size, bin m advances by a (2 pi m / M + (M / lambda) ds/dm) per hop,
+    summed along time (trapezoid rule). Each frame keeps that phase at its
+    peak bin and steps by -(lambda / M) (ds/dn) / a per bin outward from it
+    (0 for one frame). Less pi m L / M, phi is at the frame start, as in
+    ``stft``, not the window centre.
+    """
+    t, n_bins = target.shape
+    size, hop, lam = cfg.fft_size, cfg.hop_size, 0.25645 * cfg.window_size ** 2
+    rows, bins, peak = np.arange(t), np.arange(n_bins), np.argmax(target, axis=1)
+    # s lives in out.real until the phase overwrites it
+    s = np.log(np.maximum(target, 1e-10 * target.max(), out=out.real), out=out.real)
+
+    def integral(d, axis):  # trapezoid rule from 0 at index 0; overwrites d
+        d *= 0.5
+        return 2.0 * np.cumsum(d, axis=axis) - d - d.take([0], axis=axis)
+
+    advance = np.gradient(s, axis=1)
+    advance *= hop * size / lam
+    advance += (2.0 * np.pi * hop / size) * bins
+    anchor = integral(advance, 0)[rows, peak]
+    del advance
+    step = np.gradient(s, axis=0) if t > 1 else np.zeros_like(s)
+    step *= -lam / (size * hop)
+    phi = integral(step, 1)
+    phi += (anchor - phi[rows, peak])[:, None]
+    phi -= (np.pi * cfg.window_size / size) * bins
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    out *= target
+    return out
+
+
 def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
                 return_convergence: bool = False, momentum: float = 0.0):
     """Iterative phase reconstruction from a mel spectrogram.
 
-    Zero-phase start, then per iteration one Fast Griffin-Lim update
-    (Perraudin, Balazs & Søndergaard, 2013) with alpha = ``momentum``: the
-    magnitude is replaced in ``estimate - alpha / (1 + alpha) * prev``,
-    ``prev`` being the previous iteration's estimate (zero before the
-    first). Alpha 0 is plain Griffin-Lim, whose spectral-convergence error
-    is non-increasing; otherwise the error may rise between iterations.
-    Returns the waveform, or (waveform, per-iteration errors of the
-    estimate) when asked. Every iteration runs in buffers allocated once
-    per call; |estimate| is computed only for the errors.
+    Phase-gradient start (``_phase_start``), then per iteration one Fast
+    Griffin-Lim update (Perraudin, Balazs & Søndergaard, 2013) with alpha =
+    ``momentum``: the magnitude is replaced in ``estimate - alpha / (1 +
+    alpha) * prev``, ``prev`` being the previous iteration's estimate (zero
+    before the first). Alpha 0 is plain Griffin-Lim, whose
+    spectral-convergence error is non-increasing; otherwise the error may
+    rise between iterations. Returns the waveform, or (waveform,
+    per-iteration errors of the estimate) when asked. Every iteration runs
+    in buffers allocated once per call; |estimate| is computed only for the
+    errors.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    # the filterbank and the start's lambda and bin spacing come from cfg
+    if (ms.n_mels, ms.sample_rate) != (cfg.n_mels, cfg.sample_rate):
+        raise ValueError(
+            f"mel spectrogram of {ms.n_mels} bands at {ms.sample_rate} Hz, but "
+            f"[dsp] n_mels is {cfg.n_mels} and sample_rate {cfg.sample_rate} Hz")
     target = mel_to_linear(ms, cfg)
     if not np.any(target):
         t = target.shape[0]
@@ -178,8 +223,7 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
 
     sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
     plan = _StftPlan(target.shape[0], *sizes)
-    spec = plan.spec
-    spec[...] = target
+    spec = _phase_start(target, cfg, plan.spec)
     mag = np.empty(target.shape)
     decay = momentum / (1.0 + momentum)
     prev = np.zeros_like(spec)  # -decay times the previous estimate

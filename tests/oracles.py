@@ -372,14 +372,76 @@ def reduce_noise_ref(x, cfg):
     return istft_ref(spec * gain, *sizes)[pad:pad + x.size]
 
 
-def griffin_lim_ref(target, fft_size, hop_size, window_size, iterations):
-    """Griffin-Lim from linear magnitudes ``target``: (samples, errors).
+def _difference_ref(values):
+    """Central differences of a sequence, one-sided at both ends (unit
+    spacing, as ``np.gradient`` takes them)."""
+    n = len(values)
+    out = []
+    for k in range(n):
+        if k == 0:
+            out.append(values[1] - values[0])
+        elif k == n - 1:
+            out.append(values[k] - values[k - 1])
+        else:
+            out.append((values[k + 1] - values[k - 1]) / 2.0)
+    return out
+
+
+def phase_start_ref(target, fft_size, hop_size, window_size):
+    """Phase-gradient start ``target * exp(1j * phi)`` by per-frame and
+    per-bin loops, the formulas as they read.
+
+    With s = log(max(target, 1e-10 * max)), lam = 0.25645 window_size**2,
+    M = fft_size, a = hop_size, frame n and bin m:
+    1. the phase advance a * (2 pi m / M + (M / lam) ds/dm) per hop is
+       summed along time by the trapezoid rule from 0 at frame 0;
+    2. the step -(lam / M) (ds/dn) / a per bin, with ds/dn = 0 for a single
+       frame, is summed by the trapezoid rule outward from each frame's
+       peak bin (its first largest entry), which keeps its phase from 1.;
+    3. pi m window_size / M is subtracted from every bin.
+    """
+    t, n_bins = target.shape
+    lam = 0.25645 * window_size ** 2
+    floor = 1e-10 * max(max(row) for row in target.tolist())
+    s = [[math.log(max(v, floor)) for v in row] for row in target.tolist()]
+    ds_dm = [_difference_ref(row) for row in s]
+    if t > 1:
+        columns = [_difference_ref([s[n][m] for n in range(t)]) for m in range(n_bins)]
+        ds_dn = [[columns[m][n] for m in range(n_bins)] for n in range(t)]
+    else:
+        ds_dn = [[0.0] * n_bins]
+    advance = [[hop_size * (2.0 * math.pi * m / fft_size
+                            + (fft_size / lam) * ds_dm[n][m])
+                for m in range(n_bins)] for n in range(t)]
+    along_time = [[0.0] * n_bins]
+    for n in range(1, t):
+        along_time.append([along_time[n - 1][m]
+                           + (advance[n - 1][m] + advance[n][m]) / 2.0
+                           for m in range(n_bins)])
+    phi = np.zeros((t, n_bins))
+    for n in range(t):
+        row = target[n].tolist()
+        peak = row.index(max(row))
+        step = [-(lam / fft_size) * ds_dn[n][m] / hop_size for m in range(n_bins)]
+        phi[n, peak] = along_time[n][peak]
+        for m in range(peak + 1, n_bins):
+            phi[n, m] = phi[n, m - 1] + (step[m - 1] + step[m]) / 2.0
+        for m in range(peak - 1, -1, -1):
+            phi[n, m] = phi[n, m + 1] - (step[m] + step[m + 1]) / 2.0
+        for m in range(n_bins):
+            phi[n, m] -= math.pi * m * window_size / fft_size
+    return target * np.exp(1j * phi)
+
+
+def griffin_lim_ref(target, start, fft_size, hop_size, window_size, iterations):
+    """Griffin-Lim from linear magnitudes ``target`` and the complex
+    spectrum ``start`` (``target`` itself for zero phase): (samples, errors).
 
     A fresh array per step, as the arithmetic reads; each error is the
     spectral convergence ||mag - target|| / ||target||.
     """
     length = (target.shape[0] - 1) * hop_size + window_size
-    spec = target.astype(np.complex128)
+    spec = np.asarray(start, dtype=np.complex128)
     errors = []
     x = None
     for _ in range(iterations):
@@ -391,16 +453,17 @@ def griffin_lim_ref(target, fft_size, hop_size, window_size, iterations):
     return x, errors
 
 
-def fast_griffin_lim_ref(target, fft_size, hop_size, window_size, iterations,
-                         momentum):
-    """Fast Griffin-Lim from linear magnitudes ``target``: (samples, errors).
+def fast_griffin_lim_ref(target, start, fft_size, hop_size, window_size,
+                         iterations, momentum):
+    """Fast Griffin-Lim from linear magnitudes ``target`` and the complex
+    spectrum ``start``: (samples, errors).
 
     Perraudin, Balazs & Søndergaard (2013) with the previous estimate
     starting at zero, a fresh array per step; each error is that of the
     estimate, before the momentum step.
     """
     length = (target.shape[0] - 1) * hop_size + window_size
-    spec = target.astype(np.complex128)
+    spec = np.asarray(start, dtype=np.complex128)
     prev = np.zeros_like(spec)
     errors = []
     x = None

@@ -170,7 +170,7 @@ class TestDumpConfig:
     @pytest.mark.parametrize("flags,default,given", [
         (["--train-list", "keys.txt"], "train_list = ", "train_list = keys.txt"),
         (["--all-blocks"], "all_blocks = false", "all_blocks = true"),
-        (["--gl-iterations", "5"], "gl_iterations = 19", "gl_iterations = 5"),
+        (["--gl-iterations", "5"], "gl_iterations = 10", "gl_iterations = 5"),
         (["--no-wav"], "wav = true", "wav = false"),
     ], ids=["train-list", "all-blocks", "gl-iterations", "no-wav"])
     def test_command_flag_shows_in_dump(self, capsys, flags, default, given):

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 import wave
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from oracles import (
     istft_ref,
     mel_filterbank_ref,
     mel_to_hz_ref,
+    phase_start_ref,
     reduce_noise_ref,
     stft_ref,
     trim_silence_ref,
@@ -573,6 +575,17 @@ class TestGriffinLim:
         with pytest.raises(ValueError, match="iterations"):
             dsp.griffin_lim(ms, cfg, 0)
 
+    @pytest.mark.parametrize("n_mels,rate", [(80, 16000), (40, 24000)],
+                             ids=["sample-rate", "n-mels"])
+    def test_spectrogram_unlike_cfg_rejected(self, n_mels, rate):
+        # the filterbank and the start's lambda and bin spacing come from cfg
+        cfg = dsp.DspConfig()
+        ms = dsp.MelSpectrogram(np.ones((2, n_mels)), 256 / rate, rate)
+        with pytest.raises(ValueError, match=(
+                f"of {n_mels} bands at {rate} Hz, but "
+                r"\[dsp\] n_mels is 80 and sample_rate 24000 Hz")):
+            dsp.griffin_lim(ms, cfg, 1)
+
 
 def harmonic_word(f0, seconds, sr):
     """Eleven harmonics of ``f0`` under one raised-sine syllable envelope."""
@@ -585,9 +598,11 @@ class TestFastGriffinLim:
     def test_convert_default_reaches_plain_sixty(self):
         # each word through the mel cepstrum that convert synthesizes from;
         # Fast Griffin-Lim is not monotone, and a short high word can end a
-        # few percent above plain-60, so the mean is what is compared
+        # few percent above plain-60, so the mean is what is compared. The
+        # references start from zero phase: 60 plain iterations, and the
+        # former default of 19 fast ones
         cfg = dsp.DspConfig()
-        fast, plain = [], []
+        fast, plain, former = [], [], []
         for f0, seconds in ((110, 0.5), (140, 0.8), (180, 1.2), (230, 0.4)):
             w = harmonic_word(f0, seconds, cfg.sample_rate)
             mc = dsp.mel_cepstrum(dsp.mel_spectrogram(w, cfg), cfg.cepstral_order)
@@ -596,10 +611,15 @@ class TestFastGriffinLim:
                                       return_convergence=True,
                                       momentum=cli.GL_MOMENTUM)
             fast.append(errs[-1])
-            _, errs = dsp.griffin_lim(ms, cfg, 60, return_convergence=True)
-            plain.append(errs[-1])
+            target = dsp.mel_to_linear(ms, cfg)
+            plain.append(griffin_lim_ref(target, target, *_sizes(cfg), 60)[1][-1])
+            former.append(fast_griffin_lim_ref(target, target, *_sizes(cfg),
+                                               19, 0.99)[1][-1])
         assert ConvertConfig.gl_iterations < 60 and cli.GL_MOMENTUM == 0.99
+        assert np.mean(plain) == pytest.approx(0.2011, abs=1e-4)
+        assert np.mean(former) == pytest.approx(0.1849, abs=1e-4)
         assert np.mean(fast) <= np.mean(plain)
+        assert np.mean(fast) <= np.mean(former)
 
     def test_first_iteration_is_plain(self):
         # the previous estimate starts at zero, so the first step is plain;
@@ -638,6 +658,55 @@ def _sizes(cfg):
     return cfg.fft_size, cfg.hop_size, cfg.window_size
 
 
+def _start(target, cfg):
+    """griffin_lim's starting spectrum for linear magnitudes ``target``."""
+    return features._phase_start(target, cfg, np.empty(target.shape, np.complex128))
+
+
+class TestPhaseStart:
+    @pytest.mark.parametrize("c,t", STFT_GRID)
+    def test_matches_loop_oracle(self, c, t):
+        # the time-integrated phase reaches ~4e5 rad at 140 frames, where a
+        # double resolves ~1e-10 rad; the two sum in different orders
+        cfg, _, ms = _grid_case(c, t)
+        target = dsp.mel_to_linear(ms, cfg)
+        np.testing.assert_allclose(_start(target, cfg),
+                                   phase_start_ref(target, *_sizes(cfg)),
+                                   rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("w", [
+        dsp.Waveform(sine(440, 24000), 24000),
+        harmonic_word(140, 0.8, 24000),
+    ], ids=["tone", "word"])
+    def test_beats_zero_phase_before_any_iteration(self, w):
+        # one iteration's error is that of the start's consistent
+        # spectrum: 0.26 and 0.55 here, against 0.96 and 0.93 from zero
+        cfg = dsp.DspConfig()
+        ms = dsp.mel_spectrogram(w, cfg)
+        target = dsp.mel_to_linear(ms, cfg)
+        _, errs = dsp.griffin_lim(ms, cfg, 1, return_convergence=True)
+        _, zero = griffin_lim_ref(target, target, *_sizes(cfg), 1)
+        assert errs[0] <= 0.6 * zero[0]
+
+    @pytest.mark.parametrize("t", [1, 9])
+    def test_single_frame_and_zero_bins_finite(self, t):
+        # below fmin every bin is zero; one frame is zero throughout
+        cfg = dsp.DspConfig()
+        frames = np.random.default_rng(t).uniform(0.1, 2.0, size=(t, 80))
+        if t > 1:
+            frames[t // 2] = 0.0
+        ms = dsp.MelSpectrogram(frames, 256 / 24000, 24000)
+        target = dsp.mel_to_linear(ms, cfg)
+        assert not np.any(target[:, :3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = _start(target, cfg)
+            wav = dsp.griffin_lim(ms, cfg, 3, momentum=0.99)
+        assert np.all(np.isfinite(start))
+        np.testing.assert_allclose(np.abs(start), target, rtol=1e-12, atol=0.0)
+        assert np.all(np.isfinite(wav.samples))
+
+
 class TestStftAgainstLoopOracle:
     """Byte equality with the per-frame-loop STFT pair and Griffin-Lim."""
 
@@ -671,7 +740,8 @@ class TestStftAgainstLoopOracle:
     def test_griffin_lim(self, c, t):
         cfg, _, ms = _grid_case(c, t)
         wav, errors = dsp.griffin_lim(ms, cfg, 5, return_convergence=True)
-        x, want = griffin_lim_ref(dsp.mel_to_linear(ms, cfg), *_sizes(cfg), 5)
+        target = dsp.mel_to_linear(ms, cfg)
+        x, want = griffin_lim_ref(target, _start(target, cfg), *_sizes(cfg), 5)
         assert wav.samples.tobytes() == x.tobytes()
         assert errors == want
         assert dsp.griffin_lim(ms, cfg, 5).samples.tobytes() == x.tobytes()
@@ -683,7 +753,8 @@ class TestStftAgainstLoopOracle:
         cfg, _, ms = _grid_case(c, t)
         wav, errors = dsp.griffin_lim(ms, cfg, 5, return_convergence=True,
                                       momentum=0.99)
-        x, want = fast_griffin_lim_ref(dsp.mel_to_linear(ms, cfg), *_sizes(cfg),
+        target = dsp.mel_to_linear(ms, cfg)
+        x, want = fast_griffin_lim_ref(target, _start(target, cfg), *_sizes(cfg),
                                        5, 0.99)
         assert wav.samples.tobytes() == x.tobytes()
         assert errors == want
