@@ -1,6 +1,8 @@
 """Waveform-level operations: normalize, resample, trim, denoise, STFT."""
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,6 +103,23 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+_thread_buffers = threading.local()
+
+
+def _work(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """This thread's uninitialized work array ``name`` of ``shape``.
+
+    A C-contiguous view of a grow-only buffer kept per thread, so the front
+    end reuses its memory from clip to clip instead of faulting in fresh
+    pages. The view stays valid until this thread asks for ``name`` again.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = vars(_thread_buffers).get(name)
+    if buf is None or buf.size < nbytes:
+        buf = vars(_thread_buffers)[name] = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 # Near both ends the window-square sum is only a window tail (down to
 # ~1e-10 of its peak), and dividing by it there lifts the edge samples far
 # above the body.  Flooring it at this fraction of its peak bounds that gain.
@@ -111,23 +130,28 @@ class _StftPlan:
     """Window, overlap-add denominator and work buffers for ``t`` frames.
 
     One plan serves any number of ``stft`` and ``istft`` calls of that
-    frame count and those sizes. The arrays they return are views of the
-    plan's buffers (``spec`` and ``signal``), so the next call with the same
-    plan overwrites them: copy what must outlive it. Without a ``plan=``
-    argument each call builds its own, and its result is a fresh array.
+    frame count and those sizes; both window in the first ``window_size``
+    columns of its one frame buffer, ``frames``. The arrays they return are
+    views of the plan's buffers (``spec`` and ``signal``), so the next call
+    with the same plan overwrites them: copy what must outlive it. Without a
+    ``plan=`` argument each call builds its own, and its result is a fresh
+    array. With ``thread_buffers`` its buffers are this thread's ``_work``
+    arrays, overwritten when this thread builds the next such plan.
     """
 
-    def __init__(self, t: int, fft_size: int, hop_size: int, window_size: int):
+    def __init__(self, t: int, fft_size: int, hop_size: int, window_size: int,
+                 thread_buffers: bool = False):
         self.sizes = (t, fft_size, hop_size, window_size)
         self.window = _hann_periodic(window_size)
         self.length = (t - 1) * hop_size + window_size
         self._den = None
-        self.frames = np.empty((t, fft_size))
-        self.windowed = np.empty((t, window_size))
-        self.spec = np.empty((t, fft_size // 2 + 1), dtype=np.complex128)
+        self._empty = _work if thread_buffers else lambda _, *args: np.empty(*args)
+        self.frames = self._empty("frames", (t, fft_size))
+        self.spec = self._empty("spec", (t, fft_size // 2 + 1), np.complex128)
         # t + ceil(window / hop) - 1 hop blocks; the first `length` samples
         # are the signal
-        self.signal = np.empty((t - 1 - (-window_size // hop_size)) * hop_size)
+        blocks = t - 1 - (-window_size // hop_size)
+        self.signal = self._empty("signal", (blocks * hop_size,))
 
     def overlap_add(self, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Zero ``out``, add hop-shifted ``frames``; its first ``length`` samples.
@@ -152,8 +176,9 @@ class _StftPlan:
         if self._den is None:
             t, _, _, window_size = self.sizes
             squares = np.broadcast_to(self.window * self.window, (t, window_size))
-            den = self.overlap_add(squares, np.empty_like(self.signal))
-            self._den = np.maximum(den, max(_ISTFT_DEN_FLOOR * den.max(), 1e-12))
+            den = self.overlap_add(squares, self._empty("den", self.signal.shape))
+            self._den = np.maximum(den, max(_ISTFT_DEN_FLOOR * den.max(), 1e-12),
+                                   out=den)
         return self._den
 
 
@@ -175,8 +200,8 @@ def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
     if plan is None:
         plan = _StftPlan(t, fft_size, hop_size, window_size)
     frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
-    np.multiply(frames, plan.window, out=plan.windowed)
-    return np.fft.rfft(plan.windowed, n=fft_size, axis=1, out=plan.spec)
+    windowed = np.multiply(frames, plan.window, out=plan.frames[:, :window_size])
+    return np.fft.rfft(windowed, n=fft_size, axis=1, out=plan.spec)
 
 
 def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
@@ -191,8 +216,9 @@ def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
     if plan is None:
         plan = _StftPlan(spec.shape[0], fft_size, hop_size, window_size)
     np.fft.irfft(spec, n=fft_size, axis=1, out=plan.frames)
-    np.multiply(plan.frames[:, :window_size], plan.window, out=plan.windowed)
-    out = plan.overlap_add(plan.windowed, plan.signal)
+    windowed = plan.frames[:, :window_size]
+    windowed *= plan.window
+    out = plan.overlap_add(windowed, plan.signal)
     np.divide(out, plan.den, out=out)
     return out
 
@@ -204,10 +230,12 @@ def _open_runs(mask: np.ndarray) -> np.ndarray:
     False, the dilation shifted ORs; together they keep exactly the runs
     of three or more True frames in each column.
     """
-    core = np.zeros_like(mask)
+    core = _work("core", mask.shape, bool)
+    core[:1] = core[-1:] = False
     np.logical_and(mask[:-2], mask[1:-1], out=core[1:-1])
     core[1:-1] &= mask[2:]
-    out = core.copy()
+    out = _work("opened", mask.shape, bool)
+    np.copyto(out, core)
     out[:-1] |= core[1:]
     out[1:] |= core[:-1]
     return out
@@ -222,8 +250,10 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
     does not raise its own gate. A bin opens only where it passes the gate
     for three or more consecutive frames (a binary opening over time,
     ``_open_runs``). One ``_StftPlan`` serves the analysis and the
-    resynthesis, and the gain is applied to its spectrum in place. Signals
-    shorter than one window pass through.
+    resynthesis, and the gain is applied to its spectrum in place. Every
+    clip-sized work array is this thread's (``_work``), reused by the next
+    clip; only the returned samples are fresh. Signals shorter than one
+    window pass through.
     """
     x = w.samples
     if x.size < cfg.window_size or not np.any(x):
@@ -232,11 +262,12 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
     pad = cfg.window_size
     xp = np.pad(x, (pad, pad), mode="reflect")
     sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
-    plan = _StftPlan(_frame_count(xp.size, cfg.hop_size, cfg.window_size), *sizes)
+    plan = _StftPlan(_frame_count(xp.size, cfg.hop_size, cfg.window_size), *sizes,
+                     thread_buffers=True)
     spec = stft(xp, *sizes, plan=plan)
-    mag = np.abs(spec)
+    mag = np.abs(spec, out=_work("mag", spec.shape))
 
-    energies = np.sum(mag * mag, axis=1)
+    energies = np.sum(np.multiply(mag, mag, out=_work("squares", mag.shape)), axis=1)
     n_floor = max(1, int(np.ceil(cfg.noise_floor_quantile * mag.shape[0])))
     quiet = np.argsort(energies, kind="stable")[:n_floor]
     floor = mag[quiet].mean(axis=0)
@@ -245,10 +276,12 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
 
     gate = floor * 10.0 ** (cfg.noise_gate_db / 20.0)
     # stationary signal content forms runs of 3 or more frames
-    raw = _open_runs(mag > gate[None, :]).astype(np.float64)
-    smooth = scipy.ndimage.uniform_filter(raw, size=(3, 5), mode="nearest")
+    raw = _open_runs(np.greater(mag, gate[None, :], out=_work("mask", mag.shape, bool)))
+    # the filter and the maximum read the bool mask as 0.0 and 1.0
+    gain = scipy.ndimage.uniform_filter(raw, size=(3, 5), mode="nearest",
+                                        output=_work("gain", mag.shape))
     atten = 10.0 ** (cfg.noise_attenuation_db / 20.0)
-    gain = np.clip(np.maximum(raw, smooth), atten, 1.0)
+    np.clip(np.maximum(raw, gain, out=gain), atten, 1.0, out=gain)
 
     spec *= gain
     # the inverse has len(xp) - (len(xp) - window) % hop samples; with

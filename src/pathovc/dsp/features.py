@@ -8,7 +8,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .audio import Waveform, _StftPlan, istft, stft
+from .audio import Waveform, _frame_count, _StftPlan, _work, istft, stft
 from .config import DspConfig
 
 LOG_FLOOR = 1e-10
@@ -88,7 +88,8 @@ def _mel_banks(sample_rate, fft_size, n_mels, fmin, fmax):
 
 def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:
     """Mel-weighted STFT magnitudes, time-major, of a waveform at
-    ``cfg.sample_rate``, for which the filterbank is laid out."""
+    ``cfg.sample_rate``, for which the filterbank is laid out. The STFT and
+    its magnitudes live in this thread's work arrays, as in ``reduce_noise``."""
     if w.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"waveform at {w.sample_rate} Hz, but [dsp] sample_rate is "
@@ -97,7 +98,11 @@ def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:
         raise ValueError(
             f"waveform of {w.samples.size} samples is too short for one "
             f"{cfg.window_size}-sample analysis frame")
-    mag = np.abs(stft(w.samples, cfg.fft_size, cfg.hop_size, cfg.window_size))
+    sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
+    plan = _StftPlan(_frame_count(w.samples.size, cfg.hop_size, cfg.window_size),
+                     *sizes, thread_buffers=True)
+    spec = stft(w.samples, *sizes, plan=plan)
+    mag = np.abs(spec, out=_work("mag", spec.shape))
     mel = mag @ mel_filterbank(cfg).T
     return MelSpectrogram(mel, cfg.hop_size / w.sample_rate, w.sample_rate)
 

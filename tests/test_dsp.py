@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 import wave
 from pathlib import Path
@@ -733,7 +734,9 @@ class TestStftAgainstLoopOracle:
         got = dsp.reduce_noise(w, cfg).samples
         assert got.tobytes() == reduce_noise_ref(x, cfg).tobytes()
         mel = dsp.mel_spectrogram(w, cfg).frames.tobytes()
-        monkeypatch.setattr(features, "stft", stft_ref)
+        # the oracle takes no plan: it ignores the one mel_spectrogram passes
+        monkeypatch.setattr(features, "stft",
+                            lambda x, *sizes, plan=None: stft_ref(x, *sizes))
         assert mel == dsp.mel_spectrogram(w, cfg).frames.tobytes()
 
     @pytest.mark.parametrize("c,t", STFT_GRID)
@@ -812,6 +815,105 @@ class TestStftPlan:
         for _ in range(2):
             assert dsp.istft(spec, *_sizes(cfg), plan=plan).tobytes() == want.tobytes()
 
+
+def _on_fresh_thread(fn, *args):
+    """``fn(*args)`` run on a new thread, which starts with no work arrays."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def _front_end_bytes(x, cfg):
+    """reduce_noise's samples and, for a clip of one window or more,
+    mel_spectrogram's frames, as bytes; None stands for the mel's refusal."""
+    w = dsp.Waveform(x, cfg.sample_rate)
+    denoised = dsp.reduce_noise(w, cfg).samples.tobytes()
+    if x.size < cfg.window_size:
+        with pytest.raises(ValueError, match="too short"):
+            dsp.mel_spectrogram(w, cfg)
+        return denoised, None
+    return denoised, dsp.mel_spectrogram(w, cfg).frames.tobytes()
+
+
+def _buffer_clips(cfg, seed):
+    """A long and a short clip, clips of 1, 2 and 3 frames, silence, one
+    shorter than a window, then a long clip again: each smaller clip runs
+    in buffers a longer one has filled."""
+    rng = np.random.default_rng(seed)
+    n = [cfg.window_size + (t - 1) * cfg.hop_size for t in (90, 12, 1, 2, 3)]
+    clips = [sine(300 + 40 * i, cfg.sample_rate, m / cfg.sample_rate, 0.5)
+             + 0.05 * rng.normal(size=m) for i, m in enumerate(n)]
+    clips += [np.zeros(n[1]), rng.normal(size=cfg.window_size - 1),
+              0.3 * rng.normal(size=n[0] + cfg.hop_size // 2)]
+    return clips
+
+
+class TestThreadBuffers:
+    """Front-end results do not depend on what a thread's work arrays
+    held before, and the arrays are reused, not rebuilt."""
+
+    @pytest.mark.parametrize("c", [0, 2])
+    def test_reuse_gives_fresh_thread_and_oracle_bytes(self, c):
+        cfg = STFT_CONFIGS[c]
+        for x in _buffer_clips(cfg, c):
+            denoised, mel = _front_end_bytes(x, cfg)
+            assert (denoised, mel) == _on_fresh_thread(_front_end_bytes, x, cfg)
+            assert denoised == reduce_noise_ref(x, cfg).tobytes()
+            if mel is not None:
+                spec = stft_ref(x, *_sizes(cfg))
+                assert mel == (np.abs(spec) @ dsp.mel_filterbank(cfg).T).tobytes()
+
+    def test_threads_in_lockstep_give_serial_bytes(self):
+        cfg = STFT_CONFIGS[2]
+        clips = [_buffer_clips(cfg, 5), _buffer_clips(cfg, 6)[::-1]]
+        serial = [[_front_end_bytes(x, cfg) for x in own] for own in clips]
+        barrier = threading.Barrier(2, timeout=60)
+        got = [[], []]
+
+        def run(i):
+            for x in clips[i]:
+                barrier.wait()
+                got[i].append(_front_end_bytes(x, cfg))
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert got == serial
+
+    def test_smaller_request_shares_larger_grows(self):
+        a = audio._work("test", (4, 5))
+        assert a.shape == (4, 5) and a.dtype == np.float64 and a.flags.c_contiguous
+        # as many bytes as a
+        smaller = audio._work("test", (2, 5), np.complex128)
+        assert smaller.shape == (2, 5) and smaller.dtype == np.complex128
+        assert np.shares_memory(a, smaller)
+        grown = audio._work("test", (9, 5))
+        assert grown.shape == (9, 5) and not np.shares_memory(a, grown)
+        assert np.shares_memory(grown, audio._work("test", (4, 5), bool))
+
+    def test_threads_never_share(self):
+        mine = audio._work("test", (6, 7))
+        theirs = _on_fresh_thread(audio._work, "test", (6, 7))
+        assert not np.shares_memory(mine, theirs)
+
+    def test_warm_reduce_noise_builds_no_buffer(self):
+        cfg = dsp.DspConfig()
+        w = dsp.Waveform(_buffer_clips(cfg, 7)[0], cfg.sample_rate)
+
+        def buffers_per_call():
+            dsp.reduce_noise(w, cfg)
+            first = dict(vars(audio._thread_buffers))
+            dsp.reduce_noise(w, cfg)
+            return first, dict(vars(audio._thread_buffers))
+
+        first, second = _on_fresh_thread(buffers_per_call)
+        assert {"frames", "spec", "signal", "den", "mag", "gain"} <= first.keys()
+        assert first.keys() == second.keys()
+        assert all(second[name] is buf for name, buf in first.items())
 
 class TestWavIO:
     def test_round_trip(self, tmp_path):
