@@ -297,8 +297,8 @@ def cmd_convert(args, cfg) -> int:
     jobs = []  # (selection index, converted frames, wav path)
     for i, (key, entry) in enumerate(selected):
         stem = Path(entry["feature_path"]).stem + f"_to_{args.target}"
+        path = store.feature_path(key)
         try:
-            path = store.feature_path(key)
             frames = _read_features(path, cfg)
             if frames.shape[1] != model.cfg.in_channels:
                 raise ValueError(f"{path} carries {frames.shape[1]} coefficients "
@@ -311,6 +311,8 @@ def cmd_convert(args, cfg) -> int:
             jobs.append((i, converted, out / f"{stem}.wav"))
         except (ValueError, OSError) as exc:
             errors[i] = str(exc)
+        except MemoryError as exc:
+            errors[i] = corpus.memory_failure(path, exc)
 
     # Phase 2: the waveforms, one word per CPU (see workers for why the
     # model runs first).
@@ -320,6 +322,8 @@ def cmd_convert(args, cfg) -> int:
             _synthesize(frames, cfg, path)
         except (ValueError, OSError) as exc:
             return str(exc)
+        except MemoryError as exc:
+            return corpus.memory_failure(path, exc)
 
     if cfg.convert.wav:
         for (i, _, _), msg in zip(jobs, workers.ordered_map(synthesize, jobs)):

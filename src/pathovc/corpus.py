@@ -374,6 +374,12 @@ def load_feature_store(root) -> FeatureStore:
     return FeatureStore(root=root, entries=entries)
 
 
+def memory_failure(path, exc: MemoryError) -> str:
+    """The failure message of an item whose work on ``path`` ran out of
+    memory; the other items of the run go on."""
+    return f"{path}: out of memory" + (f" ({exc})" if str(exc) else "")
+
+
 def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
     """Write one clip's features; return the frame count, None for an
     all-silent clip, or the message (a str) of a clip that fails."""
@@ -381,6 +387,8 @@ def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
         w = dsp.read_wav(utt.audio_path)  # its errors name the file
     except (OSError, ValueError) as exc:
         return str(exc)
+    except MemoryError as exc:
+        return memory_failure(utt.audio_path, exc)
     try:
         w = dsp.reduce_noise(w, dsp_cfg)
         w = dsp.trim_silence(w, dsp_cfg)
@@ -392,6 +400,8 @@ def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
         return None
     except ValueError as exc:
         return f"{utt.audio_path}: {exc}"
+    except MemoryError as exc:
+        return memory_failure(utt.audio_path, exc)
     dsp.write_mcep(feat_dir / f"{utt.stem}.mcep", mc.frames)
     return int(mc.frames.shape[0])
 
@@ -402,10 +412,11 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     Per utterance: reduce_noise, trim_silence, resample to the configured
     rate, normalize, mel_spectrogram, mel_cepstrum, written as an MCEP1
     file under ``out_dir/features``.  All-silent clips are skipped and
-    listed in ``skipped.txt``; unreadable or too-short clips are recorded
-    in ``errors.txt`` and the run continues.  ``index.json`` maps each
-    utterance key to its speaker, block, feature file and frame count,
-    the entry ``load_feature_store`` derives from the key to check it.
+    listed in ``skipped.txt``; unreadable or too-short clips, and clips
+    that run out of memory, are recorded in ``errors.txt`` and the run
+    continues.  ``index.json`` maps each utterance key to its speaker,
+    block, feature file and frame count, the entry ``load_feature_store``
+    derives from the key to check it.
 
     Clips run one per usable CPU (``workers.ordered_map``).  Each clip's
     features depend only on the clip, and ``skipped``, ``errors`` and

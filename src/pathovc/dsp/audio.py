@@ -110,8 +110,9 @@ def _work(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """This thread's uninitialized work array ``name`` of ``shape``.
 
     A C-contiguous view of a grow-only buffer kept per thread, so the front
-    end reuses its memory from clip to clip instead of faulting in fresh
-    pages. The view stays valid until this thread asks for ``name`` again.
+    end and Griffin-Lim reuse their memory from call to call instead of
+    faulting in fresh pages. The view stays valid until this thread asks
+    for ``name`` again.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buf = vars(_thread_buffers).get(name)
@@ -127,31 +128,29 @@ _ISTFT_DEN_FLOOR = 0.1
 
 
 class _StftPlan:
-    """Window, overlap-add denominator and work buffers for ``t`` frames.
+    """Window, overlap-add denominator and work buffers for ``t`` frames of
+    ``cfg``'s STFT.
 
-    One plan serves any number of ``stft`` and ``istft`` calls of that
-    frame count and those sizes; both window in the first ``window_size``
-    columns of its one frame buffer, ``frames``. The arrays they return are
-    views of the plan's buffers (``spec`` and ``signal``), so the next call
-    with the same plan overwrites them: copy what must outlive it. Without a
-    ``plan=`` argument each call builds its own, and its result is a fresh
-    array. With ``thread_buffers`` its buffers are this thread's ``_work``
-    arrays, overwritten when this thread builds the next such plan.
+    One plan serves any number of ``stft`` and ``istft`` calls; both window
+    in the first ``window_size`` columns of its one frame buffer,
+    ``frames``. Its buffers (``frames``, ``spec``, ``signal`` and the
+    denominator) are this thread's ``_work`` arrays, so what ``stft`` and
+    ``istft`` return is overwritten by the next call with this plan, and by
+    any plan this thread builds next: copy what must outlive it.
     """
 
-    def __init__(self, t: int, fft_size: int, hop_size: int, window_size: int,
-                 thread_buffers: bool = False):
-        self.sizes = (t, fft_size, hop_size, window_size)
-        self.window = _hann_periodic(window_size)
-        self.length = (t - 1) * hop_size + window_size
+    def __init__(self, t: int, cfg: DspConfig):
+        self.t, self.fft_size = t, cfg.fft_size
+        self.hop_size, self.window_size = cfg.hop_size, cfg.window_size
+        self.window = _hann_periodic(self.window_size)
+        self.length = (t - 1) * self.hop_size + self.window_size
         self._den = None
-        self._empty = _work if thread_buffers else lambda _, *args: np.empty(*args)
-        self.frames = self._empty("frames", (t, fft_size))
-        self.spec = self._empty("spec", (t, fft_size // 2 + 1), np.complex128)
+        self.frames = _work("frames", (t, self.fft_size))
+        self.spec = _work("spec", (t, self.fft_size // 2 + 1), np.complex128)
         # t + ceil(window / hop) - 1 hop blocks; the first `length` samples
         # are the signal
-        blocks = t - 1 - (-window_size // hop_size)
-        self.signal = self._empty("signal", (blocks * hop_size,))
+        blocks = t - 1 - (-self.window_size // self.hop_size)
+        self.signal = _work("signal", (blocks * self.hop_size,))
 
     def overlap_add(self, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Zero ``out``, add hop-shifted ``frames``; its first ``length`` samples.
@@ -161,7 +160,7 @@ class _StftPlan:
         adds. Running j downwards adds each sample's frames in increasing
         frame order, as a per-frame loop does, so the sums are the same.
         """
-        hop = self.sizes[2]
+        hop = self.hop_size
         t, width = frames.shape
         rows = out.reshape(-1, hop)
         rows.fill(0.0)
@@ -174,9 +173,9 @@ class _StftPlan:
     def den(self) -> np.ndarray:
         """Floored window-square sum that ``istft`` divides by; built once."""
         if self._den is None:
-            t, _, _, window_size = self.sizes
-            squares = np.broadcast_to(self.window * self.window, (t, window_size))
-            den = self.overlap_add(squares, self._empty("den", self.signal.shape))
+            squares = np.broadcast_to(self.window * self.window,
+                                      (self.t, self.window_size))
+            den = self.overlap_add(squares, _work("den", self.signal.shape))
             self._den = np.maximum(den, max(_ISTFT_DEN_FLOOR * den.max(), 1e-12),
                                    out=den)
         return self._den
@@ -186,37 +185,23 @@ def _frame_count(n: int, hop_size: int, window_size: int) -> int:
     return 1 + (n - window_size) // hop_size
 
 
-def stft(x: np.ndarray, fft_size: int, hop_size: int, window_size: int,
-         plan: _StftPlan | None = None) -> np.ndarray:
-    """Time-major complex STFT, no centering: T = 1 + (len - window) // hop.
-
-    With ``plan``, the result is the plan's ``spec`` buffer.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < window_size:
-        raise ValueError(
-            f"signal of {x.size} samples is shorter than the {window_size}-sample window")
-    t = _frame_count(x.size, hop_size, window_size)
-    if plan is None:
-        plan = _StftPlan(t, fft_size, hop_size, window_size)
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop_size][:t]
-    windowed = np.multiply(frames, plan.window, out=plan.frames[:, :window_size])
-    return np.fft.rfft(windowed, n=fft_size, axis=1, out=plan.spec)
+def stft(x: np.ndarray, plan: _StftPlan) -> np.ndarray:
+    """Time-major complex STFT of the plan's ``t`` frames of float64 ``x``,
+    no centering (T = 1 + (len - window) // hop), in the plan's ``spec``."""
+    frames = np.lib.stride_tricks.sliding_window_view(
+        x, plan.window_size)[::plan.hop_size][:plan.t]
+    windowed = np.multiply(frames, plan.window, out=plan.frames[:, :plan.window_size])
+    return np.fft.rfft(windowed, n=plan.fft_size, axis=1, out=plan.spec)
 
 
-def istft(spec: np.ndarray, fft_size: int, hop_size: int, window_size: int,
-          plan: _StftPlan | None = None) -> np.ndarray:
+def istft(spec: np.ndarray, plan: _StftPlan) -> np.ndarray:
     """Least-squares inverse of stft: windowed overlap-add over sum of squares.
 
-    For T frames of ``spec`` the result has (T - 1) * hop_size +
-    window_size samples.  With ``plan`` it is a view of the plan's
-    ``signal`` buffer.
+    The result, the plan's ``length`` = (T - 1) * hop_size + window_size
+    samples, is a view of its ``signal`` buffer.
     """
-    spec = np.asarray(spec)
-    if plan is None:
-        plan = _StftPlan(spec.shape[0], fft_size, hop_size, window_size)
-    np.fft.irfft(spec, n=fft_size, axis=1, out=plan.frames)
-    windowed = plan.frames[:, :window_size]
+    np.fft.irfft(spec, n=plan.fft_size, axis=1, out=plan.frames)
+    windowed = plan.frames[:, :plan.window_size]
     windowed *= plan.window
     out = plan.overlap_add(windowed, plan.signal)
     np.divide(out, plan.den, out=out)
@@ -261,10 +246,8 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
 
     pad = cfg.window_size
     xp = np.pad(x, (pad, pad), mode="reflect")
-    sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
-    plan = _StftPlan(_frame_count(xp.size, cfg.hop_size, cfg.window_size), *sizes,
-                     thread_buffers=True)
-    spec = stft(xp, *sizes, plan=plan)
+    plan = _StftPlan(_frame_count(xp.size, cfg.hop_size, cfg.window_size), cfg)
+    spec = stft(xp, plan)
     mag = np.abs(spec, out=_work("mag", spec.shape))
 
     energies = np.sum(np.multiply(mag, mag, out=_work("squares", mag.shape)), axis=1)
@@ -287,5 +270,5 @@ def reduce_noise(w: Waveform, cfg: DspConfig) -> Waveform:
     # the inverse has len(xp) - (len(xp) - window) % hop samples; with
     # pad = window >= hop that is more than pad + len(x), so the slice
     # below always lies inside it
-    out = istft(spec, *sizes, plan=plan)
+    out = istft(spec, plan)
     return Waveform(out[pad:pad + x.size].copy(), w.sample_rate)

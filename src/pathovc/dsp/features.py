@@ -98,10 +98,8 @@ def mel_spectrogram(w: Waveform, cfg: DspConfig) -> MelSpectrogram:
         raise ValueError(
             f"waveform of {w.samples.size} samples is too short for one "
             f"{cfg.window_size}-sample analysis frame")
-    sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
-    plan = _StftPlan(_frame_count(w.samples.size, cfg.hop_size, cfg.window_size),
-                     *sizes, thread_buffers=True)
-    spec = stft(w.samples, *sizes, plan=plan)
+    plan = _StftPlan(_frame_count(w.samples.size, cfg.hop_size, cfg.window_size), cfg)
+    spec = stft(w.samples, plan)
     mag = np.abs(spec, out=_work("mag", spec.shape))
     mel = mag @ mel_filterbank(cfg).T
     return MelSpectrogram(mel, cfg.hop_size / w.sample_rate, w.sample_rate)
@@ -208,9 +206,10 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
     before the first). Alpha 0 is plain Griffin-Lim, whose
     spectral-convergence error is non-increasing; otherwise the error may
     rise between iterations. Returns the waveform, or (waveform,
-    per-iteration errors of the estimate) when asked. Every iteration runs
-    in buffers allocated once per call; |estimate| is computed only for the
-    errors.
+    per-iteration errors of the estimate) when asked. Every spectral array
+    is this thread's work buffer (``_work``), as in the front end, reused by
+    the next call; only the returned samples are fresh. |estimate| is
+    computed only for the errors.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -226,17 +225,17 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
         silent = Waveform(np.zeros(length), cfg.sample_rate)
         return (silent, [0.0] * iterations) if return_convergence else silent
 
-    sizes = (cfg.fft_size, cfg.hop_size, cfg.window_size)
-    plan = _StftPlan(target.shape[0], *sizes)
+    plan = _StftPlan(target.shape[0], cfg)
     spec = _phase_start(target, cfg, plan.spec)
-    mag = np.empty(target.shape)
+    mag = _work("mag", target.shape)
     decay = momentum / (1.0 + momentum)
-    prev = np.zeros_like(spec)  # -decay times the previous estimate
-    accel = np.empty_like(spec)
+    prev = _work("prev", spec.shape, spec.dtype)  # -decay times the previous estimate
+    prev.fill(0.0)
+    accel = _work("accel", spec.shape, spec.dtype)
     errors = []
     for _ in range(iterations):
-        x = istft(spec, *sizes, plan=plan)
-        estimate = stft(x, *sizes, plan=plan)  # plan.spec, i.e. spec
+        x = istft(spec, plan)
+        estimate = stft(x, plan)  # plan.spec, i.e. spec
         if return_convergence:
             errors.append(spectral_convergence(np.abs(estimate, out=mag), target))
         np.add(estimate, prev, out=accel)

@@ -391,6 +391,85 @@ class TestPreprocess:
             f"M04/W0/B1\t{fast}: sample rate 1000000 Hz outside 1-384000"]
         assert list(json.loads((out / "index.json").read_text())) == ["M04/W1/B1"]
 
+    def test_out_of_memory_clip_fails_alone(self, env, tmp_path, capsys, monkeypatch):
+        # the extra clip is longer than the rest, so it is known by its size
+        big = tmp_path / "big.wav"
+        dsp.write_wav(big, dsp.Waveform(np.full(9000, 0.25), 16000))
+        lines = env["manifest"].read_text().splitlines()
+        lines.insert(3, f"M04,,,,W9,B1,{big}")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        reduce_noise = dsp.reduce_noise
+
+        def failing(w, cfg):
+            if w.samples.size == 9000:
+                raise MemoryError("Unable to allocate 9.00 GiB")
+            return reduce_noise(w, cfg)
+
+        monkeypatch.setattr(dsp, "reduce_noise", failing)
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "out"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "preprocess", str(manifest)]) == 1
+        line = f"M04/W9/B1\t{big}: out of memory (Unable to allocate 9.00 GiB)"
+        assert (out / "errors.txt").read_text().splitlines() == [line]
+        err = capsys.readouterr().err
+        assert err == "1 clip(s) failed:\n  " + line.replace("\t", ": ") + "\n"
+        index = json.loads((out / "index.json").read_text())
+        assert index == json.loads((env["feats"] / "index.json").read_text())
+        for entry in index.values():
+            name = entry["feature_path"]
+            assert (out / name).read_bytes() == (env["feats"] / name).read_bytes()
+        assert not (out / "features" / "M04_W9_B1.mcep").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmSize from /proc and limits RLIMIT_AS")
+    def test_clip_beyond_address_space_limit_fails_alone(self, tmp_path):
+        # a child on two workers preprocesses two copies of a 1 s clip, then
+        # limits its address space to its size plus 300 MB, about a third of
+        # what the 240 s clip needs, and preprocesses a copy and that clip;
+        # the limit is set in the child only
+        rng = np.random.default_rng(3)
+        clips = {}
+        for name, seconds in (("short", 1), ("long", 240)):
+            t = np.arange(16000 * seconds) / 16000
+            x = 0.5 * np.sin(2 * np.pi * 220 * t) + 0.05 * rng.normal(size=t.size)
+            clips[name] = tmp_path / f"{name}.wav"
+            dsp.write_wav(clips[name], dsp.Waveform(x, 16000))
+        head = ("speaker_id,sex,intelligibility_score,band,word_id,block,audio_path\n"
+                "M04,M,2,very_low,,,\n")
+        (tmp_path / "warm.csv").write_text(
+            head + f"M04,,,,W0,B1,{clips['short']}\nM04,,,,W1,B1,{clips['short']}\n")
+        (tmp_path / "run.csv").write_text(
+            head + f"M04,,,,W0,B1,{clips['short']}\nM04,,,,W1,B1,{clips['long']}\n")
+        child = (
+            "import resource, sys\n"
+            "from pathovc import cli, workers\n"
+            "workers.cpu_count = lambda: 2\n"
+            "if cli.main(['--out', 'warm', 'preprocess', 'warm.csv']) != 0:\n"
+            "    sys.exit('warm-up failed')\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    kib = next(int(line.split()[1]) for line in fh\n"
+            "              if line.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, ((kib << 10) + (300 << 20), hard))\n"
+            "sys.exit(cli.main(['--out', 'run', 'preprocess', 'run.csv']))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=child_env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1, done.stderr
+        line = f"M04/W1/B1\t{clips['long']}: out of memory ("
+        errors = (tmp_path / "run" / "errors.txt").read_text().splitlines()
+        assert len(errors) == 1 and errors[0].startswith(line)
+        assert done.stderr.splitlines() == ["1 clip(s) failed:",
+                                            "  " + errors[0].replace("\t", ": ")]
+        assert list(json.loads((tmp_path / "run" / "index.json").read_text())) == [
+            "M04/W0/B1"]
+        name = "features/M04_W0_B1.mcep"
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
 
 class TestTrain:
     def test_artifacts_written(self, env):
@@ -1067,6 +1146,41 @@ class TestConvert:
         assert len(list(out.glob("*.wav"))) == 7
         assert (out / "M04_W0_B3_to_M12.mcep").exists()
         assert not (out / "M04_W1_B1_to_M12.mcep").exists()
+
+    def test_out_of_memory_word_fails_alone(self, env, tmp_path, capsys, monkeypatch):
+        # on one worker: the model runs out of memory on the second word,
+        # Griffin-Lim on the first
+        model_convert, griffin_lim = vqvae.HVqVaeModel.convert, dsp.griffin_lim
+        calls = {"convert": 0, "griffin_lim": 0}
+
+        def counted(name, fn):
+            def failing(*args, **kwargs):
+                calls[name] += 1
+                if calls[name] == {"convert": 2, "griffin_lim": 1}[name]:
+                    raise MemoryError()
+                return fn(*args, **kwargs)
+            return failing
+
+        monkeypatch.setattr(vqvae.HVqVaeModel, "convert", counted("convert", model_convert))
+        monkeypatch.setattr(dsp, "griffin_lim", counted("griffin_lim", griffin_lim))
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
+        out = tmp_path / "c"
+        assert self._convert_all(env, env["feats"], out) == 1
+        captured = capsys.readouterr()
+        assert "converted 7 utterance(s) of M04" in captured.out
+        assert captured.err.splitlines() == [
+            "2 utterance(s) failed:",
+            f"  M04/W0/B1: {out / 'M04_W0_B1_to_M12.wav'}: out of memory",
+            f"  M04/W0/B2: {env['feats'] / 'features' / 'M04_W0_B2.mcep'}: out of memory"]
+        assert len(list(out.glob("*.mcep"))) == 8
+        assert not (out / "M04_W0_B2_to_M12.mcep").exists()
+        wavs = sorted(p.name for p in out.glob("*.wav"))
+        assert len(wavs) == 7 and "M04_W0_B1_to_M12.wav" not in wavs
+        whole = tmp_path / "whole"
+        monkeypatch.undo()
+        assert self._convert_all(env, env["feats"], whole) == 0
+        for path in out.iterdir():
+            assert path.read_bytes() == (whole / path.name).read_bytes()
 
     def test_internal_error_in_synthesis_cancels_queued_words(
             self, env, tmp_path, capsys, monkeypatch):

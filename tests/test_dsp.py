@@ -714,7 +714,7 @@ class TestStftAgainstLoopOracle:
     @pytest.mark.parametrize("c,t", STFT_GRID)
     def test_stft(self, c, t):
         cfg, x, _ = _grid_case(c, t)
-        got = dsp.stft(x, *_sizes(cfg))
+        got = audio.stft(x, audio._StftPlan(t, cfg))
         assert got.shape == (t, cfg.fft_size // 2 + 1)
         assert got.tobytes() == stft_ref(x, *_sizes(cfg)).tobytes()
 
@@ -722,7 +722,7 @@ class TestStftAgainstLoopOracle:
     def test_istft_every_length(self, c, t):
         cfg, x, _ = _grid_case(c, t)
         spec = stft_ref(x, *_sizes(cfg))
-        got = dsp.istft(spec, *_sizes(cfg))
+        got = audio.istft(spec, audio._StftPlan(t, cfg))
         want = istft_ref(spec, *_sizes(cfg))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -734,9 +734,9 @@ class TestStftAgainstLoopOracle:
         got = dsp.reduce_noise(w, cfg).samples
         assert got.tobytes() == reduce_noise_ref(x, cfg).tobytes()
         mel = dsp.mel_spectrogram(w, cfg).frames.tobytes()
-        # the oracle takes no plan: it ignores the one mel_spectrogram passes
+        # the oracle ignores the plan that mel_spectrogram passes
         monkeypatch.setattr(features, "stft",
-                            lambda x, *sizes, plan=None: stft_ref(x, *sizes))
+                            lambda x, plan: stft_ref(x, *_sizes(cfg)))
         assert mel == dsp.mel_spectrogram(w, cfg).frames.tobytes()
 
     @pytest.mark.parametrize("c,t", STFT_GRID)
@@ -777,22 +777,15 @@ class TestStftAgainstLoopOracle:
 class TestStftResultsNotShared:
     """A result must not change when the function is called again."""
 
-    def test_stft(self):
+    def test_front_end(self):
         cfg = STFT_CONFIGS[0]
-        x = np.random.default_rng(1).normal(size=3000)
-        first = dsp.stft(x, *_sizes(cfg))
-        keep = first.copy()
-        dsp.stft(-x, *_sizes(cfg))
-        assert first.tobytes() == keep.tobytes()
-
-    def test_istft(self):
-        cfg = STFT_CONFIGS[0]
-        x = np.random.default_rng(2).normal(size=3000)
-        spec = dsp.stft(x, *_sizes(cfg))
-        first = dsp.istft(spec, *_sizes(cfg))
-        keep = first.copy()
-        dsp.istft(2.0 * spec, *_sizes(cfg))
-        assert first.tobytes() == keep.tobytes()
+        w = dsp.Waveform(np.random.default_rng(1).normal(size=3000), cfg.sample_rate)
+        louder = dsp.Waveform(-2.0 * w.samples, w.sample_rate)
+        for fn, field in ((dsp.reduce_noise, "samples"), (dsp.mel_spectrogram, "frames")):
+            first = getattr(fn(w, cfg), field)
+            keep = first.copy()
+            fn(louder, cfg)
+            assert first.tobytes() == keep.tobytes()
 
     def test_griffin_lim(self):
         cfg = STFT_CONFIGS[0]
@@ -807,13 +800,13 @@ class TestStftResultsNotShared:
 class TestStftPlan:
     def test_shared_plan_gives_the_same_bytes(self):
         cfg, x, _ = _grid_case(1, 61)
-        plan = audio._StftPlan(61, *_sizes(cfg))
-        spec = dsp.stft(x, *_sizes(cfg), plan=plan)
+        plan = audio._StftPlan(61, cfg)
+        spec = audio.stft(x, plan)
         assert spec is plan.spec
         assert spec.tobytes() == stft_ref(x, *_sizes(cfg)).tobytes()
         want = istft_ref(spec, *_sizes(cfg))
         for _ in range(2):
-            assert dsp.istft(spec, *_sizes(cfg), plan=plan).tobytes() == want.tobytes()
+            assert audio.istft(spec, plan).tobytes() == want.tobytes()
 
 
 def _on_fresh_thread(fn, *args):
@@ -837,6 +830,15 @@ def _front_end_bytes(x, cfg):
     return denoised, dsp.mel_spectrogram(w, cfg).frames.tobytes()
 
 
+def _front_end_ref_bytes(x, cfg):
+    """What ``_front_end_bytes`` gives, from the oracles."""
+    mel = None
+    if x.size >= cfg.window_size:
+        spec = stft_ref(x, *_sizes(cfg))
+        mel = (np.abs(spec) @ dsp.mel_filterbank(cfg).T).tobytes()
+    return reduce_noise_ref(x, cfg).tobytes(), mel
+
+
 def _buffer_clips(cfg, seed):
     """A long and a short clip, clips of 1, 2 and 3 frames, silence, one
     shorter than a window, then a long clip again: each smaller clip runs
@@ -858,12 +860,9 @@ class TestThreadBuffers:
     def test_reuse_gives_fresh_thread_and_oracle_bytes(self, c):
         cfg = STFT_CONFIGS[c]
         for x in _buffer_clips(cfg, c):
-            denoised, mel = _front_end_bytes(x, cfg)
-            assert (denoised, mel) == _on_fresh_thread(_front_end_bytes, x, cfg)
-            assert denoised == reduce_noise_ref(x, cfg).tobytes()
-            if mel is not None:
-                spec = stft_ref(x, *_sizes(cfg))
-                assert mel == (np.abs(spec) @ dsp.mel_filterbank(cfg).T).tobytes()
+            got = _front_end_bytes(x, cfg)
+            assert got == _on_fresh_thread(_front_end_bytes, x, cfg)
+            assert got == _front_end_ref_bytes(x, cfg)
 
     def test_threads_in_lockstep_give_serial_bytes(self):
         cfg = STFT_CONFIGS[2]
@@ -914,6 +913,53 @@ class TestThreadBuffers:
         assert {"frames", "spec", "signal", "den", "mag", "gain"} <= first.keys()
         assert first.keys() == second.keys()
         assert all(second[name] is buf for name, buf in first.items())
+
+    def test_warm_griffin_lim_builds_no_buffer(self):
+        cfg = dsp.DspConfig()
+        ms = dsp.mel_spectrogram(dsp.Waveform(_buffer_clips(cfg, 8)[0], cfg.sample_rate),
+                                 cfg)
+
+        def buffers_per_call():
+            dsp.griffin_lim(ms, cfg, 2, momentum=0.99)
+            first = dict(vars(audio._thread_buffers))
+            dsp.griffin_lim(ms, cfg, 2, momentum=0.99)
+            return first, dict(vars(audio._thread_buffers))
+
+        first, second = _on_fresh_thread(buffers_per_call)
+        assert {"frames", "spec", "signal", "den", "mag", "prev", "accel"} <= first.keys()
+        assert first.keys() == second.keys()
+        assert all(second[name] is buf for name, buf in first.items())
+
+    @pytest.mark.parametrize("c", [0, 2])
+    def test_griffin_lim_between_front_ends(self, c):
+        # one thread: front end, Fast and plain Griffin-Lim on a short and
+        # a long word, then the front end again, each step in buffers that
+        # the steps before it have filled
+        cfg = STFT_CONFIGS[c]
+        clips = _buffer_clips(cfg, c)
+        words = [dsp.mel_spectrogram(dsp.Waveform(x, cfg.sample_rate), cfg)
+                 for x in (clips[1], clips[-1])]
+
+        def synthesize(ms, momentum):
+            wav, errors = dsp.griffin_lim(ms, cfg, 3, return_convergence=True,
+                                          momentum=momentum)
+            return wav.samples.tobytes(), errors
+
+        steps = [(_front_end_bytes, clips[0], cfg)]
+        steps += [(synthesize, ms, momentum) for ms in words for momentum in (0.99, 0.0)]
+        steps += [(_front_end_bytes, x, cfg) for x in clips[1:]]
+        got = _on_fresh_thread(lambda: [fn(*args) for fn, *args in steps])
+        assert got == [_on_fresh_thread(fn, *args) for fn, *args in steps]
+        for (fn, a, b), out in zip(steps, got):
+            if fn is synthesize:
+                target = dsp.mel_to_linear(a, cfg)
+                start = _start(target, cfg)
+                x, errors = (fast_griffin_lim_ref(target, start, *_sizes(cfg), 3, b) if b
+                             else griffin_lim_ref(target, start, *_sizes(cfg), 3))
+                assert out == (x.tobytes(), errors)
+            else:
+                assert out == _front_end_ref_bytes(a, cfg)
+
 
 class TestWavIO:
     def test_round_trip(self, tmp_path):
