@@ -293,26 +293,48 @@ def cmd_convert(args, cfg) -> int:
                         f"{blocks}; check --source or pass --all-blocks")
 
     # Phase 1, on this thread: the model, the only BLAS work of convert.
+    # Each word is read and checked, then the words run in the model's
+    # passes; a pass that runs out of memory is retried one word per pass.
     errors = [None] * len(selected)  # failure message per selected word
-    jobs = []  # (selection index, converted frames, wav path)
-    for i, (key, entry) in enumerate(selected):
-        stem = Path(entry["feature_path"]).stem + f"_to_{args.target}"
-        path = store.feature_path(key)
+    paths = [store.feature_path(key) for key, _ in selected]
+    words = {}  # selection index -> frames of each word read and checked
+    for i, path in enumerate(paths):
         try:
             frames = _read_features(path, cfg)
             if frames.shape[1] != model.cfg.in_channels:
                 raise ValueError(f"{path} carries {frames.shape[1]} coefficients "
                                  f"but {ckpt} expects {model.cfg.in_channels}")
-            try:
-                converted = model.convert(frames, args.target)
-            except ValueError as exc:
-                raise ValueError(f"{ckpt} cannot convert {path}: {exc}") from None
-            dsp.write_mcep(out / f"{stem}.mcep", converted)
-            jobs.append((i, converted, out / f"{stem}.wav"))
+            words[i] = frames
         except (ValueError, OSError) as exc:
             errors[i] = str(exc)
         except MemoryError as exc:
             errors[i] = corpus.memory_failure(path, exc)
+
+    order = list(words)
+    passes = [[order[j] for j in group]
+              for group in model.passes([len(words[i]) for i in order])]
+    jobs = []  # (selection index, converted frames, wav path)
+    while passes:
+        group = passes.pop(0)
+        try:
+            converted = model.convert([words[i] for i in group], args.target)
+        except MemoryError as exc:
+            if len(group) > 1:
+                passes[:0] = [[i] for i in group]
+            else:
+                errors[group[0]] = corpus.memory_failure(paths[group[0]], exc)
+            continue
+        for i, frames in zip(group, converted):
+            stem = Path(selected[i][1]["feature_path"]).stem + f"_to_{args.target}"
+            try:
+                if isinstance(frames, ValueError):
+                    raise ValueError(f"{ckpt} cannot convert {paths[i]}: {frames}")
+                dsp.write_mcep(out / f"{stem}.mcep", frames)
+                jobs.append((i, frames, out / f"{stem}.wav"))
+            except (ValueError, OSError) as exc:
+                errors[i] = str(exc)
+            except MemoryError as exc:
+                errors[i] = corpus.memory_failure(paths[i], exc)
 
     # Phase 2: the waveforms, one word per CPU (see workers for why the
     # model runs first).

@@ -30,9 +30,10 @@ class ShapeError(ValueError):
 class Tensor:
     """A numpy array plus the bookkeeping for reverse-mode differentiation.
 
-    Non-leaf tensors record their parents and a callable that routes their
-    gradient to them. Gradients accumulate by summation, so fan-out is
-    handled for free.
+    Non-leaf tensors, the results of ops that a gradient flows through,
+    record their parents and a callable that routes their gradient to
+    them. Gradients accumulate by summation, so fan-out is handled for
+    free.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
@@ -125,16 +126,24 @@ def _unbroadcast(g, shape):
 
 
 def _make(data, parents, backward):
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
-                 _parents=tuple(parents))
-    if out.requires_grad:
-        # _backward takes no argument, so benchmarks/spans.py can wrap it to
-        # time the conv backwards.  It reaches out.grad through a weak
-        # reference: a strong one would make every node a reference cycle,
-        # and a step's whole graph would then outlive its loss until the
-        # cyclic collector ran.
-        node = weakref.ref(out)
-        out._backward = lambda: backward(node().grad)
+    """The result Tensor of an op on `parents`, with `backward(g)` as its rule.
+
+    Only a result that some parent's gradient flows through records its
+    parents and the rule.  Any other result is a plain leaf that holds no
+    reference to its inputs, so a pass over tensors that need no gradient
+    (inference) builds no graph, and each intermediate is freed as soon as
+    the caller drops it.
+    """
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data)
+    out = Tensor(data, requires_grad=True, _parents=tuple(parents))
+    # _backward takes no argument, so benchmarks/spans.py can wrap it to
+    # time the conv backwards.  It reaches out.grad through a weak
+    # reference: a strong one would make every node a reference cycle,
+    # and a step's whole graph would then outlive its loss until the
+    # cyclic collector ran.
+    node = weakref.ref(out)
+    out._backward = lambda: backward(node().grad)
     return out
 
 

@@ -209,7 +209,8 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
     per-iteration errors of the estimate) when asked. Every spectral array
     is this thread's work buffer (``_work``), as in the front end, reused by
     the next call; only the returned samples are fresh. |estimate| is
-    computed only for the errors.
+    computed only for the errors, and without them the last iteration
+    ends at its istft, the waveform returned.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -233,8 +234,10 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
     prev.fill(0.0)
     accel = _work("accel", spec.shape, spec.dtype)
     errors = []
-    for _ in range(iterations):
+    for i in range(iterations):
         x = istft(spec, plan)
+        if i == iterations - 1 and not return_convergence:
+            break
         estimate = stft(x, plan)  # plan.spec, i.e. spec
         if return_convergence:
             errors.append(spectral_convergence(np.abs(estimate, out=mag), target))

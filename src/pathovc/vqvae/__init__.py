@@ -9,6 +9,7 @@ from .model import (
     HVqVaeModel,
     LossBreakdown,
     MIN_FRAMES,
+    PASS_FRAMES,
     UnknownSpeakerError,
     VqVaeConfig,
     codebook_perplexity,
@@ -24,6 +25,7 @@ __all__ = [
     "LossBreakdown",
     "MIN_FRAMES",
     "NonFiniteLossError",
+    "PASS_FRAMES",
     "TrainingConfig",
     "TrainingReport",
     "UnknownSpeakerError",

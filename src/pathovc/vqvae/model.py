@@ -9,7 +9,9 @@ target speaker's embedding.
 One code path takes one time-major utterance (T, C) or a batch (B, T, C)
 of equal-length crops; the graph inside is channel-major, (C, T) or
 (B, C, T).  Each loss term is the mean over the batch of the
-per-utterance means.
+per-utterance means.  Conversion runs words of any lengths together, laid
+out along time in one (C, T) sequence per pass (see _Layout), and builds
+no graph: it views the parameters as tensors that need no gradient.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +24,13 @@ MIN_FRAMES = 8  # three halvings need 2**3 input frames
 # each encoder stage halves the frame count; each decoder's transposed
 # conv, kernel 2*STRIDE and padding STRIDE//2, doubles it back exactly
 STRIDE = 2
+# Frames that convert lays out in one pass, gaps included; a longer word
+# runs in a pass of its own.  Over the 34 held-out words of the
+# convert-heldout benchmark corpus (seed 3; 2-core VM, OpenBLAS 0.3.31),
+# the model calls took a median 57.4, 45.1 and 49.2 ms in passes of 256,
+# 512 and 1024 frames, against 66.8 ms one word per pass, and peaked at
+# 1.4, 2.6 and 5.3 MB of numpy memory, against 12.9 MB in a single pass.
+PASS_FRAMES = 512
 
 
 class UnknownSpeakerError(LookupError):
@@ -67,6 +76,69 @@ class LossBreakdown:
     indices: list = field(repr=False, default_factory=list)  # (..., T_n) per stage
     # graph nodes of the three components, for gradient inspection
     nodes: dict = field(repr=False, default_factory=dict)
+
+
+def _check_length(t):
+    if t < MIN_FRAMES:
+        raise ValueError(
+            f"input of {t} frames is too short; three halvings need at least "
+            f"{MIN_FRAMES}")
+
+
+def _next_start(end, gap):
+    """The first multiple of MIN_FRAMES at least `gap` frames past `end`."""
+    return -(-(end + gap) // MIN_FRAMES) * MIN_FRAMES
+
+
+class _Layout:
+    """Words laid out along time for one conversion pass.
+
+    Word i starts at a multiple of MIN_FRAMES = STRIDE**3 frames, so on a
+    whole column at every stage, and `gap` zero frames or more part it
+    from the next word; the last word ends the sequence.  At stage n (0:
+    the input frames) word i holds the lengths[n][i] columns from
+    starts[n][i] of the size[n] columns, valid[n] indexes every word's
+    columns and gaps[n] the others (None if there are none).
+    """
+
+    def __init__(self, lengths, gap):
+        starts, end = [], None
+        for t in lengths:
+            starts.append(0 if end is None else _next_start(end, gap))
+            end = starts[-1] + t
+        self.lengths, self.starts, self.size, self.valid, self.gaps = [], [], [], [], []
+        for n in range(4):
+            scale = STRIDE ** n
+            lens = [-(-t // scale) for t in lengths]  # ceil: a stage halves, rounding up
+            firsts = [s // scale for s in starts]
+            size = firsts[-1] + lens[-1]
+            mask = np.zeros(size, dtype=bool)
+            for s, t in zip(firsts, lens):
+                mask[s:s + t] = True
+            gaps = np.flatnonzero(~mask)
+            self.lengths.append(lens)
+            self.starts.append(firsts)
+            self.size.append(size)
+            self.valid.append(np.flatnonzero(mask) if gaps.size else slice(None))
+            self.gaps.append(gaps if gaps.size else None)
+
+    def word(self, a, n, i):
+        """Word i's columns of a stage-n array (..., size[n])."""
+        s = self.starts[n][i]
+        return a[..., s:s + self.lengths[n][i]]
+
+    def finite(self, a, n):
+        """Per word, whether its columns of a stage-n array are all finite."""
+        ok = np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0)
+        return [bool(self.word(ok, n, i).all()) for i in range(len(self.starts[n]))]
+
+
+def _zero_gaps(t, layout, n):
+    """Re-zero, in place, Tensor t's stage-n columns outside every word of
+    `layout` (None: no gaps).  Only for graph-free passes: a recorded op
+    would route its gradient by the old values."""
+    if layout is not None and layout.gaps[n] is not None:
+        t.data[..., layout.gaps[n]] = 0
 
 
 def _candidates(rows, codebook):
@@ -224,16 +296,22 @@ class HVqVaeModel:
         frames = np.asarray(x)
         if frames.ndim not in (2, 3):
             raise ValueError("input must be a T x C matrix or a B x T x C batch")
-        if frames.shape[-2] < MIN_FRAMES:
-            raise ValueError(
-                f"input of {frames.shape[-2]} frames is too short; three halvings "
-                f"need at least {MIN_FRAMES}")
+        _check_length(frames.shape[-2])
         return dc.Tensor(np.ascontiguousarray(np.swapaxes(frames, -1, -2),
                                               dtype=self.cfg.dtype))
 
-    def _encode_graph(self, x):
-        """x is channel-major (..., C, T). Returns the per-stage latent Tensors."""
-        p = self.params
+    def _plain_params(self):
+        """The parameters as tensors that need no gradient: ops on them
+        build no graph."""
+        return {name: dc.Tensor(t.data) for name, t in self.params.items()}
+
+    def _encode_graph(self, x, p=None, layout=None):
+        """x is channel-major (..., C, T). Returns the per-stage latent Tensors.
+
+        p: the parameter Tensors, self.params by default; layout: the words
+        of a conversion pass (_Layout), whose gaps are re-zeroed after each
+        conv that feeds another."""
+        p = self.params if p is None else p
         k = self.cfg.kernel_size
         pad = k // 2
         zs = []
@@ -241,43 +319,50 @@ class HVqVaeModel:
         for n in (1, 2, 3):
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv1.w"], STRIDE, pad),
                                p[f"enc{n}.conv1.b"]))
+            _zero_gaps(h, layout, n)
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv2.w"], 1, pad),
                                p[f"enc{n}.conv2.b"]))
+            _zero_gaps(h, layout, n)
             zs.append(dc.add(dc.conv1d(h, p[f"enc{n}.proj.w"], 1, 0),
                              p[f"enc{n}.proj.b"]))
         return zs
 
-    def _embedding_frames(self, speakers, like):
-        """Speaker-table rows `speakers` repeated over like's (..., D, T) frames."""
-        rows = dc.embedding(self.params["speaker_table"], np.asarray(speakers)[..., None])
+    def _embedding_frames(self, table, speakers, like):
+        """Rows `speakers` of the speaker table repeated over like's (..., D, T) frames."""
+        rows = dc.embedding(table, np.asarray(speakers)[..., None])
         zeros = dc.Tensor(np.zeros(like.shape[:-2] + (self.cfg.embed_dim, like.shape[-1]),
                                    dtype=self.cfg.dtype))
         return dc.add(dc.transpose(rows), zeros)
 
-    def _decode_graph(self, qs, speakers, n_frames):
+    def _decode_graph(self, qs, speakers, n_frames, p=None, layout=None):
         """qs: channel-major (..., D, T_n) Tensors, finest first; speakers:
-        speaker-table rows, one or one per batch item."""
-        p = self.params
+        speaker-table rows, one or one per batch item.  p and layout as for
+        _encode_graph; each stage's input and upsampled frames are
+        re-zeroed outside the words."""
+        p = self.params if p is None else p
         k = self.cfg.kernel_size
         pad = k // 2
         v = None
         for n in (3, 2, 1):
             parts = [qs[n - 1]] if v is None else [qs[n - 1], v]
-            parts.append(self._embedding_frames(speakers, qs[n - 1]))
+            parts.append(self._embedding_frames(p["speaker_table"], speakers, qs[n - 1]))
             inp = dc.concat(parts, axis=-2)
+            _zero_gaps(inp, layout, n)
             h = dc.relu(dc.add(
                 dc.conv_transpose1d(inp, p[f"dec{n}.up.w"], STRIDE, STRIDE // 2),
                 p[f"dec{n}.up.b"]))
             h = dc.crop(h, qs[n - 2].shape[-1] if n > 1 else n_frames, axis=-1)
+            _zero_gaps(h, layout, n - 1)
             out = dc.add(dc.conv1d(h, p[f"dec{n}.out.w"], 1, pad), p[f"dec{n}.out.b"])
             v = dc.relu(out) if n > 1 else out
         return v
 
     def encode(self, x):
         """Returns the three per-stage latent sequences, time-major; an
-        overflow raises ValueError, not a warning."""
+        overflow raises ValueError, not a warning.  Builds no graph."""
         with np.errstate(over="ignore", invalid="ignore"):
-            zs = [np.swapaxes(z.data, -1, -2) for z in self._encode_graph(self._input(x))]
+            zs = [np.swapaxes(z.data, -1, -2)
+                  for z in self._encode_graph(self._input(x), self._plain_params())]
         if not all(np.isfinite(z).all() for z in zs):
             raise ValueError("the encoder's latents hold NaN or Inf")
         return tuple(zs)
@@ -340,23 +425,107 @@ class HVqVaeModel:
         return self._forward_graph(x, self.speaker_index(speaker_id), mask,
                                    quantize_bypass=quantize_bypass)
 
+    def passes(self, lengths):
+        """Index lists of the words, of frame counts `lengths`, that convert
+        runs in each pass: consecutive words, as many as fit PASS_FRAMES
+        frames with their gaps; a longer word runs alone."""
+        gap = self._gap()
+        groups, end = [], 0
+        for i, t in enumerate(lengths):
+            start = _next_start(end, gap)
+            if not groups or start + t > PASS_FRAMES:
+                groups.append([])
+                start = 0
+            groups[-1].append(i)
+            end = start + t
+        return groups
+
+    def _gap(self):
+        """Zero frames between the words of a pass: at stage 3 still as many
+        columns as a conv reaches past a word's ends, kernel_size // 2, and
+        the one column that a transposed conv reaches."""
+        return MIN_FRAMES * max(self.cfg.kernel_size // 2, 1)
+
     def convert(self, source, target_speaker):
-        """Encode source, quantize, decode under the target embedding; the
-        output has source's shape, odd frame counts included.  An encoder
-        or decoder that overflows raises ValueError rather than warning."""
+        """Encode, quantize and decode under the target speaker's embedding.
+
+        source is one time-major (T, C) array, or a sequence of them, one
+        per word.  One array gives an output of its shape, odd frame counts
+        included, and a word the model cannot convert raises ValueError
+        (an overflow too, rather than warning).  A sequence gives a list
+        with one entry per word: its output, or the ValueError that the
+        word raises alone.
+
+        The words run in the passes of `passes`, with no graph.  A pass
+        lays its words out along time (_Layout) and re-zeroes every column
+        outside them after each conv, so each word meets the zero padding
+        that it meets alone; each stage's rows are quantized in one call.
+        A pass of one word is one word's plain graph.  A word converted
+        among others equals its conversion alone up to float32 rounding:
+        BLAS may round a GEMM's column differently at another width.
+        """
         speaker = self.speaker_index(target_speaker)
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
-        zs = self.encode(source)
-        qs = [dc.Tensor(np.swapaxes(quantize(z, self.params[f"codebook{n}"].data)[0], -1, -2))
-              for n, z in enumerate(zs, start=1)]
+        if isinstance(source, np.ndarray):
+            out, = self._convert_pass([source], speaker)
+            if isinstance(out, ValueError):
+                raise out
+            return out
+        words = list(source)
+        lengths = [len(w) if np.ndim(w) == 2 else 0 for w in words]
+        return [out for group in self.passes(lengths)
+                for out in self._convert_pass([words[i] for i in group], speaker)]
+
+    def _word(self, frames):
+        """frames as one word for convert, (T, C); raises ValueError."""
+        frames = np.asarray(frames)
+        if frames.ndim != 2:
+            raise ValueError("input must be a T x C matrix")
+        _check_length(frames.shape[0])
+        if frames.shape[1] != self.cfg.in_channels:
+            raise dc.ShapeError(f"input of {frames.shape[1]} channels, but the "
+                                f"model takes {self.cfg.in_channels}")
+        return frames
+
+    def _convert_pass(self, sources, speaker):
+        """One pass of convert: per source, its output or its ValueError."""
+        cfg = self.cfg
+        outs, words = [None] * len(sources), []
+        for i, frames in enumerate(sources):
+            try:
+                words.append((i, self._word(frames)))
+            except ValueError as exc:
+                outs[i] = exc
+        if not words:
+            return outs
+
+        layout = _Layout([len(w) for _, w in words], self._gap())
+        x = np.zeros((cfg.in_channels, layout.size[0]), dtype=cfg.dtype)
+        for j, (_, frames) in enumerate(words):
+            layout.word(x, 0, j)[...] = frames.T
+        p = self._plain_params()
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.swapaxes(self._decode_graph(qs, speaker, np.shape(source)[-2]).data,
-                              -1, -2)
-        if not np.isfinite(out).all():
-            raise ValueError("the decoder's output holds NaN or Inf")
-        return out.copy()
+            zs = [z.data for z in self._encode_graph(dc.Tensor(x), p, layout)]
+            qs = []
+            for n, z in enumerate(zs, start=1):
+                cols = layout.valid[n]
+                q = np.zeros_like(z)
+                q[:, cols] = quantize(z[:, cols].T, p[f"codebook{n}"].data)[0].T
+                qs.append(dc.Tensor(q))
+            out = self._decode_graph(qs, speaker, layout.size[0], p, layout).data
+        latents_ok = np.all([layout.finite(z, n) for n, z in enumerate(zs, start=1)],
+                            axis=0)
+        out_ok = layout.finite(out, 0)
+        for j, (i, _) in enumerate(words):
+            if not latents_ok[j]:
+                outs[i] = ValueError("the encoder's latents hold NaN or Inf")
+            elif not out_ok[j]:
+                outs[i] = ValueError("the decoder's output holds NaN or Inf")
+            else:
+                outs[i] = layout.word(out, 0, j).T.copy()
+        return outs
 
     def init_codebooks(self, z_samples, rng):
         """Seed each codebook from observed latents plus small jitter.

@@ -986,6 +986,22 @@ class TestConvert:
                 "expects 40") in err
         assert len(list(out.glob("*.mcep"))) == 2
 
+    def test_short_word_fails_alone(self, env, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        shutil.copytree(env["feats"], feats)
+        short = feats / "features" / "M04_W1_B2.mcep"
+        dsp.write_mcep(short, dsp.read_mcep(short)[:5])
+        out = tmp_path / "c"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "convert", str(env["ckpt"]), "--features", str(feats),
+                     "--source", "M04", "--target", "M12", "--no-wav"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "1 utterance(s) failed:",
+            f"  M04/W1/B2: {env['ckpt']} cannot convert {short}: input of 5 "
+            "frames is too short; three halvings need at least 8"]
+        assert sorted(p.name for p in out.glob("*.mcep")) == [
+            "M04_W0_B2_to_M12.mcep", "M04_W2_B2_to_M12.mcep"]
+
     def test_overflowing_conversion_writes_no_features(self, env, tmp_path, capsys):
         model = vqvae.load_checkpoint(env["ckpt"])
         # finite weights whose output overflows float32
@@ -1148,24 +1164,30 @@ class TestConvert:
         assert not (out / "M04_W1_B1_to_M12.mcep").exists()
 
     def test_out_of_memory_word_fails_alone(self, env, tmp_path, capsys, monkeypatch):
-        # on one worker: the model runs out of memory on the second word,
-        # Griffin-Lim on the first
+        # on one worker: the model runs out of memory on the pass of all
+        # nine words, whose words are then retried one per pass, and again
+        # on the second word alone; Griffin-Lim on the first word
         model_convert, griffin_lim = vqvae.HVqVaeModel.convert, dsp.griffin_lim
-        calls = {"convert": 0, "griffin_lim": 0}
+        passes, gl_calls = [], []
 
-        def counted(name, fn):
-            def failing(*args, **kwargs):
-                calls[name] += 1
-                if calls[name] == {"convert": 2, "griffin_lim": 1}[name]:
-                    raise MemoryError()
-                return fn(*args, **kwargs)
-            return failing
+        def convert(model, words, target):
+            passes.append(len(words))
+            if len(passes) in (1, 3):
+                raise MemoryError()
+            return model_convert(model, words, target)
 
-        monkeypatch.setattr(vqvae.HVqVaeModel, "convert", counted("convert", model_convert))
-        monkeypatch.setattr(dsp, "griffin_lim", counted("griffin_lim", griffin_lim))
+        def synthesize(*args, **kwargs):
+            gl_calls.append(1)
+            if len(gl_calls) == 1:
+                raise MemoryError()
+            return griffin_lim(*args, **kwargs)
+
+        monkeypatch.setattr(vqvae.HVqVaeModel, "convert", convert)
+        monkeypatch.setattr(dsp, "griffin_lim", synthesize)
         monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
         out = tmp_path / "c"
         assert self._convert_all(env, env["feats"], out) == 1
+        assert passes == [9] + [1] * 9
         captured = capsys.readouterr()
         assert "converted 7 utterance(s) of M04" in captured.out
         assert captured.err.splitlines() == [
@@ -1176,9 +1198,42 @@ class TestConvert:
         assert not (out / "M04_W0_B2_to_M12.mcep").exists()
         wavs = sorted(p.name for p in out.glob("*.wav"))
         assert len(wavs) == 7 and "M04_W0_B1_to_M12.wav" not in wavs
+        # the retried words ran one per pass, as every word does in passes
+        # too short for two
         whole = tmp_path / "whole"
         monkeypatch.undo()
+        monkeypatch.setattr(vqvae.model, "PASS_FRAMES", 0)
         assert self._convert_all(env, env["feats"], whole) == 0
+        for path in out.iterdir():
+            assert path.read_bytes() == (whole / path.name).read_bytes()
+
+    def test_overflowing_word_fails_alone(self, env, tmp_path, capsys, monkeypatch):
+        # one word's frames overflow the encoder in a pass of nine; the
+        # others keep every byte of a run in which nothing fails
+        read = cli._read_features
+        hot = env["feats"] / "features" / "M04_W1_B2.mcep"
+
+        def overflowing(path, cfg):
+            frames = read(path, cfg)
+            return np.full_like(frames, 3e38) if path == hot else frames
+
+        whole = tmp_path / "whole"
+        assert self._convert_all(env, env["feats"], whole) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_read_features", overflowing)
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._convert_all(env, env["feats"], out) == 1
+        captured = capsys.readouterr()
+        assert "converted 8 utterance(s) of M04" in captured.out
+        assert captured.err.splitlines() == [
+            "1 utterance(s) failed:",
+            f"  M04/W1/B2: {env['ckpt']} cannot convert {hot}: the encoder's "
+            "latents hold NaN or Inf"]
+        assert sorted(p.name for p in whole.iterdir()) == sorted(
+            [p.name for p in out.iterdir()] + ["M04_W1_B2_to_M12.mcep",
+                                               "M04_W1_B2_to_M12.wav"])
         for path in out.iterdir():
             assert path.read_bytes() == (whole / path.name).read_bytes()
 

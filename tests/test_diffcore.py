@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,49 @@ class TestBasics:
             y = dc.conv1d(dc.Tensor(v.copy()), dc.Tensor(k.copy()), 1, 1)
             outs.append(y.data)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+class TestNoGraphWithoutGradients:
+    """An op whose inputs need no gradient records nothing: inference
+    builds no graph and frees each input once the caller drops it."""
+
+    OPS = {
+        "add": lambda a, b: dc.add(a, b),
+        "mul": lambda a, b: dc.mul(a, b),
+        "matmul": lambda a, b: dc.matmul(a, dc.transpose(b)),
+        "relu": lambda a, b: dc.relu(a),
+        "transpose": lambda a, b: dc.transpose(a),
+        "concat": lambda a, b: dc.concat([a, b], axis=-1),
+        "crop": lambda a, b: dc.crop(a, 2),
+        "conv1d": lambda a, b: dc.conv1d(a, dc.Tensor(np.ones((2, 3, 3))), 2, 1),
+        "conv_transpose1d": lambda a, b: dc.conv_transpose1d(
+            a, dc.Tensor(np.ones((3, 2, 4))), 2, 1),
+        "embedding": lambda a, b: dc.embedding(a, [0, 2]),
+        "straight_through": lambda a, b: dc.straight_through(a, b),
+        "tsum": lambda a, b: dc.tsum(a),
+        "mean": lambda a, b: dc.mean(a),
+        "squared_error": lambda a, b: dc.squared_error(a, b),
+        "abs_error": lambda a, b: dc.abs_error(a, b),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_result_holds_no_reference_to_its_inputs(self, op):
+        rng = np.random.default_rng(0)
+        a, b = (dc.Tensor(rng.normal(size=(3, 5))) for _ in range(2))
+        refs = [weakref.ref(a), weakref.ref(b)]
+        out = self.OPS[op](a, b)
+        del a, b
+        assert [r() for r in refs] == [None, None]
+        assert (out._parents, out._backward, out.requires_grad) == ((), None, False)
+        assert np.all(np.isfinite(out.data))
+
+    def test_gradient_still_recorded_through_one_input(self):
+        a = dc.Tensor(np.ones(3), requires_grad=True)
+        b = dc.Tensor(np.full(3, 2.0))
+        out = dc.mul(a, b)
+        assert out.requires_grad and out._parents == (a, b)
+        dc.tsum(out).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
 
 
 class TestConv1d:

@@ -764,6 +764,17 @@ class TestStftAgainstLoopOracle:
         fast = dsp.griffin_lim(ms, cfg, 5, momentum=0.99)
         assert fast.samples.tobytes() == x.tobytes()
 
+    def test_last_iteration_ends_at_its_waveform(self, monkeypatch):
+        # without the errors, the last estimate would feed nothing returned
+        cfg, _, ms = _grid_case(0, 61)
+        calls, stft = [], features.stft
+        monkeypatch.setattr(features, "stft",
+                            lambda x, plan: calls.append(1) or stft(x, plan))
+        dsp.griffin_lim(ms, cfg, 5, momentum=0.99)
+        assert len(calls) == 4
+        dsp.griffin_lim(ms, cfg, 5, return_convergence=True, momentum=0.99)
+        assert len(calls) == 4 + 5
+
     @pytest.mark.parametrize("t", [0, 1, 7])
     def test_silent_input(self, t):
         cfg = dsp.DspConfig()

@@ -13,6 +13,7 @@ import pytest
 
 from pathovc import diffcore as dc
 from pathovc import vqvae
+from pathovc.diffcore import engine
 
 from oracles import (finite_difference_grad, init_params_ref, max_relative_error,
                      nearest_codeword_ref)
@@ -38,6 +39,15 @@ def tiny_model(seed=0, dtype="float64", speakers=("A", "B")):
 def trained():
     model, report, data, off_a, off_b = train_toy_model()
     return model, report, data, off_a, off_b
+
+
+@pytest.fixture(scope="module")
+def default_model():
+    """The default configuration, its codebooks seeded from its own latents."""
+    m = vqvae.HVqVaeModel(vqvae.VqVaeConfig(), ["A", "B"], seed=0)
+    zs = m.encode(np.random.default_rng(0).normal(size=(256, 40)).astype(np.float32))
+    m.init_codebooks([z.reshape(-1, z.shape[-1]) for z in zs], np.random.default_rng(1))
+    return m
 
 
 class TestQuantize:
@@ -235,6 +245,90 @@ class TestConvertGuards:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="the decoder's output holds NaN or Inf"):
                 m.convert(np.ones((16, 3), dtype=np.float32), "A")
+
+
+def cepstra(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(t, 40)).astype(np.float32) for t in lengths]
+
+
+class TestBatchedConvert:
+    P = vqvae.PASS_FRAMES
+    # every remainder of a word's length at the three stages, the pass size
+    # and its neighbours, and a word longer than a pass
+    LENGTHS = [8, 9, 15, 16, 17, 43, 50, 64, P - 1, P, P + 1, 2 * P + 37]
+
+    def test_each_word_equals_its_conversion_alone(self, default_model):
+        # BLAS may round a GEMM's column differently at another width, so
+        # the match is to float32 rounding (measured: within 6.0e-7 of the
+        # word's peak)
+        words = cepstra(self.LENGTHS)
+        together = default_model.convert(words, "B")
+        assert len(together) == len(words)
+        for w, got in zip(words, together):
+            want = default_model.convert(w, "B")
+            assert (got.shape, got.dtype) == (w.shape, np.float32)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-5 * np.abs(want).max())
+
+    def test_repeated_calls_byte_identical(self, default_model):
+        words = cepstra(self.LENGTHS[:8] + [93, 130], seed=1)
+        first, second = (default_model.convert(words, "A") for _ in range(2))
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
+
+    def test_one_word_sequence_is_the_one_word_call(self, default_model):
+        for w in cepstra([8, 43, 93]):
+            got, = default_model.convert([w], "A")
+            assert got.tobytes() == default_model.convert(w, "A").tobytes()
+
+    def test_passes_fill_pass_frames(self, default_model):
+        # 16-frame gaps at kernel 5; each word starts at a multiple of 8
+        passes = default_model.passes
+        assert passes([]) == []
+        assert passes([200, 296, 8]) == [[0, 1], [2]]  # 216 + 296 = 512
+        assert passes([200, 297]) == [[0], [1]]
+        assert passes([201, 288]) == [[0, 1]]  # 201 + 16 rounds up to 224
+        assert passes([201, 289]) == [[0], [1]]
+        assert passes([self.P + 1, 8, 8, self.P]) == [[0], [1, 2], [3]]
+
+    def test_overflowing_word_fails_alone(self, default_model):
+        # the re-zeroed gaps keep its Inf and NaN out of its neighbours'
+        # columns, so they keep the bytes of a pass of the same layout
+        a, benign, b = cepstra([43, 20, 64])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hot = default_model.convert([a, np.full_like(benign, 3e38), b], "B")
+        cool = default_model.convert([a, benign, b], "B")
+        assert isinstance(hot[1], ValueError)
+        assert str(hot[1]) == "the encoder's latents hold NaN or Inf"
+        for i in (0, 2):
+            assert hot[i].tobytes() == cool[i].tobytes()
+
+    def test_malformed_words_fail_alone(self, default_model):
+        a, b = cepstra([43, 64])
+        got = default_model.convert(
+            [a, np.ones((7, 40)), np.ones(16), np.ones((16, 20)), b], "B")
+        messages = [str(e) for e in got[1:4]]
+        assert messages == [
+            "input of 7 frames is too short; three halvings need at least 8",
+            "input must be a T x C matrix",
+            "input of 20 channels, but the model takes 40"]
+        alone = default_model.convert([a, b], "B")
+        assert [got[0].tobytes(), got[4].tobytes()] == [o.tobytes() for o in alone]
+
+    def test_convert_builds_no_graph(self, default_model, monkeypatch):
+        made, make = [], engine._make
+
+        def recording(data, parents, backward):
+            made.append(make(data, parents, backward))
+            return made[-1]
+
+        monkeypatch.setattr(engine, "_make", recording)
+        default_model.convert(cepstra([43, 64]), "B")
+        default_model.convert(cepstra([50])[0], "A")
+        assert made
+        assert all(t._backward is None and t._parents == () for t in made)
+        assert all(p.grad is None for p in default_model.params.values())
 
 
 class TestForwardLoss:
