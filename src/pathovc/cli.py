@@ -293,8 +293,9 @@ def cmd_convert(args, cfg) -> int:
                         f"{blocks}; check --source or pass --all-blocks")
 
     # Phase 1, on this thread: the model, the only BLAS work of convert.
-    # Each word is read and checked, then the words run in the model's
-    # passes; a pass that runs out of memory is retried one word per pass.
+    # Each word is read and checked, then the model converts them all in
+    # one call, planning its passes and retrying a pass that runs out of
+    # memory one word per pass.
     errors = [None] * len(selected)  # failure message per selected word
     paths = [store.feature_path(key) for key, _ in selected]
     words = {}  # selection index -> frames of each word read and checked
@@ -310,31 +311,20 @@ def cmd_convert(args, cfg) -> int:
         except MemoryError as exc:
             errors[i] = corpus.memory_failure(path, exc)
 
-    order = list(words)
-    passes = [[order[j] for j in group]
-              for group in model.passes([len(words[i]) for i in order])]
     jobs = []  # (selection index, converted frames, wav path)
-    while passes:
-        group = passes.pop(0)
+    for i, frames in zip(words, model.convert(list(words.values()), args.target)):
+        stem = Path(selected[i][1]["feature_path"]).stem + f"_to_{args.target}"
         try:
-            converted = model.convert([words[i] for i in group], args.target)
+            if isinstance(frames, MemoryError):
+                raise frames
+            if isinstance(frames, ValueError):
+                raise ValueError(f"{ckpt} cannot convert {paths[i]}: {frames}")
+            dsp.write_mcep(out / f"{stem}.mcep", frames)
+            jobs.append((i, frames, out / f"{stem}.wav"))
+        except (ValueError, OSError) as exc:
+            errors[i] = str(exc)
         except MemoryError as exc:
-            if len(group) > 1:
-                passes[:0] = [[i] for i in group]
-            else:
-                errors[group[0]] = corpus.memory_failure(paths[group[0]], exc)
-            continue
-        for i, frames in zip(group, converted):
-            stem = Path(selected[i][1]["feature_path"]).stem + f"_to_{args.target}"
-            try:
-                if isinstance(frames, ValueError):
-                    raise ValueError(f"{ckpt} cannot convert {paths[i]}: {frames}")
-                dsp.write_mcep(out / f"{stem}.mcep", frames)
-                jobs.append((i, frames, out / f"{stem}.wav"))
-            except (ValueError, OSError) as exc:
-                errors[i] = str(exc)
-            except MemoryError as exc:
-                errors[i] = corpus.memory_failure(paths[i], exc)
+            errors[i] = corpus.memory_failure(paths[i], exc)
 
     # Phase 2: the waveforms, one word per CPU (see workers for why the
     # model runs first).

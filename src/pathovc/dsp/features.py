@@ -214,11 +214,15 @@ def griffin_lim(ms: MelSpectrogram, cfg: DspConfig, iterations: int,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    # the filterbank and the start's lambda and bin spacing come from cfg
+    # the filterbank, the hop and the start's lambda and bin spacing come from cfg
     if (ms.n_mels, ms.sample_rate) != (cfg.n_mels, cfg.sample_rate):
         raise ValueError(
             f"mel spectrogram of {ms.n_mels} bands at {ms.sample_rate} Hz, but "
             f"[dsp] n_mels is {cfg.n_mels} and sample_rate {cfg.sample_rate} Hz")
+    if ms.frame_shift != cfg.hop_size / cfg.sample_rate:
+        raise ValueError(
+            f"mel spectrogram of frame shift {ms.frame_shift} s, but [dsp] "
+            f"hop_size / sample_rate is {cfg.hop_size / cfg.sample_rate} s")
     target = mel_to_linear(ms, cfg)
     if not np.any(target):
         t = target.shape[0]

@@ -85,27 +85,18 @@ def _check_length(t):
             f"{MIN_FRAMES}")
 
 
-def _next_start(end, gap):
-    """The first multiple of MIN_FRAMES at least `gap` frames past `end`."""
-    return -(-(end + gap) // MIN_FRAMES) * MIN_FRAMES
-
-
 class _Layout:
     """Words laid out along time for one conversion pass.
 
-    Word i starts at a multiple of MIN_FRAMES = STRIDE**3 frames, so on a
-    whole column at every stage, and `gap` zero frames or more part it
-    from the next word; the last word ends the sequence.  At stage n (0:
+    Word i, of lengths[i] frames, starts at frame starts[i], as _plan
+    places it: on a whole column at every stage, with zero frames between
+    it and the next word; the last word ends the sequence.  At stage n (0:
     the input frames) word i holds the lengths[n][i] columns from
     starts[n][i] of the size[n] columns, valid[n] indexes every word's
     columns and gaps[n] the others (None if there are none).
     """
 
-    def __init__(self, lengths, gap):
-        starts, end = [], None
-        for t in lengths:
-            starts.append(0 if end is None else _next_start(end, gap))
-            end = starts[-1] + t
+    def __init__(self, lengths, starts):
         self.lengths, self.starts, self.size, self.valid, self.gaps = [], [], [], [], []
         for n in range(4):
             scale = STRIDE ** n
@@ -425,26 +416,26 @@ class HVqVaeModel:
         return self._forward_graph(x, self.speaker_index(speaker_id), mask,
                                    quantize_bypass=quantize_bypass)
 
-    def passes(self, lengths):
-        """Index lists of the words, of frame counts `lengths`, that convert
-        runs in each pass: consecutive words, as many as fit PASS_FRAMES
-        frames with their gaps; a longer word runs alone."""
-        gap = self._gap()
-        groups, end = [], 0
-        for i, t in enumerate(lengths):
-            start = _next_start(end, gap)
-            if not groups or start + t > PASS_FRAMES:
-                groups.append([])
+    def _plan(self, lengths):
+        """Per pass of convert, its words' indices and start frames, for the
+        (index, frame count) pairs `lengths`.  Consecutive words share a pass
+        while they fit PASS_FRAMES frames (a longer word runs alone), the
+        first at frame 0 and each next at the first multiple of MIN_FRAMES =
+        STRIDE**3 (a whole column at every stage) `gap` frames or more past
+        the one before: at stage 3 still as many zero columns as a conv
+        reaches past a word's ends, kernel_size // 2, and the one column
+        that a transposed conv reaches."""
+        gap = MIN_FRAMES * max(self.cfg.kernel_size // 2, 1)
+        plan, end = [], 0
+        for i, t in lengths:
+            start = -(-(end + gap) // MIN_FRAMES) * MIN_FRAMES
+            if not plan or start + t > PASS_FRAMES:
+                plan.append(([], []))
                 start = 0
-            groups[-1].append(i)
+            plan[-1][0].append(i)
+            plan[-1][1].append(start)
             end = start + t
-        return groups
-
-    def _gap(self):
-        """Zero frames between the words of a pass: at stage 3 still as many
-        columns as a conv reaches past a word's ends, kernel_size // 2, and
-        the one column that a transposed conv reaches."""
-        return MIN_FRAMES * max(self.cfg.kernel_size // 2, 1)
+        return plan
 
     def convert(self, source, target_speaker):
         """Encode, quantize and decode under the target speaker's embedding.
@@ -453,30 +444,50 @@ class HVqVaeModel:
         per word.  One array gives an output of its shape, odd frame counts
         included, and a word the model cannot convert raises ValueError
         (an overflow too, rather than warning).  A sequence gives a list
-        with one entry per word: its output, or the ValueError that the
-        word raises alone.
+        with one entry per word: its output, the ValueError that the word
+        raises alone, or the MemoryError of a word that runs out of memory
+        alone.
 
-        The words run in the passes of `passes`, with no graph.  A pass
-        lays its words out along time (_Layout) and re-zeroes every column
-        outside them after each conv, so each word meets the zero padding
-        that it meets alone; each stage's rows are quantized in one call.
-        A pass of one word is one word's plain graph.  A word converted
-        among others equals its conversion alone up to float32 rounding:
-        BLAS may round a GEMM's column differently at another width.
+        Every word is checked first (_word); the valid ones then run in the
+        passes of _plan, with no graph.  A pass lays its words out along
+        time (_Layout) and re-zeroes every column outside them after each
+        conv, so each word meets the zero padding that it meets alone; each
+        stage's rows are quantized in one call.  A pass that runs out of
+        memory is retried one word per pass.  A pass of one word is one
+        word's plain graph.  A word converted among others equals its
+        conversion alone up to float32 rounding: BLAS may round a GEMM's
+        column differently at another width.
         """
         speaker = self.speaker_index(target_speaker)
         if not self.codebooks_initialized:
             raise EmptyCodebookError(
                 "codebooks have not been initialized; train the model first")
         if isinstance(source, np.ndarray):
-            out, = self._convert_pass([source], speaker)
+            out, = self._convert_pass([self._word(source)], [0], speaker)
             if isinstance(out, ValueError):
                 raise out
             return out
-        words = list(source)
-        lengths = [len(w) if np.ndim(w) == 2 else 0 for w in words]
-        return [out for group in self.passes(lengths)
-                for out in self._convert_pass([words[i] for i in group], speaker)]
+        outs = []
+        for frames in source:
+            try:
+                outs.append(self._word(frames))
+            except ValueError as exc:
+                outs.append(exc)
+        passes = self._plan((i, len(w)) for i, w in enumerate(outs)
+                            if isinstance(w, np.ndarray))
+        while passes:
+            group, starts = passes.pop(0)
+            try:
+                done = self._convert_pass([outs[i] for i in group], starts, speaker)
+            except MemoryError as exc:
+                if len(group) > 1:
+                    passes[:0] = [([i], [0]) for i in group]
+                    continue
+                # without its traceback, whose frames hold the pass's arrays
+                done = [exc.with_traceback(None)]
+            for i, out in zip(group, done):
+                outs[i] = out
+        return outs
 
     def _word(self, frames):
         """frames as one word for convert, (T, C); raises ValueError."""
@@ -489,21 +500,13 @@ class HVqVaeModel:
                                 f"model takes {self.cfg.in_channels}")
         return frames
 
-    def _convert_pass(self, sources, speaker):
-        """One pass of convert: per source, its output or its ValueError."""
+    def _convert_pass(self, words, starts, speaker):
+        """One pass of convert over checked words (_word) starting at frames
+        `starts`: per word, its output or its ValueError."""
         cfg = self.cfg
-        outs, words = [None] * len(sources), []
-        for i, frames in enumerate(sources):
-            try:
-                words.append((i, self._word(frames)))
-            except ValueError as exc:
-                outs[i] = exc
-        if not words:
-            return outs
-
-        layout = _Layout([len(w) for _, w in words], self._gap())
+        layout = _Layout([len(w) for w in words], starts)
         x = np.zeros((cfg.in_channels, layout.size[0]), dtype=cfg.dtype)
-        for j, (_, frames) in enumerate(words):
+        for j, frames in enumerate(words):
             layout.word(x, 0, j)[...] = frames.T
         p = self._plain_params()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -518,13 +521,14 @@ class HVqVaeModel:
         latents_ok = np.all([layout.finite(z, n) for n, z in enumerate(zs, start=1)],
                             axis=0)
         out_ok = layout.finite(out, 0)
-        for j, (i, _) in enumerate(words):
+        outs = []
+        for j in range(len(words)):
             if not latents_ok[j]:
-                outs[i] = ValueError("the encoder's latents hold NaN or Inf")
+                outs.append(ValueError("the encoder's latents hold NaN or Inf"))
             elif not out_ok[j]:
-                outs[i] = ValueError("the decoder's output holds NaN or Inf")
+                outs.append(ValueError("the decoder's output holds NaN or Inf"))
             else:
-                outs[i] = layout.word(out, 0, j).T.copy()
+                outs.append(layout.word(out, 0, j).T.copy())
         return outs
 
     def init_codebooks(self, z_samples, rng):

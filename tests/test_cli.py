@@ -1164,17 +1164,22 @@ class TestConvert:
         assert not (out / "M04_W1_B1_to_M12.mcep").exists()
 
     def test_out_of_memory_word_fails_alone(self, env, tmp_path, capsys, monkeypatch):
-        # on one worker: the model runs out of memory on the pass of all
-        # nine words, whose words are then retried one per pass, and again
-        # on the second word alone; Griffin-Lim on the first word
+        # on one worker: the one model call's pass of all nine words runs
+        # out of memory, its words are then retried one per pass, and the
+        # second word runs out again alone; Griffin-Lim on the first word
         model_convert, griffin_lim = vqvae.HVqVaeModel.convert, dsp.griffin_lim
-        passes, gl_calls = [], []
+        model_pass = vqvae.HVqVaeModel._convert_pass
+        calls, passes, gl_calls = [], [], []
 
         def convert(model, words, target):
+            calls.append(len(words))
+            return model_convert(model, words, target)
+
+        def convert_pass(model, words, starts, speaker):
             passes.append(len(words))
             if len(passes) in (1, 3):
                 raise MemoryError()
-            return model_convert(model, words, target)
+            return model_pass(model, words, starts, speaker)
 
         def synthesize(*args, **kwargs):
             gl_calls.append(1)
@@ -1183,11 +1188,12 @@ class TestConvert:
             return griffin_lim(*args, **kwargs)
 
         monkeypatch.setattr(vqvae.HVqVaeModel, "convert", convert)
+        monkeypatch.setattr(vqvae.HVqVaeModel, "_convert_pass", convert_pass)
         monkeypatch.setattr(dsp, "griffin_lim", synthesize)
         monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
         out = tmp_path / "c"
         assert self._convert_all(env, env["feats"], out) == 1
-        assert passes == [9] + [1] * 9
+        assert (calls, passes) == ([9], [9] + [1] * 9)
         captured = capsys.readouterr()
         assert "converted 7 utterance(s) of M04" in captured.out
         assert captured.err.splitlines() == [

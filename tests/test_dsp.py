@@ -576,15 +576,20 @@ class TestGriffinLim:
         with pytest.raises(ValueError, match="iterations"):
             dsp.griffin_lim(ms, cfg, 0)
 
-    @pytest.mark.parametrize("n_mels,rate", [(80, 16000), (40, 24000)],
-                             ids=["sample-rate", "n-mels"])
-    def test_spectrogram_unlike_cfg_rejected(self, n_mels, rate):
-        # the filterbank and the start's lambda and bin spacing come from cfg
+    @pytest.mark.parametrize("n_mels,rate,shift,message", [
+        (80, 16000, 256 / 16000, r"of 80 bands at 16000 Hz, but \[dsp\] n_mels is 80 "
+                                 "and sample_rate 24000 Hz"),
+        (40, 24000, 256 / 24000, r"of 40 bands at 24000 Hz, but \[dsp\] n_mels is 80 "
+                                 "and sample_rate 24000 Hz"),
+        (80, 24000, 0.01, r"of frame shift 0.01 s, but \[dsp\] hop_size / "
+                          r"sample_rate is 0.010666666666666666 s")],
+        ids=["sample-rate", "n-mels", "frame-shift"])
+    def test_spectrogram_unlike_cfg_rejected(self, n_mels, rate, shift, message):
+        # the filterbank, the frame hop and the start's lambda and bin
+        # spacing come from cfg
         cfg = dsp.DspConfig()
-        ms = dsp.MelSpectrogram(np.ones((2, n_mels)), 256 / rate, rate)
-        with pytest.raises(ValueError, match=(
-                f"of {n_mels} bands at {rate} Hz, but "
-                r"\[dsp\] n_mels is 80 and sample_rate 24000 Hz")):
+        ms = dsp.MelSpectrogram(np.ones((2, n_mels)), shift, rate)
+        with pytest.raises(ValueError, match=message):
             dsp.griffin_lim(ms, cfg, 1)
 
 

@@ -283,13 +283,47 @@ class TestBatchedConvert:
 
     def test_passes_fill_pass_frames(self, default_model):
         # 16-frame gaps at kernel 5; each word starts at a multiple of 8
-        passes = default_model.passes
+        def passes(lengths):
+            return [group for group, _ in default_model._plan(enumerate(lengths))]
+
         assert passes([]) == []
         assert passes([200, 296, 8]) == [[0, 1], [2]]  # 216 + 296 = 512
         assert passes([200, 297]) == [[0], [1]]
         assert passes([201, 288]) == [[0, 1]]  # 201 + 16 rounds up to 224
         assert passes([201, 289]) == [[0], [1]]
         assert passes([self.P + 1, 8, 8, self.P]) == [[0], [1, 2], [3]]
+        assert default_model._plan([(4, 201), (7, 288), (9, 8)]) == [
+            ([4, 7], [0, 224]), ([9], [0])]
+
+    def test_out_of_memory_pass_retried_word_by_word(self, default_model, monkeypatch):
+        # every pass of more than one word runs out of memory, and so does
+        # the 50-frame word alone
+        words = cepstra([43, 64, 50, 93, 8])
+        run, sizes = vqvae.HVqVaeModel._convert_pass, []
+
+        def starved(model, pass_words, starts, speaker):
+            sizes.append(len(pass_words))
+            if len(pass_words) > 1 or len(pass_words[0]) == 50:
+                raise MemoryError()
+            return run(model, pass_words, starts, speaker)
+
+        monkeypatch.setattr(vqvae.HVqVaeModel, "_convert_pass", starved)
+        got = default_model.convert(words, "B")
+        assert sizes == [5, 1, 1, 1, 1, 1]
+        assert isinstance(got[2], MemoryError) and got[2].__traceback__ is None
+        monkeypatch.undo()
+        for i in (0, 1, 3, 4):
+            assert got[i].tobytes() == default_model.convert(words[i], "B").tobytes()
+
+    @pytest.mark.parametrize("bad", [np.ones((7, 40)), np.ones((16, 20))],
+                             ids=["7-frames", "20-channels"])
+    def test_malformed_word_takes_no_room(self, default_model, bad):
+        # 480 + 16 + 8 frames fill one pass only with no word between them
+        a, b = cepstra([480, 8])
+        got = default_model.convert([a, bad, b], "B")
+        assert isinstance(got[1], ValueError)
+        alone = default_model.convert([a, b], "B")
+        assert [got[0].tobytes(), got[2].tobytes()] == [o.tobytes() for o in alone]
 
     def test_overflowing_word_fails_alone(self, default_model):
         # the re-zeroed gaps keep its Inf and NaN out of its neighbours'
