@@ -314,9 +314,10 @@ def cmd_convert(args, cfg) -> int:
     jobs = []  # (selection index, converted frames, wav path)
     for i, frames in zip(words, model.convert(list(words.values()), args.target)):
         stem = Path(selected[i][1]["feature_path"]).stem + f"_to_{args.target}"
+        if isinstance(frames, MemoryError):
+            errors[i] = corpus.memory_failure(paths[i], frames)
+            continue
         try:
-            if isinstance(frames, MemoryError):
-                raise frames
             if isinstance(frames, ValueError):
                 raise ValueError(f"{ckpt} cannot convert {paths[i]}: {frames}")
             dsp.write_mcep(out / f"{stem}.mcep", frames)

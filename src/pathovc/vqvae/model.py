@@ -88,12 +88,11 @@ def _check_length(t):
 class _Layout:
     """Words laid out along time for one conversion pass.
 
-    Word i, of lengths[i] frames, starts at frame starts[i], as _plan
-    places it: on a whole column at every stage, with zero frames between
-    it and the next word; the last word ends the sequence.  At stage n (0:
-    the input frames) word i holds the lengths[n][i] columns from
-    starts[n][i] of the size[n] columns, valid[n] indexes every word's
-    columns and gaps[n] the others (None if there are none).
+    Word i, of lengths[i] frames, starts at frame starts[i] (see _plan);
+    the last word ends the sequence.  At stage n (0: the input frames)
+    word i holds the lengths[n][i] columns from starts[n][i] of the
+    size[n] columns, valid[n] indexes every word's columns and gaps[n]
+    the others (None if there are none).
     """
 
     def __init__(self, lengths, starts):
@@ -417,14 +416,11 @@ class HVqVaeModel:
                                    quantize_bypass=quantize_bypass)
 
     def _plan(self, lengths):
-        """Per pass of convert, its words' indices and start frames, for the
-        (index, frame count) pairs `lengths`.  Consecutive words share a pass
-        while they fit PASS_FRAMES frames (a longer word runs alone), the
-        first at frame 0 and each next at the first multiple of MIN_FRAMES =
-        STRIDE**3 (a whole column at every stage) `gap` frames or more past
-        the one before: at stage 3 still as many zero columns as a conv
-        reaches past a word's ends, kernel_size // 2, and the one column
-        that a transposed conv reaches."""
+        """Per pass of convert, the word indices and start frames of the
+        (index, frame count) pairs `lengths`.  A start is a multiple of
+        MIN_FRAMES, so a whole column at every stage; the gap leaves at
+        stage 3 the kernel_size // 2 columns a conv reaches past a word's
+        end and the one a transposed conv reaches."""
         gap = MIN_FRAMES * max(self.cfg.kernel_size // 2, 1)
         plan, end = [], 0
         for i, t in lengths:
@@ -448,15 +444,12 @@ class HVqVaeModel:
         raises alone, or the MemoryError of a word that runs out of memory
         alone.
 
-        Every word is checked first (_word); the valid ones then run in the
-        passes of _plan, with no graph.  A pass lays its words out along
-        time (_Layout) and re-zeroes every column outside them after each
-        conv, so each word meets the zero padding that it meets alone; each
-        stage's rows are quantized in one call.  A pass that runs out of
-        memory is retried one word per pass.  A pass of one word is one
-        word's plain graph.  A word converted among others equals its
-        conversion alone up to float32 rounding: BLAS may round a GEMM's
-        column differently at another width.
+        The valid words run with no graph in the passes of _plan; a pass
+        that runs out of memory is retried one word per pass.  A pass
+        re-zeroes every column outside its words after each conv, so each
+        word meets the zero padding that it meets alone.  A word converted
+        among others equals its conversion alone up to float32 rounding:
+        BLAS may round a GEMM's column differently at another width.
         """
         speaker = self.speaker_index(target_speaker)
         if not self.codebooks_initialized:
