@@ -292,59 +292,39 @@ def cmd_convert(args, cfg) -> int:
         raise UserError(f"no utterances of speaker {args.source!r} in "
                         f"{blocks}; check --source or pass --all-blocks")
 
+    # Each word's outcome is its frames until a step fails it, then the
+    # failure line, which names the word's file at that step.
     # Phase 1, on this thread: the model, the only BLAS work of convert.
-    # Each word is read and checked, then the model converts them all in
-    # one call, planning its passes and retrying a pass that runs out of
-    # memory one word per pass.
-    errors = [None] * len(selected)  # failure message per selected word
+    # The words read convert in one model call, which plans its passes and
+    # retries a pass that runs out of memory one word per pass.
     paths = [store.feature_path(key) for key, _ in selected]
-    words = {}  # selection index -> frames of each word read and checked
-    for i, path in enumerate(paths):
-        try:
-            frames = _read_features(path, cfg)
-            if frames.shape[1] != model.cfg.in_channels:
-                raise ValueError(f"{path} carries {frames.shape[1]} coefficients "
-                                 f"but {ckpt} expects {model.cfg.in_channels}")
-            words[i] = frames
-        except (ValueError, OSError) as exc:
-            errors[i] = str(exc)
-        except MemoryError as exc:
-            errors[i] = corpus.memory_failure(path, exc)
-
-    jobs = []  # (selection index, converted frames, wav path)
-    for i, frames in zip(words, model.convert(list(words.values()), args.target)):
-        stem = Path(selected[i][1]["feature_path"]).stem + f"_to_{args.target}"
-        if isinstance(frames, MemoryError):
-            errors[i] = corpus.memory_failure(paths[i], frames)
-            continue
-        try:
-            if isinstance(frames, ValueError):
-                raise ValueError(f"{ckpt} cannot convert {paths[i]}: {frames}")
-            dsp.write_mcep(out / f"{stem}.mcep", frames)
-            jobs.append((i, frames, out / f"{stem}.wav"))
-        except (ValueError, OSError) as exc:
-            errors[i] = str(exc)
-        except MemoryError as exc:
-            errors[i] = corpus.memory_failure(paths[i], exc)
+    stems = [Path(entry["feature_path"]).stem + f"_to_{args.target}"
+             for _, entry in selected]
+    outcomes = [workers.attempt(_read_features, path, cfg) for path in paths]
+    read = [i for i, o in enumerate(outcomes) if not isinstance(o, workers.ITEM_ERRORS)]
+    for i, frames in zip(read, model.convert([outcomes[i] for i in read], args.target)):
+        if isinstance(frames, ValueError):
+            frames = ValueError(f"{ckpt} cannot convert {paths[i]}: {frames}")
+        elif not isinstance(frames, MemoryError):  # write_mcep returns None
+            frames = workers.attempt(dsp.write_mcep, out / f"{stems[i]}.mcep",
+                                     frames) or frames
+        outcomes[i] = frames
+    outcomes = [corpus.failure(path, o) if isinstance(o, workers.ITEM_ERRORS) else o
+                for path, o in zip(paths, outcomes)]
 
     # Phase 2: the waveforms, one word per CPU (see workers for why the
     # model runs first).
-    def synthesize(job):
-        _, frames, path = job
-        try:
-            _synthesize(frames, cfg, path)
-        except (ValueError, OSError) as exc:
-            return str(exc)
-        except MemoryError as exc:
-            return corpus.memory_failure(path, exc)
-
     if cfg.convert.wav:
-        for (i, _, _), msg in zip(jobs, workers.ordered_map(synthesize, jobs)):
-            if msg is not None:
-                errors[i] = msg
+        done = [i for i, o in enumerate(outcomes) if not isinstance(o, str)]
+        wavs = {i: out / f"{stems[i]}.wav" for i in done}
+        errors = workers.ordered_map(lambda i: _synthesize(outcomes[i], cfg, wavs[i]),
+                                     done)
+        for i, error in zip(done, errors):
+            if error is not None:
+                outcomes[i] = corpus.failure(wavs[i], error)
 
-    failures = [(key, msg) for (key, _), msg in zip(selected, errors)
-                if msg is not None]
+    failures = [(key, o) for (key, _), o in zip(selected, outcomes)
+                if isinstance(o, str)]
     print(f"converted {len(selected) - len(failures)} utterance(s) of "
           f"{args.source} to {args.target} in {out}")
     return _report_failures(failures, "utterance")

@@ -374,21 +374,19 @@ def load_feature_store(root) -> FeatureStore:
     return FeatureStore(root=root, entries=entries)
 
 
-def memory_failure(path, exc: MemoryError) -> str:
-    """The failure message of an item whose work on ``path`` ran out of
-    memory; the other items of the run go on."""
-    return f"{path}: out of memory" + (f" ({exc})" if str(exc) else "")
+def failure(path, exc) -> str:
+    """The failure line of an item whose work on ``path`` raised the item
+    error ``exc`` (``workers.ITEM_ERRORS``); the other items of the run go
+    on.  Only a MemoryError needs ``path``: the other errors name their file."""
+    if isinstance(exc, MemoryError):
+        return f"{path}: out of memory" + (f" ({exc})" if str(exc) else "")
+    return str(exc)
 
 
 def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
-    """Write one clip's features; return the frame count, None for an
-    all-silent clip, or the message (a str) of a clip that fails."""
-    try:
-        w = dsp.read_wav(utt.audio_path)  # its errors name the file
-    except (OSError, ValueError) as exc:
-        return str(exc)
-    except MemoryError as exc:
-        return memory_failure(utt.audio_path, exc)
+    """Write one clip's features; return the frame count, or None for an
+    all-silent clip."""
+    w = dsp.read_wav(utt.audio_path)  # its errors name the file
     try:
         w = dsp.reduce_noise(w, dsp_cfg)
         w = dsp.trim_silence(w, dsp_cfg)
@@ -399,9 +397,7 @@ def _extract(utt: UtteranceRecord, dsp_cfg, feat_dir: Path):
     except dsp.AllSilentError:
         return None
     except ValueError as exc:
-        return f"{utt.audio_path}: {exc}"
-    except MemoryError as exc:
-        return memory_failure(utt.audio_path, exc)
+        raise ValueError(f"{utt.audio_path}: {exc}") from None
     dsp.write_mcep(feat_dir / f"{utt.stem}.mcep", mc.frames)
     return int(mc.frames.shape[0])
 
@@ -412,8 +408,9 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     Per utterance: reduce_noise, trim_silence, resample to the configured
     rate, normalize, mel_spectrogram, mel_cepstrum, written as an MCEP1
     file under ``out_dir/features``.  All-silent clips are skipped and
-    listed in ``skipped.txt``; unreadable or too-short clips, and clips
-    that run out of memory, are recorded in ``errors.txt`` and the run
+    listed in ``skipped.txt``; unreadable or too-short clips, clips that
+    run out of memory and clips whose feature file cannot be written are
+    recorded in ``errors.txt`` (``workers.ITEM_ERRORS``) and the run
     continues.  ``index.json`` maps each utterance key to its speaker,
     block, feature file and frame count, the entry ``load_feature_store``
     derives from the key to check it.
@@ -433,8 +430,8 @@ def build_feature_store(m: CorpusManifest, dsp_cfg, out_dir) -> FeatureStore:
     for utt, outcome in zip(m.utterances, outcomes):
         if outcome is None:
             store.skipped.append(utt.key)
-        elif isinstance(outcome, str):
-            store.errors.append((utt.key, outcome))
+        elif isinstance(outcome, workers.ITEM_ERRORS):
+            store.errors.append((utt.key, failure(utt.audio_path, outcome)))
         else:
             store.entries[utt.key] = _index_entry(utt, outcome)
 

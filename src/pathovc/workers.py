@@ -1,8 +1,10 @@
-"""One thread per usable CPU, results in input order.
+"""One thread per usable CPU, results in input order, item errors as values.
 
 ``preprocess`` runs each clip's front end and ``convert`` each word's
 Griffin-Lim waveform through ``ordered_map``.  Both jobs are numpy and
 scipy work that releases the interpreter lock, so threads overlap.
+``attempt`` decides, for them and for ``convert``'s other steps, which
+errors end one item.
 
 No BLAS call may run on any thread while the pool works.  The front end
 and synthesis make none (the mel products are sparse, not GEMMs), and
@@ -20,6 +22,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+# bad input, a file that cannot be read or written, and an item too large
+# for memory end one item; any other exception is a fault of the program
+ITEM_ERRORS = (ValueError, OSError, MemoryError)
+
 
 def cpu_count() -> int:
     """CPUs this process may run on."""
@@ -29,20 +35,29 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def ordered_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, run on ``min(cpu_count(), len(items))``
-    threads.
+def attempt(fn, *args):
+    """``fn(*args)``, or the item error it raised, without its traceback,
+    whose frames hold the item's arrays."""
+    try:
+        return fn(*args)
+    except ITEM_ERRORS as exc:
+        return exc.with_traceback(None)
 
-    An exception ``fn`` raises, or Ctrl-C on the calling thread, cancels
-    the items not yet started, waits for the running ones and propagates.
-    So ``fn`` catches the errors it reports as an item's outcome.
+
+def ordered_map(fn, items) -> list:
+    """``[attempt(fn, item) for item in items]``, run on
+    ``min(cpu_count(), len(items))`` threads.
+
+    Any other exception ``fn`` raises, or Ctrl-C on the calling thread,
+    cancels the items not yet started, waits for the running ones and
+    propagates.
     """
     items = list(items)
     if not items:
         return []
     pool = ThreadPoolExecutor(max_workers=min(cpu_count(), len(items)))
     try:
-        futures = [pool.submit(fn, item) for item in items]
+        futures = [pool.submit(attempt, fn, item) for item in items]
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)

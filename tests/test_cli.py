@@ -422,6 +422,40 @@ class TestPreprocess:
             assert (out / name).read_bytes() == (env["feats"] / name).read_bytes()
         assert not (out / "features" / "M04_W9_B1.mcep").exists()
 
+    def test_unwritable_feature_file_fails_alone(self, env, tmp_path, capsys):
+        # a directory stands where one clip's feature file goes
+        out = tmp_path / "out"
+        (out / "features" / "M04_W1_B2.mcep").mkdir(parents=True)
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "preprocess", str(env["manifest"])]) == 1
+        assert "internal error" not in capsys.readouterr().err
+        errors = (out / "errors.txt").read_text().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("M04/W1/B2\t")
+        assert "M04_W1_B2.mcep" in errors[0]
+        index = json.loads((env["feats"] / "index.json").read_text())
+        del index["M04/W1/B2"]
+        assert json.loads((out / "index.json").read_text()) == index
+
+    def test_out_of_memory_feature_write_fails_alone(self, env, tmp_path, capsys,
+                                                     monkeypatch):
+        write_mcep = dsp.write_mcep
+
+        def failing(path, frames):
+            if path.name == "M04_W1_B2.mcep":
+                raise MemoryError()
+            write_mcep(path, frames)
+
+        monkeypatch.setattr(dsp, "write_mcep", failing)
+        out = tmp_path / "out"
+        assert main(["--config", str(env["ini"]), "--out", str(out),
+                     "preprocess", str(env["manifest"])]) == 1
+        line = f"M04/W1/B2\t{env['root'] / 'wavs' / 'M04_W1_B2.wav'}: out of memory"
+        assert (out / "errors.txt").read_text().splitlines() == [line]
+        err = capsys.readouterr().err
+        assert err == "1 clip(s) failed:\n  " + line.replace("\t", ": ") + "\n"
+        index = json.loads((out / "index.json").read_text())
+        assert len(index) == 17 and "M04/W1/B2" not in index
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads VmSize from /proc and limits RLIMIT_AS")
     def test_clip_beyond_address_space_limit_fails_alone(self, tmp_path):
@@ -982,8 +1016,8 @@ class TestConvert:
                      "--features", str(feats), "--source", "M04",
                      "--target", "M12", "--no-wav"]) == 1
         err = capsys.readouterr().err
-        assert (f"M04/W1/B2: {bad} carries 20 coefficients but {env['ckpt']} "
-                "expects 40") in err
+        assert (f"M04/W1/B2: {env['ckpt']} cannot convert {bad}: input of 20 "
+                "channels, but the model takes 40") in err
         assert len(list(out.glob("*.mcep"))) == 2
 
     def test_short_word_fails_alone(self, env, tmp_path, capsys):
@@ -1157,7 +1191,8 @@ class TestConvert:
         lines = captured.err.splitlines()
         assert lines[0] == "2 utterance(s) failed:"
         assert lines[1].startswith("  M04/W0/B3: ") and "disk full" in lines[1]
-        assert lines[2].startswith("  M04/W1/B1: ") and "20 coefficients" in lines[2]
+        assert lines[2] == (f"  M04/W1/B1: {env['ckpt']} cannot convert {narrow}: "
+                            "input of 20 channels, but the model takes 40")
         assert len(lines) == 3
         assert len(list(out.glob("*.wav"))) == 7
         assert (out / "M04_W0_B3_to_M12.mcep").exists()

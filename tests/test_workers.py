@@ -53,6 +53,20 @@ class TestOrderedMap:
         assert workers.ordered_map(str, []) == []
         assert pools == []
 
+    @pytest.mark.parametrize("error", [ValueError, OSError, MemoryError])
+    def test_item_error_is_that_items_entry(self, monkeypatch, error):
+        cpus(monkeypatch, 2)
+        raised = error("item 1")
+
+        def fn(i):
+            if i == 1:
+                raise raised
+            return i
+
+        got = workers.ordered_map(fn, range(4))
+        assert got == [0, raised, 2, 3]
+        assert got[1].__traceback__ is None
+
     def test_unhandled_error_cancels_queued_items(self, monkeypatch):
         cpus(monkeypatch, 2)
         started = []
