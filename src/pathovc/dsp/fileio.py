@@ -1,5 +1,6 @@
 """WAV (PCM16 mono) and MCEP1 feature-file input/output."""
 
+import os
 import struct
 import wave
 
@@ -19,8 +20,11 @@ def read_wav(path) -> Waveform:
     """Read a mono PCM16 wav; a bad header raises ValueError naming ``path``."""
     try:
         f = wave.open(str(path), "rb")  # reads the header, closes on failure
-    except (wave.Error, EOFError) as exc:
-        raise ValueError(f"{path}: not a readable wav file ({exc})") from None
+    except wave.Error as exc:
+        raise ValueError(f"{path}: not a readable wav file: {exc}") from None
+    except EOFError:  # wave's has no message
+        cause = "empty file" if os.path.getsize(path) == 0 else "file ends inside its header"
+        raise ValueError(f"{path}: not a readable wav file: {cause}") from None
     with f:
         if f.getnchannels() != 1:
             raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")

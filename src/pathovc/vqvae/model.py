@@ -10,8 +10,9 @@ One code path takes one time-major utterance (T, C) or a batch (B, T, C)
 of equal-length crops; the graph inside is channel-major, (C, T) or
 (B, C, T).  Each loss term is the mean over the batch of the
 per-utterance means.  Conversion runs words of any lengths together, laid
-out along time in one (C, T) sequence per pass (see _Layout), and builds
-no graph: it views the parameters as tensors that need no gradient.
+out along time in one (C, T) sequence per pass whose columns are labelled
+with their word at every stage (see _labels), and builds no graph: it
+views the parameters as tensors that need no gradient.
 """
 
 from dataclasses import dataclass, field
@@ -85,50 +86,26 @@ def _check_length(t):
             f"{MIN_FRAMES}")
 
 
-class _Layout:
-    """Words laid out along time for one conversion pass.
-
-    Word i, of lengths[i] frames, starts at frame starts[i] (see _plan);
-    the last word ends the sequence.  At stage n (0: the input frames)
-    word i holds the lengths[n][i] columns from starts[n][i] of the
-    size[n] columns, valid[n] indexes every word's columns and gaps[n]
-    the others (None if there are none).
-    """
-
-    def __init__(self, lengths, starts):
-        self.lengths, self.starts, self.size, self.valid, self.gaps = [], [], [], [], []
-        for n in range(4):
-            scale = STRIDE ** n
-            lens = [-(-t // scale) for t in lengths]  # ceil: a stage halves, rounding up
-            firsts = [s // scale for s in starts]
-            size = firsts[-1] + lens[-1]
-            mask = np.zeros(size, dtype=bool)
-            for s, t in zip(firsts, lens):
-                mask[s:s + t] = True
-            gaps = np.flatnonzero(~mask)
-            self.lengths.append(lens)
-            self.starts.append(firsts)
-            self.size.append(size)
-            self.valid.append(np.flatnonzero(mask) if gaps.size else slice(None))
-            self.gaps.append(gaps if gaps.size else None)
-
-    def word(self, a, n, i):
-        """Word i's columns of a stage-n array (..., size[n])."""
-        s = self.starts[n][i]
-        return a[..., s:s + self.lengths[n][i]]
-
-    def finite(self, a, n):
-        """Per word, whether its columns of a stage-n array are all finite."""
-        ok = np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0)
-        return [bool(self.word(ok, n, i).all()) for i in range(len(self.starts[n]))]
+def _labels(lengths, starts):
+    """Per stage n = 0..3, the word index of each column of a conversion
+    pass, -1 in a gap.  Word i, of lengths[i] frames, starts at frame
+    starts[i] (see _plan) and the last word ends the pass.  Stage n keeps
+    every STRIDE**n-th input column.  That is exact: every start is a
+    multiple of STRIDE**3, and a stride-2 stage keeps ceil(t / 2) of t
+    columns, so word i holds the ceil(lengths[i] / 2**n) stage-n columns
+    from starts[i] / 2**n."""
+    label = np.full(starts[-1] + lengths[-1], -1)
+    for i, (s, t) in enumerate(zip(starts, lengths)):
+        label[s:s + t] = i
+    return [label[::STRIDE ** n] for n in range(4)]
 
 
-def _zero_gaps(t, layout, n):
-    """Re-zero, in place, Tensor t's stage-n columns outside every word of
-    `layout` (None: no gaps).  Only for graph-free passes: a recorded op
-    would route its gradient by the old values."""
-    if layout is not None and layout.gaps[n] is not None:
-        t.data[..., layout.gaps[n]] = 0
+def _zero_gaps(t, gaps, n):
+    """Re-zero, in place, Tensor t's stage-n columns where the boolean mask
+    gaps[n] is set (gaps None: no gaps).  Only for graph-free passes: a
+    recorded op would route its gradient by the old values."""
+    if gaps is not None:
+        t.data[..., gaps[n]] = 0
 
 
 def _candidates(rows, codebook):
@@ -295,12 +272,13 @@ class HVqVaeModel:
         build no graph."""
         return {name: dc.Tensor(t.data) for name, t in self.params.items()}
 
-    def _encode_graph(self, x, p=None, layout=None):
+    def _encode_graph(self, x, p=None, gaps=None):
         """x is channel-major (..., C, T). Returns the per-stage latent Tensors.
 
-        p: the parameter Tensors, self.params by default; layout: the words
-        of a conversion pass (_Layout), whose gaps are re-zeroed after each
-        conv that feeds another."""
+        p: the parameter Tensors, self.params by default; gaps: per stage
+        n = 0..3, the boolean mask of a conversion pass's gap columns
+        (_labels < 0), which are re-zeroed after each conv that feeds
+        another."""
         p = self.params if p is None else p
         k = self.cfg.kernel_size
         pad = k // 2
@@ -309,10 +287,10 @@ class HVqVaeModel:
         for n in (1, 2, 3):
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv1.w"], STRIDE, pad),
                                p[f"enc{n}.conv1.b"]))
-            _zero_gaps(h, layout, n)
+            _zero_gaps(h, gaps, n)
             h = dc.relu(dc.add(dc.conv1d(h, p[f"enc{n}.conv2.w"], 1, pad),
                                p[f"enc{n}.conv2.b"]))
-            _zero_gaps(h, layout, n)
+            _zero_gaps(h, gaps, n)
             zs.append(dc.add(dc.conv1d(h, p[f"enc{n}.proj.w"], 1, 0),
                              p[f"enc{n}.proj.b"]))
         return zs
@@ -324,11 +302,11 @@ class HVqVaeModel:
                                    dtype=self.cfg.dtype))
         return dc.add(dc.transpose(rows), zeros)
 
-    def _decode_graph(self, qs, speakers, n_frames, p=None, layout=None):
+    def _decode_graph(self, qs, speakers, n_frames, p=None, gaps=None):
         """qs: channel-major (..., D, T_n) Tensors, finest first; speakers:
-        speaker-table rows, one or one per batch item.  p and layout as for
+        speaker-table rows, one or one per batch item.  p and gaps as for
         _encode_graph; each stage's input and upsampled frames are
-        re-zeroed outside the words."""
+        re-zeroed in the gaps."""
         p = self.params if p is None else p
         k = self.cfg.kernel_size
         pad = k // 2
@@ -337,12 +315,12 @@ class HVqVaeModel:
             parts = [qs[n - 1]] if v is None else [qs[n - 1], v]
             parts.append(self._embedding_frames(p["speaker_table"], speakers, qs[n - 1]))
             inp = dc.concat(parts, axis=-2)
-            _zero_gaps(inp, layout, n)
+            _zero_gaps(inp, gaps, n)
             h = dc.relu(dc.add(
                 dc.conv_transpose1d(inp, p[f"dec{n}.up.w"], STRIDE, STRIDE // 2),
                 p[f"dec{n}.up.b"]))
             h = dc.crop(h, qs[n - 2].shape[-1] if n > 1 else n_frames, axis=-1)
-            _zero_gaps(h, layout, n - 1)
+            _zero_gaps(h, gaps, n - 1)
             out = dc.add(dc.conv1d(h, p[f"dec{n}.out.w"], 1, pad), p[f"dec{n}.out.b"])
             v = dc.relu(out) if n > 1 else out
         return v
@@ -495,33 +473,36 @@ class HVqVaeModel:
 
     def _convert_pass(self, words, starts, speaker):
         """One pass of convert over checked words (_word) starting at frames
-        `starts`: per word, its output or its ValueError."""
+        `starts`: per word, its output or its ValueError.  The stage labels
+        (_labels) give the gaps to re-zero, the columns to quantize and the
+        words that a NaN or Inf column belongs to."""
         cfg = self.cfg
-        layout = _Layout([len(w) for w in words], starts)
-        x = np.zeros((cfg.in_channels, layout.size[0]), dtype=cfg.dtype)
-        for j, frames in enumerate(words):
-            layout.word(x, 0, j)[...] = frames.T
+        labels = _labels([len(w) for w in words], starts)
+        gaps = [label < 0 for label in labels]
+        x = np.zeros((cfg.in_channels, labels[0].size), dtype=cfg.dtype)
+        for s, frames in zip(starts, words):
+            x[:, s:s + len(frames)] = frames.T
         p = self._plain_params()
         with np.errstate(over="ignore", invalid="ignore"):
-            zs = [z.data for z in self._encode_graph(dc.Tensor(x), p, layout)]
+            zs = [z.data for z in self._encode_graph(dc.Tensor(x), p, gaps)]
             qs = []
             for n, z in enumerate(zs, start=1):
-                cols = layout.valid[n]
+                cols = ~gaps[n]
                 q = np.zeros_like(z)
                 q[:, cols] = quantize(z[:, cols].T, p[f"codebook{n}"].data)[0].T
                 qs.append(dc.Tensor(q))
-            out = self._decode_graph(qs, speaker, layout.size[0], p, layout).data
-        latents_ok = np.all([layout.finite(z, n) for n, z in enumerate(zs, start=1)],
-                            axis=0)
-        out_ok = layout.finite(out, 0)
+            out = self._decode_graph(qs, speaker, labels[0].size, p, gaps).data
+        # per stage, the words that hold a NaN or Inf column
+        bad = [set(label[~np.isfinite(a).all(axis=0)].tolist())
+               for label, a in zip(labels, [out, *zs])]
         outs = []
-        for j in range(len(words)):
-            if not latents_ok[j]:
+        for j, (s, frames) in enumerate(zip(starts, words)):
+            if any(j in b for b in bad[1:]):
                 outs.append(ValueError("the encoder's latents hold NaN or Inf"))
-            elif not out_ok[j]:
+            elif j in bad[0]:
                 outs.append(ValueError("the decoder's output holds NaN or Inf"))
             else:
-                outs.append(layout.word(out, 0, j).T.copy())
+                outs.append(out[:, s:s + len(frames)].T.copy())
         return outs
 
     def init_codebooks(self, z_samples, rng):

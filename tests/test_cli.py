@@ -431,7 +431,7 @@ class TestPreprocess:
         assert "internal error" not in capsys.readouterr().err
         errors = (out / "errors.txt").read_text().splitlines()
         assert len(errors) == 1 and errors[0].startswith("M04/W1/B2\t")
-        assert "M04_W1_B2.mcep" in errors[0]
+        assert "M04_W1_B2.mcep" in errors[0] and ".tmp" not in errors[0]
         index = json.loads((env["feats"] / "index.json").read_text())
         del index["M04/W1/B2"]
         assert json.loads((out / "index.json").read_text()) == index

@@ -15,6 +15,7 @@ import scipy.signal
 import scipy.sparse
 
 from pathovc import cli, dsp
+from pathovc.atomic import atomic_open
 from pathovc.config import ConvertConfig
 from pathovc.dsp import audio, features
 
@@ -1019,9 +1020,29 @@ class TestWavIO:
     def test_truncated_header_is_value_error_naming_path(self, tmp_path):
         path = tmp_path / "cut.wav"
         dsp.write_wav(path, dsp.Waveform(np.zeros(64), 16000))
-        path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
-            dsp.read_wav(path)
+        whole = path.read_bytes()
+        for size, cause in [(0, "empty file"),
+                            (4, "file ends inside its header"),
+                            (20, "file ends inside its header"),
+                            (36, "fmt chunk and/or data chunk missing")]:  # wave's text
+            path.write_bytes(whole[:size])
+            with pytest.raises(ValueError) as info:
+                dsp.read_wav(path)
+            assert str(info.value) == f"{path}: not a readable wav file: {cause}"
+
+
+class TestAtomicOpen:
+    def test_failed_rename_names_the_destination_only(self, tmp_path):
+        # a directory stands where the file goes
+        path = tmp_path / "f.mcep"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with atomic_open(path, "wb") as f:
+                f.write(b"data")
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value) and str(path) in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["f.mcep"]
+        assert not any(path.iterdir())
 
 
 class TestMcepIO:

@@ -295,6 +295,28 @@ class TestBatchedConvert:
         assert default_model._plan([(4, 201), (7, 288), (9, 8)]) == [
             ([4, 7], [0, 224]), ([9], [0])]
 
+    def test_labels_keep_every_word_column(self, default_model):
+        # the oracle is the per-stage arithmetic that the labels replace: at
+        # stage n, word i of t frames from frame s holds the ceil(t / 2**n)
+        # columns from s / 2**n, the last word ends the pass, and every
+        # other column is a gap (-1)
+        shuffled = list(np.random.default_rng(0).permutation(self.LENGTHS))
+        for lengths in (self.LENGTHS, shuffled):
+            plan = default_model._plan(enumerate(lengths))
+            assert any(len(group) > 1 for group, _ in plan)
+            for group, starts in plan:
+                words = [lengths[i] for i in group]
+                labels = vqvae.model._labels(words, starts)
+                assert len(labels) == 4
+                for n, label in enumerate(labels):
+                    scale = 2 ** n
+                    want = np.full(starts[-1] // scale + -(-words[-1] // scale), -1)
+                    for j, (s, t) in enumerate(zip(starts, words)):
+                        want[s // scale:s // scale + -(-t // scale)] = j
+                    np.testing.assert_array_equal(label, want)
+                    if len(group) == 1:
+                        assert label.min() == 0
+
     def test_out_of_memory_pass_retried_word_by_word(self, default_model, monkeypatch):
         # every pass of more than one word runs out of memory, and so does
         # the 50-frame word alone
